@@ -155,9 +155,10 @@ def _cmd_filter(args):
     g = fileio.read_edge_list(args.graph)
     filt = fileio.read_filter(args.filter)
     s = g.signal(fileio.read_signal(args.signal))
+    # first, so a defective graph is refused before anything is written
+    b = decompose(g)
     result = apply_filter(g, filt, s)
     fileio.write_signal(os.path.join(out, "filtered.csv"), result.values)
-    b = decompose(g)
     before = gft(b, s)
     after = gft(b, result)
     response = np.polyval(filt.taps[::-1], b.eigenvalues / b.lambda_max_abs)

@@ -44,18 +44,12 @@ def write_edge_list(path, g: Graph):
     """Write `src<TAB>dst<TAB>weight` rows; an edge src -> dst contributes
     A[dst][src].  Isolated nodes are pinned with a zero-weight self row so
     the node count survives the round trip."""
-    a = g.adjacency
-    n = g.n
-    touched = np.zeros(n, dtype=bool)
-    lines = ["src\tdst\tweight"]
-    for src in range(n):
-        for dst in range(n):
-            w = a[dst, src]
-            if w != 0:
-                touched[src] = touched[dst] = True
-                lines.append(f"{src}\t{dst}\t{_fmt_weight(w)}")
-    for i in np.flatnonzero(~touched):
-        lines.append(f"{i}\t{i}\t0")
+    at = g.adjacency.T
+    srcs, dsts = np.nonzero(at)
+    isolated = np.setdiff1d(np.arange(g.n), np.concatenate([srcs, dsts]))
+    edges = zip(srcs.tolist(), dsts.tolist(), at[srcs, dsts].tolist())
+    lines = ["src\tdst\tweight"] + [f"{s}\t{d}\t{_fmt_weight(w)}" for s, d, w in edges]
+    lines += [f"{i}\t{i}\t0" for i in isolated]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -8,7 +8,6 @@ real entries.  All objects are immutable after construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,20 +18,21 @@ EARTH_RADIUS_KM = 6371.0088
 
 
 def euclidean(p, q):
-    """Euclidean distance between two coordinate vectors."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(np.linalg.norm(p - q))
+    """Euclidean distance between coordinate vectors, broadcast over leading
+    axes; two single points give a float."""
+    d = np.sqrt(np.sum((np.asarray(p, dtype=float) - q) ** 2, axis=-1))
+    return float(d) if d.ndim == 0 else d
 
 
 def haversine_km(p, q):
-    """Great-circle distance in km between (lat, lon) pairs given in degrees."""
-    lat1, lon1 = (math.radians(v) for v in p)
-    lat2, lon2 = (math.radians(v) for v in q)
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    a = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+    """Great-circle distance in km between (lat, lon) pairs given in degrees,
+    broadcast like ``euclidean``."""
+    lat1, lon1 = np.radians(np.asarray(p, dtype=float)).T
+    lat2, lon2 = np.radians(np.asarray(q, dtype=float)).T
+    a = (np.sin((lat2 - lat1) / 2) ** 2
+         + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2)
+    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+    return float(d) if d.ndim == 0 else d
 
 
 def _freeze(a):
@@ -88,17 +88,12 @@ class Graph:
 
     @property
     def spectral_radius(self):
-        """Largest eigenvalue magnitude; cached after first use."""
-        cached = self.__dict__.get("_rho")
-        if cached is None:
-            if not self.adjacency.any():
-                cached = 0.0
-            elif not self.directed:
-                cached = float(np.max(np.abs(np.linalg.eigvalsh(self.adjacency))))
-            else:
-                cached = float(np.max(np.abs(np.linalg.eigvals(self.adjacency))))
-            object.__setattr__(self, "_rho", cached)
-        return cached
+        """Largest eigenvalue magnitude, cached by first use or ``decompose``."""
+        if "_rho" not in self.__dict__:
+            a = self.adjacency
+            eigvals = np.linalg.eigvals if self.directed else np.linalg.eigvalsh
+            self.__dict__["_rho"] = float(np.max(np.abs(eigvals(a)))) if a.any() else 0.0
+        return self.__dict__["_rho"]
 
     def signal(self, values) -> "GraphSignal":
         """Bind a length-N value vector to this graph."""
@@ -167,6 +162,10 @@ def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
                     symmetrize=False) -> Graph:
     """Directed k-nearest-neighbor graph with Gaussian distance weights.
 
+    ``metric(p, points)`` must return the distances from one point ``p`` to
+    every row of the ``points`` array; it is called once per point, and
+    ``d(n, m)`` for ``n < m`` is taken from the call for ``n``.
+
     Each node receives edges from its ``k`` nearest other nodes (distance
     ties broken by lowest node index).  The weight of the edge into ``n``
     from neighbor ``m`` is::
@@ -174,49 +173,46 @@ def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
         exp(-d(n,m)^2) / sqrt(sum_{j in N(n)} exp(-d(n,j)^2)
                               * sum_{l in N(m)} exp(-d(m,l)^2))
 
+    computed in the log domain, so distances far beyond 1 (such as
+    kilometres) do not underflow every exponential to zero.
+
     With ``unweighted=True`` every selected edge has weight exactly 1.
     With ``symmetrize=True`` the neighbor relation is made mutual before
     weighting, which yields an undirected graph.
     """
-    pts = [np.asarray(p, dtype=float) for p in points]
+    pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n == 0:
         raise ValueError("points must be nonempty")
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
+    pts = pts.reshape(n, -1)
 
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(metric(pts[i], pts[j]))
-            dist[i, j] = dist[j, i] = d
+    dist = np.array([metric(p, pts) for p in pts], dtype=float)
+    if dist.shape != (n, n):
+        raise ValueError("metric(p, points) must return one distance per point")
+    dist = np.triu(dist, 1) + np.triu(dist, 1).T
     if not np.all(np.isfinite(dist)):
         raise ValueError("all pairwise distances must be finite")
 
-    neighbors = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        others.sort(key=lambda j: (dist[i, j], j))
-        neighbors.append(set(others[:k]))
+    np.fill_diagonal(dist, np.inf)
+    mask = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(mask, np.argsort(dist, axis=1, kind="stable")[:, :k], True, axis=1)
     if symmetrize:
-        mutual = [set(nb) for nb in neighbors]
-        for i in range(n):
-            for j in neighbors[i]:
-                mutual[j].add(i)
-        neighbors = mutual
-
-    adjacency = np.zeros((n, n))
+        mask |= mask.T
     if unweighted:
-        for i in range(n):
-            for j in neighbors[i]:
-                adjacency[i, j] = 1.0
-    else:
-        gauss = np.exp(-dist ** 2)
-        sums = np.array([sum(gauss[i, j] for j in neighbors[i]) for i in range(n)])
-        for i in range(n):
-            for j in neighbors[i]:
-                adjacency[i, j] = gauss[i, j] / math.sqrt(sums[i] * sums[j])
-    return Graph(adjacency)
+        return Graph(mask.astype(float))
+
+    # The weights overwrite the distance buffer to bound the build's peak
+    # memory.  Each exponent is shifted by the largest one of its row and
+    # column, so the nearest neighbours' terms are near 1, not 0.
+    log_gauss = np.negative(np.square(dist, out=dist), out=dist)
+    log_gauss[~mask] = -np.inf
+    top = log_gauss.max(axis=1)
+    sums = np.exp(log_gauss - top[:, None]).sum(axis=1)
+    weights = np.exp(log_gauss - 0.5 * (top[:, None] + top[None, :]), out=log_gauss)
+    weights /= np.sqrt(sums[:, None] * sums[None, :])
+    return Graph(weights)
 
 
 def normalize_shift(g: Graph) -> Graph:

@@ -145,7 +145,8 @@ def decompose(g: Graph, *, cond_limit=DEFECTIVE_COND_LIMIT) -> SpectralBasis:
     Eigenvalues are sorted by descending real part, then ascending imaginary
     part, so real spectra come out ordered from lowest to highest frequency.
     Raises NearDefectiveError when the eigenvector condition number exceeds
-    ``cond_limit``.
+    ``cond_limit``.  ``lambda_max_abs`` reuses the graph's cached spectral
+    radius, or else seeds that cache with the largest eigenvalue magnitude.
     """
     a = g.adjacency
     if not a.any():
@@ -162,17 +163,24 @@ def decompose(g: Graph, *, cond_limit=DEFECTIVE_COND_LIMIT) -> SpectralBasis:
         V = _orthogonalize_repeated(w, V, a)
     V = _canonical_columns(V)
 
-    condition = float(np.linalg.cond(V))
+    if g.directed:
+        condition = float(np.linalg.cond(V))
+    else:
+        # orthogonal columns: V = QD with Q unitary and D the column
+        # 2-norms, so cond(V) = max D / min D and V^-1 = D^-2 V^H exactly
+        norms = np.linalg.norm(V, axis=0)
+        condition = float(norms.max() / norms.min())
     if not np.isfinite(condition) or condition > cond_limit:
         raise NearDefectiveError(condition, cond_limit)
-    F = np.linalg.inv(V)
+    F = np.linalg.inv(V) if g.directed else V.conj().T / (norms ** 2)[:, None]
+    rho = g.__dict__.setdefault("_rho", float(np.max(np.abs(w))))
     return SpectralBasis(
         graph=g,
         eigenvalues=_freeze(w),
         vectors=_freeze(V),
         fourier=_freeze(F),
         basis_condition=condition,
-        lambda_max_abs=float(np.max(np.abs(w))),
+        lambda_max_abs=rho,
     )
 
 

@@ -198,6 +198,19 @@ def test_filter_spectra_table_is_consistent(tmp_path):
         assert abs(after - resp * before) < 1e-8
 
 
+def test_filter_on_defective_graph_exits_2_before_writing(tmp_path):
+    gpath = tmp_path / "bad.tsv"
+    # A = [[1, 0], [1, 1]]: one Jordan block, spectral radius 1
+    gpath.write_text("src\tdst\tweight\n0\t0\t1.0\n0\t1\t1.0\n1\t1\t1.0\n")
+    fpath = tmp_path / "f.json"
+    write_filter(fpath, GraphFilter([0.5, 0.5]))
+    spath = tmp_path / "s.csv"
+    write_signal(spath, np.array([1.0, 2.0]))
+    out = tmp_path / "f"
+    assert run("filter", gpath, fpath, spath, "--out", out) == 2
+    assert not (out / "filtered.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # detect
 

@@ -14,6 +14,7 @@ from graphdsp import (
     order_frequencies,
 )
 from graphdsp.fileio import (
+    _fmt_weight,
     read_edge_list,
     read_filter,
     read_labels,
@@ -69,6 +70,36 @@ def test_edge_list_preserves_isolated_nodes(tmp_path):
     back = read_edge_list(p)
     assert back.n == 4
     assert np.array_equal(back.adjacency, a)
+
+
+def edge_list_reference(g):
+    """Per-entry writer: visit every (src, dst) pair in src-major order."""
+    a = g.adjacency
+    touched = np.zeros(g.n, dtype=bool)
+    lines = ["src\tdst\tweight"]
+    for src in range(g.n):
+        for dst in range(g.n):
+            w = a[dst, src]
+            if w != 0:
+                touched[src] = touched[dst] = True
+                lines.append(f"{src}\t{dst}\t{_fmt_weight(w)}")
+    for i in np.flatnonzero(~touched):
+        lines.append(f"{i}\t{i}\t0")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_edge_list_bytes_match_per_entry_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.3)
+    real[:, 4] = real[4, :] = 0.0  # isolated node
+    cpx = real * np.exp(1j * rng.random((12, 12)))
+    cpx[2, 3], cpx[3, 2] = -1.5, 2j  # real and imaginary entries in a complex graph
+    graphs = [Graph(real), Graph(cpx), Graph(np.zeros((3, 3))),
+              build_knn_graph(rng.random((20, 2)), 3, symmetrize=True)]
+    for i, g in enumerate(graphs):
+        p = tmp_path / f"g{i}.tsv"
+        write_edge_list(p, g)
+        assert p.read_bytes() == edge_list_reference(g)
 
 
 def test_edge_list_default_weight_is_one(tmp_path):

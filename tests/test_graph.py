@@ -275,3 +275,97 @@ def test_haversine_between_poles_and_equator():
     quarter = np.pi / 2 * 6371.0088
     assert haversine_km([0.0, 0.0], [90.0, 0.0]) == pytest.approx(quarter, rel=1e-6)
     assert haversine_km([10.0, 20.0], [10.0, 20.0]) == 0.0
+
+
+def test_metrics_broadcast_over_point_arrays():
+    rng = np.random.default_rng(4)
+    pts = rng.random((6, 2)) * [60.0, 120.0]
+    for metric in (euclidean, haversine_km):
+        row = metric(pts[0], pts)
+        assert row.shape == (6,)
+        for j, q in enumerate(pts):
+            d = metric(pts[0], q)
+            assert isinstance(d, float)
+            assert row[j] == d
+
+
+def knn_reference(points, k, metric=euclidean, *, unweighted=False,
+                  symmetrize=False):
+    """Per-pair k-NN construction: one metric call per point pair, neighbors
+    sorted by (distance, index), weights from the plain Gaussian formula."""
+    pts = [np.asarray(p, dtype=float) for p in points]
+    n = len(pts)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = float(metric(pts[i], pts[j]))
+    neighbors = []
+    for i in range(n):
+        others = sorted((j for j in range(n) if j != i),
+                        key=lambda j: (dist[i, j], j))
+        neighbors.append(set(others[:k]))
+    if symmetrize:
+        mutual = [set(nb) for nb in neighbors]
+        for i in range(n):
+            for j in neighbors[i]:
+                mutual[j].add(i)
+        neighbors = mutual
+    adjacency = np.zeros((n, n))
+    gauss = np.exp(-dist ** 2)
+    sums = [sum(gauss[i, j] for j in neighbors[i]) for i in range(n)]
+    for i in range(n):
+        for j in neighbors[i]:
+            adjacency[i, j] = (1.0 if unweighted
+                               else gauss[i, j] / np.sqrt(sums[i] * sums[j]))
+    return adjacency
+
+
+KNN_INPUTS = {
+    "random2d": np.random.default_rng(10).random((40, 2)),
+    "random3d": np.random.default_rng(11).random((40, 3)),
+    "integer_grid": np.array([[i, j] for i in range(7) for j in range(6)], float),
+    "duplicates": np.repeat(np.random.default_rng(12).random((8, 2)), 3, axis=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNN_INPUTS))
+@pytest.mark.parametrize("symmetrize", [False, True])
+@pytest.mark.parametrize("k", [1, 4, 6])
+def test_knn_matches_per_pair_reference(name, symmetrize, k):
+    pts = KNN_INPUTS[name]
+    ref = knn_reference(pts, k, unweighted=True, symmetrize=symmetrize)
+    got = build_knn_graph(pts, k, unweighted=True, symmetrize=symmetrize)
+    assert np.array_equal(got.adjacency, ref)
+
+    ref = knn_reference(pts, k, symmetrize=symmetrize)
+    got = build_knn_graph(pts, k, symmetrize=symmetrize).adjacency
+    assert np.array_equal(got != 0, ref != 0)
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_knn_weights_ignore_a_constant_added_to_squared_distances():
+    pts = np.random.default_rng(13).random((30, 2))
+
+    def shifted(p, q):
+        return np.sqrt(euclidean(p, q) ** 2 + 900.0)
+
+    for symmetrize in (False, True):
+        plain = build_knn_graph(pts, 5, symmetrize=symmetrize).adjacency
+        offset = build_knn_graph(pts, 5, shifted, symmetrize=symmetrize).adjacency
+        assert np.array_equal(plain != 0, offset != 0)
+        assert np.abs(offset - plain).max() <= 1e-12 * np.abs(plain).max()
+
+
+def test_knn_haversine_at_tens_of_km_has_finite_positive_weights():
+    # twelve stations on a ring, neighbours about 30 km apart: exp(-d^2)
+    # alone underflows to 0 for every pair
+    theta = 2 * np.pi * np.arange(12) / 12
+    radius_deg = 15.0 / np.sin(np.pi / 12) / 111.2
+    pts = np.column_stack([40.0 + radius_deg * np.sin(theta),
+                           -3.0 + radius_deg * np.cos(theta) / np.cos(np.radians(40.0))])
+    assert 29.0 < haversine_km(pts[0], pts[1]) < 31.0
+    for symmetrize in (False, True):
+        g = build_knn_graph(pts, 2, metric=haversine_km, symmetrize=symmetrize)
+        w = g.adjacency[g.adjacency != 0]
+        assert w.size == 2 * len(pts)
+        assert np.all(np.isfinite(w)) and np.all(w > 0.0)

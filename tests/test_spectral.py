@@ -5,6 +5,7 @@ from graphdsp import (
     Graph,
     JordanChain,
     NearDefectiveError,
+    build_knn_graph,
     cycle_graph,
     decompose,
     dirichlet_form,
@@ -22,6 +23,7 @@ from graphdsp import (
     tv_of_chain_vector,
     validate_chain,
 )
+from graphdsp.spectral import _canonical_columns
 
 
 def dft_matrix(n):
@@ -154,6 +156,50 @@ def test_decompose_is_deterministic():
     assert np.array_equal(b1.eigenvalues, b2.eigenvalues)
     assert np.array_equal(b1.vectors, b2.vectors)
     assert b1.graph is g and b2.graph is g
+
+
+def undirected_basis_graphs():
+    return {
+        "cycle8": undirected_cycle(8),  # eigenvalues +-sqrt(2) and 0 repeated
+        "complete6": Graph(np.ones((6, 6)) - np.eye(6)),  # -1 five times
+        "knn60": build_knn_graph(np.random.default_rng(8).random((60, 2)), 5,
+                                 symmetrize=True),
+    }
+
+
+@pytest.mark.parametrize("name", ["cycle8", "complete6", "knn60"])
+def test_undirected_basis_inverse_and_condition_are_exact(name):
+    g = undirected_basis_graphs()[name]
+    b = decompose(g)
+
+    w, V = np.linalg.eigh(g.adjacency)
+    w = w.astype(complex)
+    idx = np.lexsort((w.imag, -w.real))
+    assert np.array_equal(b.eigenvalues, w[idx])
+    assert np.array_equal(b.vectors, _canonical_columns(V[:, idx].astype(complex)))
+
+    inv = np.linalg.inv(b.vectors)
+    assert np.abs(b.fourier - inv).max() <= 1e-12 * np.abs(inv).max()
+    assert b.basis_condition == pytest.approx(np.linalg.cond(b.vectors), rel=1e-12)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_spectral_radius_is_one_number_in_either_call_order(directed):
+    a = np.random.default_rng(9).standard_normal((20, 20))
+    if not directed:
+        a = a + a.T
+    cold = float(np.max(np.abs(np.linalg.eigvals(a))))
+
+    g = Graph(a)
+    rho = g.spectral_radius
+    b = decompose(g)
+    assert b.lambda_max_abs == rho == g.spectral_radius
+
+    g = Graph(a)
+    b = decompose(g)
+    assert g.spectral_radius == b.lambda_max_abs
+    assert abs(b.lambda_max_abs - cold) <= 1e-12 * cold
+    assert abs(rho - cold) <= 1e-12 * cold
 
 
 # ---------------------------------------------------------------------------
