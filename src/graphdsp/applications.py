@@ -3,8 +3,9 @@
 The detector high-pass filters sensor snapshots and flags Fourier
 coefficients that exceed a threshold calibrated on recent history.  The
 classifier treats two-class labels as a graph signal and minimizes signal
-variation plus a fidelity penalty on the known labels, which reduces to one
-symmetric positive-definite linear solve.
+variation plus a fidelity penalty on the known labels, which reduces to a
+symmetric positive-definite system, solved per fidelity weight or, for the
+alpha sweep and the misfit-budget search, factored once per label set.
 """
 
 from __future__ import annotations
@@ -196,21 +197,26 @@ def _raise_singular(g: Graph, labels: LabelSignal):
     raise SingularSystemError("regularization system is numerically singular")
 
 
+def _solve_pos(g: Graph, labels: LabelSignal, a, b):
+    """Cholesky solve of a @ x = b that refuses a singular classifier system."""
+    try:
+        # a singular-but-consistent system can pass the residual checks
+        # with an arbitrary nullspace component mixed in, so treat scipy's
+        # reciprocal-condition warning as a failure too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            return scipy.linalg.solve(a, b, assume_a="pos")
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+        _raise_singular(g, labels)
+
+
 def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
     cmask = labels.known_mask.astype(float)
     rhs = 2.0 * cfg.alpha * labels.labels
     if g.n <= DIRECT_SOLVE_MAX_N:
         m = _variation_operator(g, cfg.form)
         system = m + np.diag(2.0 * cfg.alpha * cmask)
-        try:
-            # a singular-but-consistent system can pass the residual check
-            # below with an arbitrary nullspace component mixed in, so
-            # treat scipy's reciprocal-condition warning as a failure too
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                s = scipy.linalg.solve(system, rhs, assume_a="pos")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-            _raise_singular(g, labels)
+        s = _solve_pos(g, labels, system, rhs)
         residual = float(np.linalg.norm(system @ s - rhs))
     else:
         matvec = _system_matvec(g, cfg.form, cfg.alpha, cmask)
@@ -226,6 +232,50 @@ def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
     return s
 
 
+def _label_solver(g: Graph, labels: LabelSignal, form: str, tolerance: float):
+    """Factor the system once per label set; return alphas -> N x len(alphas)
+    solutions.  With K/U the known/unknown nodes, X = M_UU^-1 M_UK and
+    M_KK - M_UK^T X = Q diag(lam) Q^T: s_U = -X s_K, s_K = Q diag(2 alpha /
+    (lam + 2 alpha)) Q^T y_K.  Singular for every alpha exactly when M_UU is."""
+    m = _variation_operator(g, form)
+    known = labels.known_mask
+    kn, un = np.flatnonzero(known), np.flatnonzero(~known)
+    y = labels.labels
+    m_uk = m[np.ix_(un, kn)]
+    x = _solve_pos(g, labels, m[np.ix_(un, un)], m_uk)
+    lam, q = np.linalg.eigh(m[np.ix_(kn, kn)] - m_uk.T @ x)
+    qty = q.T @ y[kn]
+
+    def solve(alphas):
+        two_a = 2.0 * np.asarray(alphas, dtype=float)
+        d = lam[:, None] + two_a
+        fit, miss = two_a / d * qty[:, None], lam[:, None] / d * qty[:, None]
+        # a product with Q rounds in proportion to its operand, so each column
+        # takes s_K = Q fit or y_K - Q miss, whichever operand is smaller
+        small = (fit ** 2).sum(axis=0) <= (miss ** 2).sum(axis=0)
+        s = np.empty((g.n, two_a.size))
+        s[kn] = np.where(small, q @ fit, y[kn, None] - q @ miss)
+        s[un] = -(x @ s[kn])
+        r = m @ s + two_a * (known[:, None] * s - y[:, None])
+        if not np.all(np.linalg.norm(r, axis=0) <= tolerance * two_a * np.linalg.norm(y)):
+            _raise_singular(g, labels)
+        return s
+
+    return solve
+
+
+def _check_labels(g: Graph, labels: LabelSignal):
+    if labels.n != g.n:
+        raise ValueError("label vector length does not match graph")
+    if not labels.known_mask.any():
+        raise ValueError("at least one label must be known")
+
+
+def _classification(s) -> Classification:
+    return Classification(predicted=_freeze(s),
+                          classes=_freeze(np.where(s > 0.0, 1, -1)))
+
+
 def classify(g: Graph, labels: LabelSignal, cfg: ClassifierConfig) -> Classification:
     """Spread known +/-1 labels over the graph by variation regularization.
 
@@ -234,13 +284,8 @@ def classify(g: Graph, labels: LabelSignal, cfg: ClassifierConfig) -> Classifica
     and C the diagonal known-label mask.  Nodes with positive predictions
     get class +1, everything else (including exact zero) class -1.
     """
-    if labels.n != g.n:
-        raise ValueError("label vector length does not match graph")
-    if not labels.known_mask.any():
-        raise ValueError("at least one label must be known")
-    s = _solve_system(g, labels, cfg)
-    classes = np.where(s > 0.0, 1, -1)
-    return Classification(predicted=_freeze(s), classes=_freeze(classes))
+    _check_labels(g, labels)
+    return _classification(_solve_system(g, labels, cfg))
 
 
 def classification_objective(g: Graph, labels: LabelSignal,
@@ -268,53 +313,41 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
                                 max_alpha=1e9, iterations=60):
     """Classify with the smallest fidelity weight meeting a misfit budget.
 
-    Runs a doubling search then log-domain bisection on alpha until the
-    solution's known-label misfit drops to ``epsilon`` or below; returns
-    the classification and the alpha found.
+    Runs a doubling search then log-domain bisection on alpha, all on one
+    factorization, until the solution's known-label misfit drops to
+    ``epsilon`` or below; returns the classification and the alpha found.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
+    cfg = ClassifierConfig(alpha=1.0, form=form, solver_tolerance=solver_tolerance)
+    _check_labels(g, labels)
+    solver = _label_solver(g, labels, cfg.form, cfg.solver_tolerance)
 
-    def solve(alpha):
-        cfg = ClassifierConfig(alpha=alpha, form=form,
-                               solver_tolerance=solver_tolerance)
-        out = classify(g, labels, cfg)
-        return out, label_misfit(labels, out.predicted)
+    def meets(alpha):
+        s = solver([alpha])[:, 0]
+        return label_misfit(labels, s) <= epsilon, s
 
-    alpha = 1.0
-    out, miss = solve(alpha)
-    if miss > epsilon:
-        lo = alpha
-        while miss > epsilon:
-            alpha *= 2.0
-            if alpha > max_alpha:
+    lo, hi, alpha = None, None, 1.0
+    while lo is None or hi is None:
+        ok, s = meets(alpha)
+        if ok:
+            hi, out, alpha = alpha, s, alpha / 2.0
+            if hi <= 1e-12:
+                break
+        else:
+            lo, alpha = alpha, alpha * 2.0
+            if hi is None and alpha > max_alpha:
                 raise ValueError(
                     f"misfit budget {epsilon} not reachable below alpha={max_alpha}"
                 )
-            lo = alpha / 2.0
-            out, miss = solve(alpha)
-        hi = alpha
-    else:
-        hi = alpha
-        while miss <= epsilon and alpha > 1e-12:
-            alpha /= 2.0
-            prev = out
-            out, miss = solve(alpha)
-            if miss <= epsilon:
-                hi = alpha
-            else:
-                out = prev
-        if miss <= epsilon:
-            return out, alpha
-        lo = alpha
-    for _ in range(iterations):
+    for _ in range(iterations if lo is not None else 0):
         mid = float(np.sqrt(lo * hi))
-        cand, miss = solve(mid)
-        if miss <= epsilon:
-            hi, out = mid, cand
+        ok, s = meets(mid)
+        if ok:
+            hi, out = mid, s
         else:
             lo = mid
-    return out, hi
+    return _classification(out), hi
 
 
 def standard_alpha_grid() -> np.ndarray:
@@ -343,7 +376,8 @@ def sweep_alpha(g: Graph, truth: LabelSignal, form, alphas, ratio: float,
     replacement from a seeded generator, classifies, and scores the
     fraction of nodes whose sign matches the truth.  The same draws are
     reused for every alpha so the sweep isolates the weight's effect; ties
-    for the best mean accuracy go to the smallest alpha.
+    for the best mean accuracy go to the smallest alpha.  Each draw factors
+    the system once and solves the whole grid from the factors.
     """
     if truth.n != g.n:
         raise ValueError("truth length does not match graph")
@@ -354,23 +388,19 @@ def sweep_alpha(g: Graph, truth: LabelSignal, form, alphas, ratio: float,
         raise ValueError("alpha grid is empty")
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    cfg = [ClassifierConfig(a, form, solver_tolerance) for a in alphas][0]  # all checked
     n = g.n
     n_known = int(round(ratio * n))
     if not 1 <= n_known <= n:
         raise ValueError(f"ratio {ratio} reveals {n_known} of {n} labels")
     rng = np.random.default_rng(seed)
-    draws = [rng.choice(n, size=n_known, replace=False) for _ in range(runs)]
-    truth_classes = truth.labels.astype(int)
-    accuracy = np.zeros((alphas.size, len(draws)))
-    for j, nodes in enumerate(draws):
+    accuracy = np.zeros((alphas.size, runs))
+    for j in range(runs):
+        nodes = rng.choice(n, size=n_known, replace=False)
         revealed = np.zeros(n)
         revealed[nodes] = truth.labels[nodes]
-        labels = LabelSignal(revealed)
-        for i, alpha in enumerate(alphas):
-            cfg = ClassifierConfig(alpha=alpha, form=form,
-                                   solver_tolerance=solver_tolerance)
-            result = classify(g, labels, cfg)
-            accuracy[i, j] = float(np.mean(result.classes == truth_classes))
+        s = _label_solver(g, LabelSignal(revealed), cfg.form, cfg.solver_tolerance)(alphas)
+        accuracy[:, j] = np.mean((s > 0.0) == (truth.labels[:, None] > 0.0), axis=0)
     mean = accuracy.mean(axis=1)
     std = accuracy.std(axis=1)
     best = int(np.argmax(mean))

@@ -88,11 +88,21 @@ class Graph:
 
     @property
     def spectral_radius(self):
-        """Largest eigenvalue magnitude, cached by first use or ``decompose``."""
+        """Largest eigenvalue magnitude, cached by first use or ``decompose``;
+        Lanczos from a fixed start (bitwise reruns) above 20 undirected nodes."""
         if "_rho" not in self.__dict__:
-            a = self.adjacency
-            eigvals = np.linalg.eigvals if self.directed else np.linalg.eigvalsh
-            self.__dict__["_rho"] = float(np.max(np.abs(eigvals(a)))) if a.any() else 0.0
+            a, rho = self.adjacency, None
+            if not self.directed and self.n > 20 and a.any():
+                import scipy.sparse.linalg  # here, so package import order stays
+                v0 = 1.0 + np.random.default_rng(0).random(self.n)
+                try:
+                    rho = float(abs(scipy.sparse.linalg.eigsh(a, k=1, tol=0, v0=v0)[0][0]))
+                except scipy.sparse.linalg.ArpackError:
+                    pass  # the dense solver below
+            if rho is None:
+                eigvals = np.linalg.eigvals if self.directed else np.linalg.eigvalsh
+                rho = float(np.max(np.abs(eigvals(a)))) if a.any() else 0.0
+            self.__dict__["_rho"] = rho
         return self.__dict__["_rho"]
 
     def signal(self, values) -> "GraphSignal":

@@ -21,6 +21,7 @@ from graphdsp import (
     standard_alpha_grid,
     sweep_alpha,
 )
+from graphdsp.applications import _label_solver
 
 
 def two_cliques(k=5, bridge=0.5):
@@ -241,6 +242,19 @@ def test_classify_requires_some_known_label():
         classify(g, LabelSignal([1, -1]), ClassifierConfig(alpha=1.0))
 
 
+def disconnected_cliques_one_labeled(k=5):
+    a = np.zeros((2 * k, 2 * k))
+    for block in (range(k), range(k, 2 * k)):
+        for i in block:
+            for j in block:
+                if i != j:
+                    a[i, j] = 1.0
+    values = np.zeros(2 * k)
+    values[0] = 1.0
+    values[1] = -1.0
+    return Graph(a), LabelSignal(values)
+
+
 def test_unlabeled_component_is_reported_singular():
     # two disconnected cliques of the same size share the spectral radius,
     # so an unlabeled component makes the system exactly singular for both
@@ -373,6 +387,87 @@ def test_large_problem_uses_iterative_path():
 # misfit budget
 
 
+def budget_by_per_alpha_classify(g, labels, epsilon, form="shift",
+                                 max_alpha=1e9, iterations=60):
+    """The doubling / bisection search with one classify per trial alpha."""
+    def solve(alpha):
+        out = classify(g, labels, ClassifierConfig(alpha=alpha, form=form))
+        return out, label_misfit(labels, out.predicted)
+
+    alpha = 1.0
+    out, miss = solve(alpha)
+    if miss > epsilon:
+        while miss > epsilon:
+            alpha *= 2.0
+            assert alpha <= max_alpha
+            lo = alpha / 2.0
+            out, miss = solve(alpha)
+        hi = alpha
+    else:
+        hi = alpha
+        while miss <= epsilon and alpha > 1e-12:
+            alpha /= 2.0
+            prev = out
+            out, miss = solve(alpha)
+            if miss <= epsilon:
+                hi = alpha
+            else:
+                out = prev
+        if miss <= epsilon:
+            return out, alpha
+        lo = alpha
+    for _ in range(iterations):
+        mid = float(np.sqrt(lo * hi))
+        cand, miss = solve(mid)
+        if miss <= epsilon:
+            hi, out = mid, cand
+        else:
+            lo = mid
+    return out, hi
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+@pytest.mark.parametrize("epsilon", [1e-6, 1e-3, 1e-1, 0.5])
+def test_misfit_budget_matches_per_alpha_search(form, epsilon):
+    g = two_cliques()
+    labels = clique_labels(known_per_side=2)
+    result, alpha = classify_with_misfit_budget(g, labels, epsilon, form)
+    ref, ref_alpha = budget_by_per_alpha_classify(g, labels, epsilon, form)
+    # at epsilon=1e-6 the misfit is a difference of numbers near 1, so any
+    # float64 solve knows it, and the alpha found, only to ~1e-16/epsilon
+    rel = 1e-12 if epsilon >= 1e-3 else 1e-9
+    assert alpha == pytest.approx(ref_alpha, rel=rel)
+    assert np.array_equal(result.classes, ref.classes)
+    assert label_misfit(labels, result.predicted) <= epsilon
+
+
+def test_misfit_budget_down_to_the_alpha_floor():
+    # negated weights put rho on a negative eigenvalue, so M = B^T B is
+    # nonsingular and alphas down to the 1e-12 floor are solvable
+    g = Graph(-two_cliques().adjacency)
+    labels = clique_labels(known_per_side=2)
+    for epsilon in (1e-3, 1.9, 5.0):
+        result, alpha = classify_with_misfit_budget(g, labels, epsilon)
+        ref, ref_alpha = budget_by_per_alpha_classify(g, labels, epsilon)
+        assert alpha == pytest.approx(ref_alpha, rel=1e-12)
+        assert np.array_equal(result.classes, ref.classes)
+    assert alpha < 1e-12
+
+
+def test_unreachable_misfit_budget_is_refused():
+    g = two_cliques()
+    labels = clique_labels(known_per_side=2)
+    with pytest.raises(ValueError, match="not reachable"):
+        classify_with_misfit_budget(g, labels, 0.0, max_alpha=1e3)
+
+
+def test_misfit_budget_refuses_unlabeled_component():
+    g, labels = disconnected_cliques_one_labeled()
+    with pytest.raises(SingularSystemError) as e:
+        classify_with_misfit_budget(g, labels, 1e-3)
+    assert set(e.value.component) == set(range(5, 10))
+
+
 def test_misfit_budget_is_respected():
     g = two_cliques()
     labels = clique_labels(known_per_side=2)
@@ -435,3 +530,91 @@ def test_sweep_validates_inputs():
         sweep_alpha(g, truth, "shift", np.array([1.0]), 0.2, 0)
     with pytest.raises(ValueError):
         sweep_alpha(g, truth, "banana", np.array([1.0]), 0.2, 5)
+
+
+# ---------------------------------------------------------------------------
+# factored solver behind the sweep and the misfit budget
+
+
+def assert_matches_per_alpha_classify(g, labels, form):
+    grid = standard_alpha_grid()
+    s = _label_solver(g, labels, form, 1e-8)(grid)
+    assert s.shape == (g.n, grid.size)
+    for i, alpha in enumerate(grid):
+        ref = classify(g, labels, ClassifierConfig(alpha=float(alpha), form=form))
+        assert np.abs(s[:, i] - ref.predicted).max() <= 1e-10 * np.abs(s[:, i]).max()
+        assert np.array_equal(np.where(s[:, i] > 0.0, 1, -1), ref.classes)
+    return s
+
+
+def sbm_draw(n=60, seed=1):
+    g, truth = sbm_graph(n, 0.3, 0.05, seed=seed)
+    values = np.array(truth.labels, dtype=float)
+    values[np.random.default_rng(seed).random(n) < 0.7] = 0.0
+    return g, truth, LabelSignal(values)
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_factored_solver_matches_classify_on_sbm(form):
+    g, _, labels = sbm_draw()
+    assert 0 < labels.known_mask.sum() < g.n
+    assert_matches_per_alpha_classify(g, labels, form)
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_factored_solver_with_every_node_known(form):
+    g, truth, _ = sbm_draw()
+    assert_matches_per_alpha_classify(g, truth, form)
+
+
+def test_factored_solver_isolated_unlabeled_node():
+    g, _, labels = sbm_draw()
+    a = np.zeros((g.n + 1, g.n + 1))
+    a[:-1, :-1] = g.adjacency
+    g = Graph(a)
+    labels = LabelSignal(np.append(labels.labels, 0.0))
+    s = assert_matches_per_alpha_classify(g, labels, "shift")
+    assert np.all(s[-1] == 0.0)
+    # under the Laplacian the isolated node is an unlabeled component
+    for solve in (lambda: _label_solver(g, labels, "laplacian", 1e-8),
+                  lambda: classify(g, labels, ClassifierConfig(1.0, "laplacian"))):
+        with pytest.raises(SingularSystemError) as e:
+            solve()
+        assert e.value.component == (g.n - 1,)
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_sweep_matches_per_alpha_classify(form):
+    g, truth = sbm_graph(40, 0.4, 0.05, seed=2)
+    grid = standard_alpha_grid()
+    result = sweep_alpha(g, truth, form, grid, 0.2, 2, seed=9)
+    rng = np.random.default_rng(9)
+    draws = [rng.choice(40, size=8, replace=False) for _ in range(2)]
+    accuracy = np.zeros((grid.size, 2))
+    for j, nodes in enumerate(draws):
+        revealed = np.zeros(40)
+        revealed[nodes] = truth.labels[nodes]
+        for i, alpha in enumerate(grid):
+            out = classify(g, LabelSignal(revealed),
+                           ClassifierConfig(alpha=float(alpha), form=form))
+            accuracy[i, j] = float(np.mean(out.classes == truth.labels))
+    assert np.array_equal(result.mean_accuracy, accuracy.mean(axis=1))
+    assert np.array_equal(result.std_accuracy, accuracy.std(axis=1))
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_sweep_refuses_unlabeled_component(form):
+    g, _ = disconnected_cliques_one_labeled()
+    truth = LabelSignal(np.repeat([1.0, -1.0], 5))
+    # one revealed label leaves the other clique without any
+    with pytest.raises(SingularSystemError) as e:
+        sweep_alpha(g, truth, form, standard_alpha_grid(), 0.1, 3, seed=4)
+    assert e.value.component is not None
+    assert set(e.value.component) in ({0, 1, 2, 3, 4}, {5, 6, 7, 8, 9})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_sweep_rejects_bad_alpha_in_grid(bad):
+    g, truth = sbm_graph(20, 0.5, 0.1, seed=6)
+    with pytest.raises(ValueError):
+        sweep_alpha(g, truth, "shift", np.array([1.0, bad, 2.0]), 0.2, 2)

@@ -13,6 +13,7 @@ from graphdsp import (
     laplacian,
     normalize_shift,
     path_graph,
+    sbm_graph,
 )
 
 
@@ -66,6 +67,63 @@ def test_spectral_radius():
     assert path_graph(3).spectral_radius == pytest.approx(np.sqrt(2))
     assert Graph(2 * np.eye(3)).spectral_radius == pytest.approx(2.0)
     assert Graph(np.zeros((3, 3))).spectral_radius == 0.0
+
+
+def _undirected_fixtures():
+    knn = build_knn_graph(np.random.default_rng(1).random((200, 2)), 6,
+                          symmetrize=True)
+    sbm, _ = sbm_graph(120, 0.3, 0.05, seed=2)
+    w = np.random.default_rng(3).random((30, 40))
+    bipartite = Graph(np.block([[np.zeros((30, 30)), w],
+                                [w.T, np.zeros((40, 40))]]))
+    return {"knn": knn, "sbm": sbm, "bipartite": bipartite}
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    import scipy.sparse.linalg
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["knn", "sbm", "bipartite"])
+def test_undirected_spectral_radius_from_lanczos_matches_dense(name, eigsh_calls):
+    g = _undirected_fixtures()[name]
+    dense = np.linalg.eigvalsh(g.adjacency)
+    rho = g.spectral_radius
+    assert eigsh_calls == [(g.n, g.n)]
+    assert abs(rho - np.abs(dense).max()) <= 1e-12 * rho
+    if name == "bipartite":
+        assert dense[0] == pytest.approx(-dense[-1], rel=1e-12)
+    again = Graph(np.array(g.adjacency))
+    assert again.spectral_radius == rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiny_undirected_spectral_radius_is_dense(n, eigsh_calls):
+    a = np.ones((n, n)) - np.eye(n)
+    assert Graph(a).spectral_radius == float(np.abs(np.linalg.eigvalsh(a)).max())
+    assert Graph(np.zeros((n, n))).spectral_radius == 0.0
+    assert Graph(np.zeros((40, 40))).spectral_radius == 0.0
+    assert eigsh_calls == []
+
+
+def test_spectral_radius_falls_back_to_dense_when_arpack_fails(monkeypatch):
+    import scipy.sparse.linalg
+
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    g = _undirected_fixtures()["knn"]
+    assert g.spectral_radius == float(np.abs(np.linalg.eigvalsh(g.adjacency)).max())
 
 
 def test_signal_binding_and_validation():
