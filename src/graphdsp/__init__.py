@@ -2,8 +2,9 @@
 
 The shift A generalizes the time delay; its eigenbasis is the graph
 Fourier basis, total variation against the normalized shift orders the
-frequencies, polynomials in A are the filters, and on top of that sit two
-pipelines: spectral anomaly detection and label regularization.
+frequencies, polynomials in the normalized shift A/|lambda_max| are the
+filters, and on top of that sit two pipelines: spectral anomaly detection
+and label regularization.
 """
 
 from .graph import (

@@ -20,7 +20,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .filtering import GraphFilter, apply_filter
-from .graph import Graph, GraphSignal, LabelSignal, _freeze, laplacian
+from .graph import Graph, GraphSignal, LabelSignal, _freeze, _nonzero_radius, laplacian
 from .spectral import SpectralBasis, gft
 
 DIRECT_SOLVE_MAX_N = 2000
@@ -143,10 +143,7 @@ def _variation_operator(g: Graph, form: str) -> np.ndarray:
     if form == "laplacian":
         m = 2.0 * laplacian(g)
     else:
-        rho = g.spectral_radius
-        if rho == 0.0:
-            raise ValueError("graph with zero adjacency cannot be normalized")
-        b = np.eye(g.n) - g.adjacency / rho
+        b = np.eye(g.n) - g.adjacency / _nonzero_radius(g)
         m = np.ascontiguousarray((b.conj().T @ b).real)
     object.__setattr__(g, key, m)
     return m
@@ -165,9 +162,7 @@ def _system_matvec(g: Graph, form: str, alpha: float, cmask: np.ndarray):
         def matvec(v):
             return 2.0 * (deg * v - a @ v) + 2.0 * alpha * cmask * v
     else:
-        rho = g.spectral_radius
-        if rho == 0.0:
-            raise ValueError("graph with zero adjacency cannot be normalized")
+        rho = _nonzero_radius(g)
         ah = a.conj().T
 
         def matvec(v):

@@ -19,8 +19,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import fileio
 from .applications import (
     ClassifierConfig,
@@ -31,7 +29,7 @@ from .applications import (
     standard_alpha_grid,
     sweep_alpha,
 )
-from .filtering import apply_filter, design_filter, ideal_response
+from .filtering import apply_filter, design_ideal_filter, frequency_response
 from .generators import cycle_graph, path_graph, regular_graph, sbm_graph
 from .graph import build_knn_graph, euclidean, haversine_km
 from .spectral import NearDefectiveError, decompose, gft, order_frequencies
@@ -49,16 +47,13 @@ def _sha256(path):
 
 def _finish(args, inputs, config, outputs, seed=None):
     """Write the run manifest next to the outputs."""
-    doc = {
+    fileio._write_json(os.path.join(args.out, "manifest.json"), {
         "command": list(args.argv),
         "inputs": {p: _sha256(p) for p in inputs},
         "seed": seed,
         "config": config,
         "outputs": outputs,
-    }
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
     return 0
 
 
@@ -83,16 +78,6 @@ def _parse_kind(text):
         except ValueError:
             raise ValueError(f"non-integer bandpass ranks in {text!r}") from None
     raise ValueError(f"unknown filter kind {text!r}")
-
-
-def _normalized_target(g, kind_text):
-    """Ideal response of a graph over its unit-spectral-radius frequencies."""
-    b = decompose(g)
-    ordering = order_frequencies(b)
-    kind, band = _parse_kind(kind_text)
-    target = ideal_response(ordering, b.eigenvalues / b.lambda_max_abs,
-                            kind, band)
-    return b, ordering, target
 
 
 def _cmd_gen(args):
@@ -141,10 +126,10 @@ def _cmd_spectrum(args):
 def _cmd_design(args):
     out = _outdir(args)
     g = fileio.read_edge_list(args.graph)
-    _, _, target = _normalized_target(g, args.kind)
-    design = design_filter(target, args.degree)
+    kind, band = _parse_kind(args.kind)
+    design = design_ideal_filter(decompose(g), kind, args.degree, band)
     fileio.write_filter(os.path.join(out, "filter.json"), design.filter)
-    fileio.write_design_report(os.path.join(out, "design.json"), design, target)
+    fileio.write_design_report(os.path.join(out, "design.json"), design)
     return _finish(args, [args.graph],
                    {"kind": args.kind, "degree": args.degree},
                    ["filter.json", "design.json"])
@@ -161,7 +146,7 @@ def _cmd_filter(args):
     fileio.write_signal(os.path.join(out, "filtered.csv"), result.values)
     before = gft(b, s)
     after = gft(b, result)
-    response = np.polyval(filt.taps[::-1], b.eigenvalues / b.lambda_max_abs)
+    response = frequency_response(b, filt)
     with open(os.path.join(out, "spectra.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "before_re", "before_im", "after_re",
@@ -183,10 +168,7 @@ def _cmd_detect(args):
         filt = fileio.read_filter(args.filter)
         filter_config = {"filter": args.filter}
     else:
-        ordering = order_frequencies(b)
-        target = ideal_response(ordering, b.eigenvalues / b.lambda_max_abs,
-                                "highpass")
-        filt = design_filter(target, args.degree).filter
+        filt = design_ideal_filter(b, "highpass", args.degree).filter
         filter_config = {"degree": args.degree}
     cfg = DetectorConfig(filter=filt, window=args.window,
                          threshold_scale=args.threshold_scale,
@@ -242,12 +224,16 @@ def _cmd_classify(args):
 def _cmd_rerun(args):
     with open(args.manifest) as fh:
         doc = json.load(fh)
-    argv = [str(v) for v in doc.get("command", [])]
-    if not argv:
+    command = doc.get("command") if isinstance(doc, dict) else None
+    if not isinstance(command, list) or not command:
         raise ValueError(f"{args.manifest}: manifest has no recorded command")
+    argv = [str(v) for v in command]
     if args.out is not None:
         if "--out" in argv:
-            argv[argv.index("--out") + 1] = args.out
+            i = argv.index("--out") + 1
+            if i == len(argv):
+                raise ValueError(f"{args.manifest}: recorded --out has no directory")
+            argv[i] = args.out
         else:
             argv += ["--out", args.out]
     return main(argv)

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .filtering import FilterDesign, GraphFilter, TargetResponse
+from .filtering import FilterDesign, GraphFilter
 from .graph import Graph, LabelSignal
 from .spectral import FrequencyOrdering, SpectralBasis
 
@@ -180,58 +180,53 @@ def _pairs(z):
     return [[float(v.real), float(v.imag)] for v in z]
 
 
-def write_spectrum(path, b: SpectralBasis, ordering: FrequencyOrdering):
-    doc = {
-        "eigenvalues": _pairs(b.eigenvalues),
-        "variations": [float(v) for v in ordering.variations],
-        "order": [int(i) for i in ordering.order],
-        "basis_condition": b.basis_condition,
-    }
+def _write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
+def write_spectrum(path, b: SpectralBasis, ordering: FrequencyOrdering):
+    _write_json(path, {
+        "eigenvalues": _pairs(b.eigenvalues),
+        "variations": [float(v) for v in ordering.variations],
+        "order": [int(i) for i in ordering.order],
+        "basis_condition": b.basis_condition,
+    })
+
+
 def write_filter(path, f: GraphFilter):
-    with open(path, "w") as fh:
-        json.dump({"taps": _pairs(f.taps)}, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, {"taps": _pairs(f.taps)})
 
 
 def read_filter(path) -> GraphFilter:
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "taps" not in doc:
-        raise ValueError(f"{path}: filter file needs a 'taps' field")
-    taps = np.array([complex(re, im) for re, im in doc["taps"]])
-    if np.all(taps.imag == 0.0):
-        taps = taps.real
-    return GraphFilter(taps)
+    try:
+        taps = np.array([complex(re, im) for re, im in doc["taps"]])
+        return GraphFilter(taps.real if np.all(taps.imag == 0.0) else taps)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: filter file needs 'taps', a non-empty list "
+                         f"of finite numeric [re, im] pairs") from None
 
 
-def write_design_report(path, design: FilterDesign, target: TargetResponse):
-    doc = {
+def write_design_report(path, design: FilterDesign):
+    _write_json(path, {
         "taps": _pairs(design.filter.taps),
         "residual": design.residual,
-        "frequencies": _pairs(target.frequencies),
-        "desired": _pairs(target.desired),
+        "frequencies": _pairs(design.target.frequencies),
+        "desired": _pairs(design.target.desired),
         "achieved": _pairs(design.achieved),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def write_detection_report(path, report):
-    doc = {
+    _write_json(path, {
         "flagged": bool(report.flagged),
         "threshold": report.threshold,
         "offending_coefficients": [[int(i), float(m)]
                                    for i, m in report.offending_coefficients],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def write_accuracy_table(path, sweep):

@@ -1,12 +1,14 @@
-"""Polynomial filters in the graph shift.
+"""Polynomial filters in the normalized graph shift.
 
-A filter is a polynomial h(A) = h0 I + h1 A + ... + hL A^L of the adjacency,
-applied to a signal with L shift multiplications (Horner's rule) instead of
-ever forming matrix powers.  Design runs the other way: pick desired response
-values on the spectrum and solve the Vandermonde system for the taps in the
-least-squares sense.  Ideal low/high/band-pass targets are expressed through
-the variation ordering of the frequencies, so they make sense for complex
-spectra too.
+A filter is a polynomial h(A/|lambda_max|) = h0 I + h1 A_norm + ... +
+hL A_norm^L of the adjacency scaled to unit spectral radius, applied to a
+signal with L shift multiplications (Horner's rule) instead of ever forming
+matrix powers.  Its response at an eigenvalue ``lam`` is
+h(lam/|lambda_max|).  Design runs the other way: pick desired response
+values on the normalized spectrum and solve the Vandermonde system for the
+taps in the least-squares sense.  Ideal low/high/band-pass targets are
+expressed through the variation ordering of the frequencies, so they make
+sense for complex spectra too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import Graph, GraphSignal, _check_bound, _freeze
+from .graph import Graph, GraphSignal, _check_bound, _freeze, _nonzero_radius
 from .spectral import FrequencyOrdering, SpectralBasis, order_frequencies
 
 DISTINCT_FREQ_TOL = 1e-12
@@ -86,23 +88,14 @@ class FilterDesign:
     filter: GraphFilter
     residual: float
     achieved: np.ndarray
+    target: TargetResponse
 
 
-def apply_filter(g: Graph, f: GraphFilter, s: GraphSignal,
-                 normalized=True) -> GraphSignal:
-    """Filter a signal: h(A)s through iterated shifts, Horner style.
-
-    With ``normalized`` (the default) the polynomial is evaluated in the
-    spectral-radius-scaled shift A/|lambda_max| rather than the raw
-    adjacency.
-    """
+def apply_filter(g: Graph, f: GraphFilter, s: GraphSignal) -> GraphSignal:
+    """Filter a signal: h(A/|lambda_max|)s through iterated shifts, Horner
+    style."""
     _check_bound(g, s)
-    a = g.adjacency
-    if normalized:
-        rho = g.spectral_radius
-        if rho == 0.0:
-            raise ValueError("cannot normalize a graph with zero adjacency")
-        a = a / rho
+    a = g.adjacency / _nonzero_radius(g)
     taps = f.taps
     out = taps[-1] * s.values
     for h in taps[-2::-1]:
@@ -111,8 +104,10 @@ def apply_filter(g: Graph, f: GraphFilter, s: GraphSignal,
 
 
 def frequency_response(b: SpectralBasis, f: GraphFilter) -> np.ndarray:
-    """Filter value h(lam) at every eigenvalue of the basis, in basis order."""
-    return np.polyval(f.taps[::-1], b.eigenvalues)
+    """Filter value h(lam/|lambda_max|) at every eigenvalue of the basis, in
+    basis order: the factor by which apply_filter scales each Fourier
+    coefficient."""
+    return np.polyval(f.taps[::-1], b.eigenvalues / b.lambda_max_abs)
 
 
 def design_filter(t: TargetResponse, degree: int) -> FilterDesign:
@@ -138,7 +133,7 @@ def design_filter(t: TargetResponse, degree: int) -> FilterDesign:
     if np.iscomplexobj(taps) and np.all(taps.imag == 0.0):
         taps = taps.real
     return FilterDesign(filter=GraphFilter(taps), residual=residual,
-                        achieved=_freeze(achieved))
+                        achieved=_freeze(achieved), target=t)
 
 
 def _distinct_by_rank(eigenvalues, order):
@@ -191,15 +186,14 @@ def ideal_response(ordering: FrequencyOrdering, eigenvalues, kind,
     return TargetResponse(freqs, desired)
 
 
-def design_ideal_filter(b: SpectralBasis, kind, degree: int, band=None, *,
-                        normalized=True, form="tv") -> FilterDesign:
+def design_ideal_filter(b: SpectralBasis, kind, degree: int,
+                        band=None) -> FilterDesign:
     """Order the basis' spectrum, build the ideal target, and fit taps.
 
-    By default the target is placed on the unit-spectral-radius frequencies
-    lambda/|lambda_max| so the Vandermonde entries stay bounded by one in
-    modulus; pass normalized=False to design against the raw spectrum.
+    The target sits on the normalized frequencies lambda/|lambda_max|, where
+    apply_filter evaluates the taps; the Vandermonde entries stay bounded by
+    one in modulus.
     """
-    ordering = order_frequencies(b, form)
-    w = b.eigenvalues / b.lambda_max_abs if normalized else b.eigenvalues
-    target = ideal_response(ordering, w, kind, band)
+    target = ideal_response(order_frequencies(b), b.eigenvalues / b.lambda_max_abs,
+                            kind, band)
     return design_filter(target, degree)

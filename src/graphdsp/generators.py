@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from .graph import Graph, LabelSignal
@@ -35,6 +34,7 @@ def regular_graph(n: int, d: int, seed: int = 0) -> Graph:
         raise ValueError(f"degree {d} infeasible for {n} nodes")
     if (n * d) % 2 != 0:
         raise ValueError(f"no {d}-regular graph on {n} nodes: n*d must be even")
+    import networkx as nx  # here: it is slow to import and only needed here
     gnx = nx.random_regular_graph(d, n, seed=int(seed))
     return Graph(nx.to_numpy_array(gnx, nodelist=range(n)))
 

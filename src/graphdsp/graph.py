@@ -225,12 +225,17 @@ def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
     return Graph(weights)
 
 
-def normalize_shift(g: Graph) -> Graph:
-    """Scale the adjacency by 1/|lambda_max| so the spectral radius is 1."""
+def _nonzero_radius(g: Graph) -> float:
+    """|lambda_max| of a graph whose shift can be normalized by it."""
     rho = g.spectral_radius
     if rho == 0.0:
         raise ValueError("cannot normalize a graph with zero adjacency")
-    return Graph(g.adjacency / rho, directed=g.directed)
+    return rho
+
+
+def normalize_shift(g: Graph) -> Graph:
+    """Scale the adjacency by 1/|lambda_max| so the spectral radius is 1."""
+    return Graph(g.adjacency / _nonzero_radius(g), directed=g.directed)
 
 
 def graph_shift(g: Graph, s: GraphSignal) -> GraphSignal:

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import Graph, GraphSignal, _check_bound, _freeze, laplacian
+from .graph import Graph, GraphSignal, _check_bound, _freeze, _nonzero_radius, laplacian
 
 DEFECTIVE_COND_LIMIT = 1e8
 EIGENVALUE_GROUP_TOL = 1e-12
 PHASE_TIE_RTOL = 1e-9
-
-ORDER_FORMS = ("tv", "quadratic")
 
 
 class NearDefectiveError(Exception):
@@ -202,10 +200,7 @@ def igft(b: SpectralBasis, shat) -> GraphSignal:
 
 
 def _normalized_shift_of(g: Graph, s_values):
-    rho = g.spectral_radius
-    if rho == 0.0:
-        raise ValueError("graph with zero adjacency has no normalized shift")
-    return (g.adjacency @ s_values) / rho
+    return (g.adjacency @ s_values) / _nonzero_radius(g)
 
 
 def gradient(g: Graph, s: GraphSignal) -> np.ndarray:
@@ -285,30 +280,26 @@ def tv_of_chain_vector(g: Graph, chain: JordanChain, r: int, *,
     return float(np.abs(diff).sum())
 
 
-def order_eigenvalues(eigenvalues, lambda_max_abs, form="tv") -> FrequencyOrdering:
+def order_eigenvalues(eigenvalues, lambda_max_abs) -> FrequencyOrdering:
     """Sort spectral indices by ascending variation of their eigenvalue.
 
-    Variation of ``lam`` is ``|1 - lam/|lam_max||`` for form "tv" and its
-    square for form "quadratic"; both give the same permutation.  Ties are
+    The variation of ``lam`` is the total variation of its l1-normalized
+    eigenvector on the normalized shift, ``|1 - lam/|lam_max||``.  Ties are
     broken by descending real part, ascending imaginary part, then index.
     """
-    if form not in ORDER_FORMS:
-        raise ValueError(f"form must be one of {ORDER_FORMS}, got {form!r}")
     w = np.asarray(eigenvalues, dtype=complex)
     r = float(lambda_max_abs)
     if r <= 0.0:
         raise ValueError("lambda_max_abs must be positive")
     variations = np.abs(1.0 - w / r)
-    if form == "quadratic":
-        variations = variations ** 2
     order = sorted(range(len(w)),
                    key=lambda i: (variations[i], -w[i].real, w[i].imag, i))
     return FrequencyOrdering(order=np.array(order), variations=variations)
 
 
-def order_frequencies(b: SpectralBasis, form="tv") -> FrequencyOrdering:
+def order_frequencies(b: SpectralBasis) -> FrequencyOrdering:
     """Frequency ordering of a basis from lowest to highest variation."""
-    return order_eigenvalues(b.eigenvalues, b.lambda_max_abs, form)
+    return order_eigenvalues(b.eigenvalues, b.lambda_max_abs)
 
 
 def laplacian_total_variation(g: Graph, s: GraphSignal) -> float:

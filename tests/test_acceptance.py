@@ -170,7 +170,7 @@ def test_regular_graph_adjacency_and_laplacian_orderings_agree():
             n += 1
         g = regular_graph(n, d, seed=trial)
         b = decompose(g)
-        order = np.asarray(order_frequencies(b, form="quadratic").order)
+        order = np.asarray(order_frequencies(b).order)
         beta, u = np.linalg.eigh(laplacian(g))
         # same ordering: the variation-ranked adjacency eigenvalues are
         # exactly d - beta with beta ascending
@@ -240,7 +240,7 @@ def test_filtering_multiplies_spectra():
         g, b = random_diagonalizable(rng, n)
         f = GraphFilter(rng.standard_normal(int(rng.integers(1, 10))))
         s = g.signal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        lhs = gft(b, apply_filter(g, f, s, normalized=False))
+        lhs = gft(b, apply_filter(g, f, s))
         rhs = frequency_response(b, f) * gft(b, s)
         assert np.abs(lhs - rhs).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
     print("PASS: filtering in the vertex domain multiplies Fourier "

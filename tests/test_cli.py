@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,6 +201,18 @@ def test_filter_spectra_table_is_consistent(tmp_path):
         assert abs(after - resp * before) < 1e-8
 
 
+def test_filter_with_malformed_filter_file_exits_1(tmp_path, capsys):
+    gdir = tmp_path / "g"
+    run("gen", "cycle", 4, "--out", gdir)
+    fpath = tmp_path / "f.json"
+    fpath.write_text('{"taps": [1.0, 2.0]}')
+    spath = tmp_path / "s.csv"
+    write_signal(spath, np.arange(4.0))
+    assert run("filter", gdir / "graph.tsv", fpath, spath,
+               "--out", tmp_path / "f") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_filter_on_defective_graph_exits_2_before_writing(tmp_path):
     gpath = tmp_path / "bad.tsv"
     # A = [[1, 0], [1, 1]]: one Jordan block, spectral radius 1
@@ -361,6 +376,20 @@ def test_rerun_reproduces_bytes(tmp_path):
     assert tree_bytes(first) == tree_bytes(second)
 
 
+def test_rerun_rejects_a_manifest_that_is_not_an_object(tmp_path, capsys):
+    m = tmp_path / "manifest.json"
+    m.write_text('["gen", "cycle", "4"]')
+    assert run("rerun", m) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_rerun_rejects_a_recorded_out_without_a_directory(tmp_path, capsys):
+    m = tmp_path / "manifest.json"
+    m.write_text(json.dumps({"command": ["gen", "cycle", "4", "--out"]}))
+    assert run("rerun", m, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_manifest_hashes_inputs(tmp_path):
     gdir = tmp_path / "g"
     run("gen", "cycle", 4, "--out", gdir)
@@ -386,3 +415,9 @@ def test_unknown_command_exits_one():
 
 def test_no_arguments_exits_one():
     assert run() == 1
+
+
+def test_cli_import_does_not_load_networkx():
+    code = "import sys, graphdsp.cli; sys.exit('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -239,6 +239,11 @@ def test_read_filter_rejects_malformed(tmp_path):
     q.write_text('{"degree": 3}')
     with pytest.raises(ValueError):
         read_filter(q)
+    for i, taps in enumerate(('[1.0, 2.0]', '5', '[["a", 0]]', '[]')):
+        r = tmp_path / f"bad{i}.json"
+        r.write_text(f'{{"taps": {taps}}}')
+        with pytest.raises(ValueError, match=f"bad{i}.json"):
+            read_filter(r)
 
 
 def test_spectrum_file_fields(tmp_path):
@@ -277,7 +282,7 @@ def test_reports_are_parseable(tmp_path):
     target = ideal_response(ordering, b.eigenvalues, "lowpass")
     design = design_filter(target, 4)
     p = tmp_path / "design.json"
-    write_design_report(p, design, target)
+    write_design_report(p, design)
     doc = json.loads(p.read_text())
     assert len(doc["taps"]) == 5
     assert doc["residual"] >= 0

@@ -78,8 +78,8 @@ def test_single_tap_is_identity():
 def test_taps_0_1_reproduce_the_shift():
     g = Graph([[0, 2, 0], [0, 0, 1], [1, 0, 0]])
     s = g.signal([1.0, 2.0, 3.0])
-    out = apply_filter(g, GraphFilter([0.0, 1.0]), s, normalized=False)
-    assert np.allclose(out.values, graph_shift(g, s).values)
+    out = apply_filter(g, GraphFilter([0.0, 1.0]), s)
+    assert np.allclose(out.values, graph_shift(g, s).values / g.spectral_radius)
 
 
 def test_first_order_filter_on_cycle_eigenvector():
@@ -100,13 +100,12 @@ def test_horner_matches_explicit_powers():
         degree = int(rng.integers(0, 9))
         taps = rng.standard_normal(degree + 1)
         s = rng.standard_normal(n)
-        out = apply_filter(g, GraphFilter(taps), g.signal(s),
-                           normalized=False).values
+        out = apply_filter(g, GraphFilter(taps), g.signal(s)).values
         expect = np.zeros(n)
         power = s.copy()
         for h in taps:
             expect = expect + h * power
-            power = a @ power
+            power = a @ power / g.spectral_radius
         assert np.abs(out - expect).max() <= 1e-9 * max(1.0, np.abs(expect).max())
 
 
@@ -118,17 +117,15 @@ def test_filter_commutes_with_shift():
         g = Graph(a)
         f = GraphFilter(rng.standard_normal(int(rng.integers(1, 6))))
         s = g.signal(rng.standard_normal(n))
-        left = graph_shift(g, apply_filter(g, f, s, normalized=False)).values
-        right = apply_filter(g, f, graph_shift(g, s), normalized=False).values
+        left = graph_shift(g, apply_filter(g, f, s)).values
+        right = apply_filter(g, f, graph_shift(g, s)).values
         assert np.abs(left - right).max() <= 1e-9 * max(1.0, np.abs(left).max())
 
 
 def test_normalized_flag_divides_by_radius():
     g = Graph(2 * np.eye(3))
     s = g.signal([1.0, 2.0, 3.0])
-    raw = apply_filter(g, GraphFilter([0.0, 1.0]), s, normalized=False)
-    nrm = apply_filter(g, GraphFilter([0.0, 1.0]), s, normalized=True)
-    assert np.allclose(raw.values, 2 * s.values)
+    nrm = apply_filter(g, GraphFilter([0.0, 1.0]), s)
     assert np.allclose(nrm.values, s.values)
 
 
@@ -154,6 +151,17 @@ def test_response_of_pure_shift_is_the_spectrum():
     assert np.allclose(h, b.eigenvalues)
 
 
+def test_default_filtering_is_spectral_multiplication_at_radius_two():
+    # rho = 2: apply_filter and frequency_response must both normalize
+    g = Graph(2 * cycle_graph(6).adjacency)
+    b = decompose(g)
+    f = GraphFilter([0.5, -1.0, 0.25, 2.0])
+    s = g.signal(np.arange(6.0) - 1j * np.arange(6.0) ** 2)
+    lhs = gft(b, apply_filter(g, f, s))
+    rhs = frequency_response(b, f) * gft(b, s)
+    assert np.abs(lhs - rhs).max() <= 1e-12
+
+
 def test_filtering_is_spectral_multiplication():
     rng = np.random.default_rng(227)
     for _ in range(12):
@@ -161,7 +169,7 @@ def test_filtering_is_spectral_multiplication():
         g, b = random_diagonalizable(rng, n)
         f = GraphFilter(rng.standard_normal(int(rng.integers(1, 9))))
         s = g.signal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        lhs = gft(b, apply_filter(g, f, s, normalized=False))
+        lhs = gft(b, apply_filter(g, f, s))
         rhs = frequency_response(b, f) * gft(b, s)
         assert np.abs(lhs - rhs).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
 
@@ -344,7 +352,7 @@ def test_design_ideal_filter_end_to_end():
 
 def test_design_ideal_filter_normalized_frequencies():
     # radius 2: designing on normalized frequencies must evaluate correctly
-    # through apply_filter(..., normalized=True)
+    # through apply_filter
     a = np.zeros((4, 4))
     for i in range(4):
         a[(i + 1) % 4, i] = 2.0
@@ -352,5 +360,5 @@ def test_design_ideal_filter_normalized_frequencies():
     b = decompose(g)
     d = design_ideal_filter(b, "lowpass", 3)
     s = g.signal(np.ones(4))  # eigenvector at the zero-variation frequency
-    out = apply_filter(g, d.filter, s, normalized=True)
+    out = apply_filter(g, d.filter, s)
     assert np.abs(out.values - s.values).max() < 1e-9

@@ -464,23 +464,6 @@ def test_order_handles_conjugate_ties_by_imag():
     assert list(order_eigenvalues(flipped, 1.0).order) == [0, 2, 1]
 
 
-def test_tv_and_quadratic_orderings_agree():
-    rng = np.random.default_rng(97)
-    for _ in range(25):
-        n = int(rng.integers(2, 18))
-        _, b = random_diagonalizable(rng, n, directed=bool(rng.integers(2)))
-        a = order_frequencies(b, form="tv")
-        q = order_frequencies(b, form="quadratic")
-        assert list(a.order) == list(q.order)
-        assert np.allclose(q.variations, a.variations ** 2, atol=1e-12)
-
-
-def test_order_frequencies_rejects_unknown_form():
-    b = decompose(cycle_graph(4))
-    with pytest.raises(ValueError):
-        order_frequencies(b, form="cubic")
-
-
 def test_undirected_variation_ranks_follow_descending_eigenvalue():
     # real spectra sorted descending are already variation-sorted, so the
     # permutation is the identity
