@@ -1,8 +1,8 @@
 """Property tests of the graph Fourier transform and of polynomial filters.
 
-Graphs are dense random adjacencies, directed or symmetric, scaled so that
-their spectral radius is away from one; a graph whose eigenvector basis is
-refused as near-defective is skipped.  Rounding in V and F = V^-1 grows
+Graphs are dense random adjacencies, directed or symmetric, scaled by a
+random factor; a graph whose spectral radius is within 1e-3 of one, or
+whose eigenvector basis is refused as near-defective, is skipped.  Rounding in V and F = V^-1 grows
 with the basis condition, so the tolerances scale with it.
 """
 
@@ -47,7 +47,6 @@ def bases(draw):
 
 def signals(n):
     return (arrays(float, n, elements=VALUES)
-            .map(lambda v: v.astype(complex))
             | arrays(complex, n, elements=st.complex_numbers(max_magnitude=10.0)))
 
 
