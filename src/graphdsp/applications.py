@@ -311,6 +311,15 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
     Runs a doubling search then log-domain bisection on alpha, all on one
     factorization, until the solution's known-label misfit drops to
     ``epsilon`` or below; returns the classification and the alpha found.
+
+    The factorization refuses a system that is singular for every alpha (an
+    unlabeled component) before any alpha is tried.  A refusal during the
+    search therefore only means that alpha is too small for the system to
+    resolve, as when the variation operator is singular and a loose budget
+    halves alpha toward the 1e-12 floor: the search then stops and returns
+    the smallest alpha already verified, which meets the budget and passed
+    the residual check.  A budget unreachable below ``max_alpha`` raises
+    ValueError.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
@@ -323,25 +332,29 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
         return label_misfit(labels, s) <= epsilon, s
 
     lo, hi, alpha = None, None, 1.0
-    while lo is None or hi is None:
-        ok, s = meets(alpha)
-        if ok:
-            hi, out, alpha = alpha, s, alpha / 2.0
-            if hi <= 1e-12:
-                break
-        else:
-            lo, alpha = alpha, alpha * 2.0
-            if hi is None and alpha > max_alpha:
-                raise ValueError(
-                    f"misfit budget {epsilon} not reachable below alpha={max_alpha}"
-                )
-    for _ in range(iterations if lo is not None else 0):
-        mid = float(np.sqrt(lo * hi))
-        ok, s = meets(mid)
-        if ok:
-            hi, out = mid, s
-        else:
-            lo = mid
+    try:
+        while lo is None or hi is None:
+            ok, s = meets(alpha)
+            if ok:
+                hi, out, alpha = alpha, s, alpha / 2.0
+                if hi <= 1e-12:
+                    break
+            else:
+                lo, alpha = alpha, alpha * 2.0
+                if hi is None and alpha > max_alpha:
+                    raise ValueError(
+                        f"misfit budget {epsilon} not reachable below alpha={max_alpha}"
+                    )
+        for _ in range(iterations if lo is not None else 0):
+            mid = float(np.sqrt(lo * hi))
+            ok, s = meets(mid)
+            if ok:
+                hi, out = mid, s
+            else:
+                lo = mid
+    except SingularSystemError:
+        if hi is None:
+            raise
     return _classification(out), hi
 
 

@@ -63,31 +63,31 @@ def read_edge_list(path, *, directed=None) -> Graph:
     if header[:2] != ["src", "dst"] or len(header) > 3 or (
             len(header) == 3 and header[2] != "weight"):
         raise ValueError(f"{path}: expected header 'src<TAB>dst[<TAB>weight]'")
-    rows = []
-    n = 0
+    src, dst, weights = [], [], []
     for ln in lines[1:]:
         parts = ln.split("\t")
         if len(parts) not in (2, 3):
             raise ValueError(f"{path}: malformed edge row {ln!r}")
         try:
-            src, dst = int(parts[0]), int(parts[1])
+            s, d = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"{path}: non-integer node id in row {ln!r}") from None
-        if src < 0 or dst < 0:
+        if s < 0 or d < 0:
             raise ValueError(f"{path}: node ids must be non-negative, got {ln!r}")
-        w = _parse_weight(parts[2]) if len(parts) == 3 else 1.0
-        rows.append((src, dst, w))
-        n = max(n, src + 1, dst + 1)
-    if any(isinstance(w, complex) for _, _, w in rows):
-        a = np.zeros((n, n), dtype=complex)
-    else:
-        a = np.zeros((n, n))
-    seen = set()
-    for src, dst, w in rows:
-        if (src, dst) in seen:
-            raise ValueError(f"{path}: duplicate edge {src} -> {dst}")
-        seen.add((src, dst))
-        a[dst, src] = w
+        src.append(s)
+        dst.append(d)
+        weights.append(_parse_weight(parts[2]) if len(parts) == 3 else 1.0)
+    n = max(src + dst, default=-1) + 1
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    weights = np.array(weights, dtype=complex if complex in map(type, weights) else float)
+    a = np.zeros((n, n), dtype=weights.dtype)
+    first = np.unique(dst * n + src, return_index=True)[1]
+    if first.size < src.size:
+        dup = np.ones(src.size, dtype=bool)
+        dup[first] = False
+        r = int(np.argmax(dup))  # the first row that repeats an earlier pair
+        raise ValueError(f"{path}: duplicate edge {src[r]} -> {dst[r]}")
+    a[dst, src] = weights
     return Graph(a, directed=directed)
 
 

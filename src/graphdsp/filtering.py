@@ -51,6 +51,27 @@ class GraphFilter:
         return f"GraphFilter(degree={self.degree})"
 
 
+def _close_pairs(values, tol):
+    """Index pairs (i, j), i != j, of complex values at most ``tol`` apart,
+    and their gaps.
+
+    Values are sorted along their wider axis (real or imaginary part), so
+    each one is compared only with the few that follow it within one
+    searchsorted window.  The window is 2*tol wide, so rounding at its edge
+    cannot drop a pair; the exact test is the gap itself.
+    """
+    axis = values.real if np.ptp(values.real) >= np.ptp(values.imag) else values.imag
+    s = np.argsort(axis, kind="stable")
+    x = axis[s]
+    width = np.searchsorted(x, x + 2.0 * tol, side="right") - np.arange(1, x.size + 1)
+    p = np.repeat(np.arange(x.size), width)
+    q = p + 1 + np.arange(p.size) - np.repeat(np.cumsum(width) - width, width)
+    i, j = s[p], s[q]
+    gap = np.abs(values[i] - values[j])
+    close = gap <= tol
+    return i[close], j[close], gap[close]
+
+
 @dataclass(frozen=True, eq=False)
 class TargetResponse:
     """Desired filter values attached to pairwise-distinct spectrum points."""
@@ -65,14 +86,12 @@ class TargetResponse:
             raise ValueError("frequencies and desired must be matching vectors")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(d))):
             raise ValueError("target response must be finite")
-        if f.shape[0] > 1:
-            gap = np.abs(f[:, None] - f[None, :])
-            np.fill_diagonal(gap, np.inf)
-            if gap.min() <= DISTINCT_FREQ_TOL:
-                raise ValueError(
-                    f"frequencies must be pairwise distinct "
-                    f"(closest pair {gap.min():.3e} apart)"
-                )
+        gap = _close_pairs(f, DISTINCT_FREQ_TOL)[2]
+        if gap.size:
+            raise ValueError(
+                f"frequencies must be pairwise distinct "
+                f"(closest pair {gap.min():.3e} apart)"
+            )
         object.__setattr__(self, "frequencies", _freeze(f))
         object.__setattr__(self, "desired", _freeze(d))
 
@@ -138,13 +157,24 @@ def design_filter(t: TargetResponse, degree: int) -> FilterDesign:
 
 def _distinct_by_rank(eigenvalues, order):
     """Walk the spectrum in rank order, keeping first representatives of
-    numerically repeated eigenvalues."""
-    kept = []
-    for i in order:
-        lam = eigenvalues[i]
-        if all(abs(lam - mu) > DEDUP_FREQ_TOL for mu in kept):
-            kept.append(lam)
-    return np.array(kept, dtype=complex)
+    numerically repeated eigenvalues: a value within DEDUP_FREQ_TOL of an
+    earlier-ranked kept value is dropped.
+
+    Only values with a close earlier-ranked partner are visited, each after
+    every value ranked before it, so the partners' fate is already known.
+    """
+    rank = np.empty(order.size, dtype=int)
+    rank[order] = np.arange(order.size)
+    i, j, _ = _close_pairs(eigenvalues, DEDUP_FREQ_TOL)
+    earlier = np.where(rank[i] < rank[j], i, j)
+    later = i + j - earlier
+    s = np.argsort(rank[later], kind="stable")
+    earlier, later = earlier[s], later[s]
+    starts = np.flatnonzero(np.diff(later, prepend=-1))
+    keep = np.ones(order.size, dtype=bool)
+    for v, prior in zip(later[starts], np.split(earlier, starts[1:])):
+        keep[v] = not keep[prior].any()
+    return eigenvalues[order[keep[order]]]
 
 
 def ideal_response(ordering: FrequencyOrdering, eigenvalues, kind,

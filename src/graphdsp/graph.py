@@ -48,12 +48,13 @@ def _as_adjacency(values):
         raise ValueError(f"adjacency must be square, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("graph needs at least one node")
-    a = a.astype(complex)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    real = a.dtype.kind in "biuf"
+    a = a.astype(float if real else complex, copy=False)
+    if not np.all(np.isfinite(a)):
         raise ValueError("adjacency entries must be finite")
-    if np.all(a.imag == 0.0):
-        return a.real.astype(float)
-    return a
+    if real or a.imag.any():
+        return a
+    return a.real.astype(float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,19 @@ between the signal and its shifted copy on the normalized adjacency.
 Frequencies are ordered from low to high by increasing variation of their
 eigenvectors, which for an eigenvalue ``lam`` reduces to the planar distance
 ``|1 - lam/|lam_max||``.
+
+``decompose`` never inverts or conditions a complex matrix it can avoid.
+An undirected graph's ``eigh`` basis has orthogonal columns, so its
+condition and inverse follow from the column norms.  A real directed
+graph's eigenvectors come in exactly conjugate pairs (v, conj v); folding
+each pair into the real columns sqrt2 (Re v, Im v) is a unitary change of
+basis, so the 2-norm condition and the inverse come from real LAPACK on
+that real form.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +30,9 @@ from .graph import Graph, GraphSignal, _check_bound, _freeze, _nonzero_radius, l
 DEFECTIVE_COND_LIMIT = 1e8
 EIGENVALUE_GROUP_TOL = 1e-12
 PHASE_TIE_RTOL = 1e-9
+SQRT2 = np.sqrt(2.0)
+
+log = logging.getLogger("graphdsp")
 
 
 class NearDefectiveError(Exception):
@@ -92,23 +104,22 @@ class FrequencyOrdering:
 
 
 def _canonical_columns(V):
-    """Scale columns to unit l1 norm and fix their phase.
+    """Scale columns to unit l1 norm and fix their phase, in place; a
+    matrix left with no imaginary part comes back as a real copy.
 
     The phase is chosen so the first entry whose modulus is within a small
     relative tolerance of the column maximum becomes real positive; the
     tolerance keeps the choice stable when several entries tie in modulus.
     """
-    V = np.array(V, copy=True)
-    mags = np.abs(V)
-    norms = mags.sum(axis=0)
-    for j in range(V.shape[1]):
-        col = V[:, j] / norms[j]
-        m = np.abs(col)
-        pivot = int(np.argmax(m >= (1.0 - PHASE_TIE_RTOL) * m.max()))
-        phase = col[pivot] / abs(col[pivot])
-        V[:, j] = col / phase
-    if np.iscomplexobj(V) and np.all(V.imag == 0.0):
-        V = V.real
+    V /= np.abs(V).sum(axis=0)
+    m = np.abs(V)
+    pivot = np.argmax(m >= (1.0 - PHASE_TIE_RTOL) * m.max(axis=0), axis=0)
+    cols = np.arange(V.shape[1])
+    V /= V[pivot, cols] / m[pivot, cols]
+    if np.iscomplexobj(V) and not V.imag.any():
+        # a copy in V's memory order: eigh's columns stay contiguous, which
+        # fixes the summation order of the column norms taken from them
+        V = np.array(V.real)
     return V
 
 
@@ -137,6 +148,27 @@ def _orthogonalize_repeated(eigenvalues, V, a):
     return V
 
 
+def _real_form(w, V):
+    """Fold every exactly conjugate eigenvector pair into real columns.
+
+    A pair (v, conj v) sits at adjacent indices (j, j+1), negative imaginary
+    part first, and becomes the columns sqrt2 (Re v, Im v) of M = V U, with
+    U block-diagonal of [[1, -i], [1, i]]/sqrt2 on the pairs and the
+    identity elsewhere.  U is unitary, so cond2(M) = cond2(V) and
+    V^-1 = U M^-1.  M is real unless a column outside the pairs is complex.
+    Returns M and the first indices j of the folded pairs.
+    """
+    j = np.flatnonzero((w.imag[:-1] < 0.0) & (w[1:] == w[:-1].conj()))
+    j = j[np.all(V[:, j + 1] == V[:, j].conj(), axis=0)]
+    single = np.ones(len(w), dtype=bool)
+    single[j] = single[j + 1] = False
+    real = not np.iscomplexobj(V) or not V.imag[:, single].any()
+    M = np.array(V.real if real else V)
+    v = V[:, j]
+    M[:, j], M[:, j + 1] = SQRT2 * v.real, SQRT2 * v.imag
+    return M, j
+
+
 def decompose(g: Graph, *, cond_limit=DEFECTIVE_COND_LIMIT) -> SpectralBasis:
     """Eigendecompose the adjacency into a canonical Fourier basis.
 
@@ -156,27 +188,42 @@ def decompose(g: Graph, *, cond_limit=DEFECTIVE_COND_LIMIT) -> SpectralBasis:
         w, V = scipy.linalg.eig(a)
     idx = np.lexsort((w.imag, -w.real))
     w = w[idx]
-    V = V[:, idx].astype(complex)
+    # canonical scaling in complex arithmetic even for eigh's real vectors:
+    # numpy's complex division rounds differently from the real one
+    V = V[:, idx].astype(complex, copy=False)
     if g.directed:
         V = _orthogonalize_repeated(w, V, a)
     V = _canonical_columns(V)
 
     if g.directed:
-        condition = float(np.linalg.cond(V))
+        M, pairs = _real_form(w, V)
+        condition = float(np.linalg.cond(M))
     else:
-        # orthogonal columns: V = QD with Q unitary and D the column
-        # 2-norms, so cond(V) = max D / min D and V^-1 = D^-2 V^H exactly
+        # orthogonal real columns: V = QD with Q orthogonal and D the column
+        # 2-norms, so cond(V) = max D / min D and V^-1 = D^-2 V^T exactly
+        M, pairs = V, ()
         norms = np.linalg.norm(V, axis=0)
         condition = float(norms.max() / norms.min())
+    log.debug("decompose: n=%d solver=%s folded_pairs=%d real_form=%s "
+              "basis_condition=%.6g", g.n, "eig" if g.directed else "eigh",
+              len(pairs), not np.iscomplexobj(M), condition)
     if not np.isfinite(condition) or condition > cond_limit:
         raise NearDefectiveError(condition, cond_limit)
-    F = np.linalg.inv(V) if g.directed else V.conj().T / (norms ** 2)[:, None]
+    if g.directed:
+        F = np.linalg.inv(M).astype(V.dtype, copy=False)
+        for j in pairs:  # rows of U M^-1: (R[j] -/+ i R[j+1]) / sqrt2
+            re, im = F[j] / SQRT2, F[j + 1] * (1j / SQRT2)
+            F[j], F[j + 1] = re - im, re + im
+    else:
+        F = V.T / (norms ** 2)[:, None]
     rho = g.__dict__.setdefault("_rho", float(np.max(np.abs(w))))
+    for x in (w, V, F):  # built here, so frozen without a copy
+        x.setflags(write=False)
     return SpectralBasis(
         graph=g,
-        eigenvalues=_freeze(w),
-        vectors=_freeze(V),
-        fourier=_freeze(F),
+        eigenvalues=w,
+        vectors=V,
+        fourier=F,
         basis_condition=condition,
         lambda_max_abs=rho,
     )

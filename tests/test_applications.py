@@ -454,6 +454,22 @@ def test_misfit_budget_down_to_the_alpha_floor():
     assert alpha < 1e-12
 
 
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_loose_misfit_budget_on_a_singular_operator(form):
+    # the shift form's M is singular here (+rho is an eigenvalue), so halving
+    # alpha reaches values the residual check refuses; the search returns
+    # the smallest alpha it verified instead of raising
+    g = two_cliques()
+    labels = clique_labels(known_per_side=2)
+    result, alpha = classify_with_misfit_budget(g, labels, 5.0, form)
+    assert label_misfit(labels, result.predicted) <= 5.0
+    direct = classify(g, labels, ClassifierConfig(alpha=alpha, form=form))
+    assert np.abs(direct.predicted - result.predicted).max() <= 1e-6
+    if alpha > 1e-12:
+        with pytest.raises(SingularSystemError):
+            classify(g, labels, ClassifierConfig(alpha=alpha / 2, form=form))
+
+
 def test_unreachable_misfit_budget_is_refused():
     g = two_cliques()
     labels = clique_labels(known_per_side=2)

@@ -15,6 +15,7 @@ from graphdsp import (
 )
 from graphdsp.fileio import (
     _fmt_weight,
+    _parse_weight,
     read_edge_list,
     read_filter,
     read_labels,
@@ -123,6 +124,56 @@ def test_edge_list_rejects_bad_input(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError):
             read_edge_list(p)
+
+
+def read_edge_list_reference(path):
+    """Per-row fill with a set of seen pairs, which read_edge_list replaces."""
+    lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+    rows = [ln.split("\t") for ln in lines[1:]]
+    rows = [(int(r[0]), int(r[1]), _parse_weight(r[2]) if len(r) == 3 else 1.0)
+            for r in rows]
+    n = max(max(s, d) for s, d, _ in rows) + 1
+    a = np.zeros((n, n), dtype=complex if any(isinstance(w, complex) for *_, w in rows)
+                 else float)
+    seen = set()
+    for s, d, w in rows:
+        if (s, d) in seen:
+            raise ValueError(f"{path}: duplicate edge {s} -> {d}")
+        seen.add((s, d))
+        a[d, s] = w
+    return a
+
+
+def test_read_edge_list_matches_per_row_fill(tmp_path):
+    rng = np.random.default_rng(11)
+    texts = ["src\tdst\tweight\n2\t0\t1.5\n0\t2\t-0.0\n1\t1\t\n",
+             "src\tdst\n3\t1\n1\t3\n",
+             "src\tdst\tweight\n0\t1\t2\n1\t0\t1-2i\n4\t4\t0\n"]
+    for i in range(3):
+        a = rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.4)
+        a = a * np.exp(1j * rng.random((9, 9))) if i == 1 else a
+        p = tmp_path / f"w{i}.tsv"
+        write_edge_list(p, Graph(a))
+        texts.append(p.read_text())
+    for i, text in enumerate(texts):
+        p = tmp_path / f"e{i}.tsv"
+        p.write_text(text)
+        ref = read_edge_list_reference(p)
+        got = read_edge_list(p).adjacency
+        if np.iscomplexobj(ref) and not ref.imag.any():
+            ref = ref.real
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_duplicate_edge_message_names_the_first_repeat(tmp_path):
+    p = tmp_path / "dups.tsv"
+    p.write_text("src\tdst\tweight\n0\t1\t1\n2\t3\t1\n1\t0\t1\n"
+                 "2\t3\t5\n0\t1\t1\n")
+    with pytest.raises(ValueError) as got:
+        read_edge_list(p)
+    with pytest.raises(ValueError) as ref:
+        read_edge_list_reference(p)
+    assert str(got.value) == str(ref.value) == f"{p}: duplicate edge 2 -> 3"
 
 
 def test_edge_list_undirected_request(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from graphdsp import (
     order_eigenvalues,
     order_frequencies,
 )
+from graphdsp.filtering import DEDUP_FREQ_TOL, DISTINCT_FREQ_TOL, _distinct_by_rank
 
 
 def random_diagonalizable(rng, n):
@@ -322,6 +325,60 @@ def test_ideal_response_deduplicates_repeated_eigenvalues():
     t = ideal_response(ordering, b.eigenvalues, "highpass")
     assert t.m == 1
     assert t.desired[0] == 1.0
+
+
+def distinct_by_rank_reference(eigenvalues, order):
+    """The O(M^2) walk that _distinct_by_rank replaces."""
+    kept = []
+    for i in order:
+        lam = eigenvalues[i]
+        if all(abs(lam - mu) > DEDUP_FREQ_TOL for mu in kept):
+            kept.append(lam)
+    return np.array(kept, dtype=complex)
+
+
+def gap_matrix_refusal(f):
+    """The M x M gap matrix test that TargetResponse replaces."""
+    gap = np.abs(f[:, None] - f[None, :])
+    np.fill_diagonal(gap, np.inf)
+    return gap.min() if gap.min() <= DISTINCT_FREQ_TOL else None
+
+
+def spectra_with_near_repeats(rng, count):
+    """Random spectra (complex, real, purely imaginary, on a coarse grid)
+    plus copies of some values moved by up to 2.5 tolerances, so chains of
+    close values straddle the threshold."""
+    for t in range(count):
+        m = int(rng.integers(1, 40))
+        w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        w = [w, w.real, 1j * w.imag, np.round(w, 1)][t % 4]
+        for tol in (DEDUP_FREQ_TOL, DISTINCT_FREQ_TOL):
+            src = rng.integers(0, m, int(rng.integers(0, m + 1)))
+            shift = rng.uniform(-0.5, 2.0, src.size) * tol
+            w = np.concatenate([w, w[src] + shift * np.exp(2j * np.pi * rng.random(src.size))])
+        yield w.astype(complex)
+
+
+def test_distinct_by_rank_matches_the_pairwise_walk():
+    rng = np.random.default_rng(5)
+    for w in spectra_with_near_repeats(rng, 400):
+        order = rng.permutation(w.size)
+        assert np.array_equal(_distinct_by_rank(w, order),
+                              distinct_by_rank_reference(w, order))
+
+
+def test_target_response_refuses_what_the_gap_matrix_refused():
+    rng = np.random.default_rng(6)
+    refused = 0
+    for w in spectra_with_near_repeats(rng, 400):
+        closest = gap_matrix_refusal(w)
+        if closest is None:
+            TargetResponse(w, np.ones(w.size))
+            continue
+        refused += 1
+        with pytest.raises(ValueError, match=re.escape(f"closest pair {closest:.3e} apart")):
+            TargetResponse(w, np.ones(w.size))
+    assert refused > 100
 
 
 def test_lowpass_highpass_taps_sum_to_delta():

@@ -31,6 +31,20 @@ def test_adjacency_must_be_finite():
         Graph([[0.0, np.nan], [1.0, 0.0]])
 
 
+def test_adjacency_coercion_matches_the_complex_round_trip():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 6))
+    x[0, 1] = -0.0
+    inputs = [x, x.astype(np.float32), (x * 100).astype(np.int64), x > 0,
+              [[0, 1], [2, 3]], x + 0j, x + 1j * (x > 1), x.astype(object),
+              (x + 0j).astype(object)]
+    for values in inputs:
+        c = np.asarray(values).astype(complex)
+        ref = c.real.astype(float) if np.all(c.imag == 0.0) else c
+        got = Graph(values).adjacency
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_empty_graph_rejected():
     with pytest.raises(ValueError):
         Graph(np.zeros((0, 0)))

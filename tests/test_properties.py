@@ -2,8 +2,11 @@
 
 Graphs are dense random adjacencies, directed or symmetric, scaled by a
 random factor; a graph whose spectral radius is within 1e-3 of one, or
-whose eigenvector basis is refused as near-defective, is skipped.  Rounding in V and F = V^-1 grows
-with the basis condition, so the tolerances scale with it.
+whose eigenvector basis is refused as near-defective, is skipped.  The
+inverse property draws directed graphs with real or complex weights, so
+both the real form of a conjugate-paired basis and a complex one are
+hit.  Rounding in V and F = V^-1 grows with the basis condition, so the
+tolerances scale with it.
 """
 
 import numpy as np
@@ -45,6 +48,17 @@ def bases(draw):
     return g, b
 
 
+@st.composite
+def digraphs(draw):
+    """A directed graph with real or complex weights."""
+    n = draw(st.integers(1, 10))
+    a = draw(arrays(float, (n, n), elements=WEIGHTS))
+    if draw(st.booleans()):
+        a = a + 1j * draw(arrays(float, (n, n), elements=WEIGHTS))
+    assume(a.any())
+    return Graph(a, directed=True)
+
+
 def signals(n):
     return (arrays(float, n, elements=VALUES)
             | arrays(complex, n, elements=st.complex_numbers(max_magnitude=10.0)))
@@ -72,3 +86,14 @@ def test_filtering_is_multiplication_by_the_response(data):
     scale = max(1.0, np.abs(taps).sum()) * max(1.0, np.abs(s.values).max())
     tol = 100 * g.n * f.taps.shape[0] * EPS * b.basis_condition * scale
     assert np.abs(lhs - rhs).max() <= tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs())
+def test_fourier_inverts_the_eigenvector_matrix(g):
+    try:
+        b = decompose(g)
+    except NearDefectiveError:
+        assume(False)
+    err = np.abs(b.fourier @ b.vectors - np.eye(g.n)).max()
+    assert err <= 100 * g.n * EPS * b.basis_condition

@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from graphdsp import (
     Graph,
@@ -143,10 +146,23 @@ def test_decompose_rejects_zero_graph():
         decompose(Graph(np.zeros((3, 3))))
 
 
+def rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
 def test_defective_shift_raises():
     g = Graph([[0.0, 0.0], [1.0, 0.0]])  # one nilpotent Jordan block
     with pytest.raises(NearDefectiveError) as e:
         decompose(g)
+    assert e.value.condition > 1e8
+
+
+def test_near_double_conjugate_pair_raises():
+    # two conjugate pairs 1e-9 apart: both fold into the real form, whose
+    # condition is V's
+    a = np.block([[rotation(0.7), np.eye(2)], [np.zeros((2, 2)), rotation(0.7 + 1e-9)]])
+    with pytest.raises(NearDefectiveError) as e:
+        decompose(Graph(a))
     assert e.value.condition > 1e8
 
 
@@ -181,6 +197,60 @@ def test_undirected_basis_inverse_and_condition_are_exact(name):
     inv = np.linalg.inv(b.vectors)
     assert np.abs(b.fourier - inv).max() <= 1e-12 * np.abs(inv).max()
     assert b.basis_condition == pytest.approx(np.linalg.cond(b.vectors), rel=1e-12)
+
+
+def permuted_directed_cycles(sizes, seed=0):
+    n = sum(sizes)
+    a = np.zeros((n, n))
+    start = 0
+    for k in sizes:
+        for i in range(k):
+            a[start + (i + 1) % k, start + i] = 1.0
+        start += k
+    p = np.random.default_rng(seed).permutation(n)
+    return Graph(a[np.ix_(p, p)])
+
+
+def directed_basis_graphs():
+    rng = np.random.default_rng(12)
+    mask = rng.random((2, 12, 12)) < 0.5
+    return {
+        # many conjugate pairs: a real form
+        "knn200": build_knn_graph(np.random.default_rng(8).random((200, 2)), 6),
+        # no conjugate pairs: M stays complex
+        "complex_weights": Graph(rng.standard_normal((12, 12)) * mask[0]
+                                 + 1j * rng.standard_normal((12, 12)) * mask[1]),
+        # repeated complex eigenvalues, replaced by orthonormal groups
+        "cycles": permuted_directed_cycles((6, 6, 3)),
+        # distinct real eigenvalues, real eigenvectors
+        "real_spectrum": Graph(np.triu(rng.random((8, 8)), 1) + np.diag(np.arange(1.0, 9.0))),
+    }
+
+
+@pytest.mark.parametrize("name, folded, real_form", [
+    ("knn200", True, True),
+    ("complex_weights", False, False),
+    ("cycles", True, False),
+    ("real_spectrum", False, True),
+])
+def test_directed_basis_inverse_and_condition_match_lapack(name, folded, real_form, caplog):
+    g = directed_basis_graphs()[name]
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        b = decompose(g)
+    n, solver, pairs, real, condition = caplog.records[-1].args
+    assert (n, solver, pairs > 0, real, condition) == (g.n, "eig", folded, real_form,
+                                                       b.basis_condition)
+
+    w, V = scipy.linalg.eig(g.adjacency)
+    idx = np.lexsort((w.imag, -w.real))
+    assert np.array_equal(b.eigenvalues, w[idx])
+    if name != "cycles":  # there _orthogonalize_repeated replaces groups
+        assert np.array_equal(b.vectors, _canonical_columns(V[:, idx].astype(complex)))
+
+    inv = np.linalg.inv(b.vectors)
+    assert np.abs(b.fourier - inv).max() <= 1e-10 * np.abs(inv).max()
+    assert b.basis_condition == pytest.approx(np.linalg.cond(b.vectors), rel=1e-10)
+    assert b.fourier.dtype == b.vectors.dtype
 
 
 @pytest.mark.parametrize("directed", [False, True])
