@@ -4,8 +4,10 @@ The detector high-pass filters sensor snapshots and flags Fourier
 coefficients that exceed a threshold calibrated on recent history.  The
 classifier treats two-class labels as a graph signal and minimizes signal
 variation plus a fidelity penalty on the known labels, which reduces to a
-symmetric positive-definite system, solved per fidelity weight or, for the
-alpha sweep and the misfit-budget search, factored once per label set.
+symmetric positive-definite system built from one sparse variation operator
+M.  A single fidelity weight is solved directly (dense Cholesky) up to 2000
+nodes and by conjugate gradients above; the alpha sweep and the
+misfit-budget search factor the system once per label set.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .filtering import GraphFilter, apply_filter
-from .graph import Graph, GraphSignal, LabelSignal, _freeze, _nonzero_radius, laplacian
+from .graph import (Graph, GraphSignal, LabelSignal, _check_laplacian, _freeze,
+                    _nonzero_radius)
 from .spectral import SpectralBasis, gft
 
 DIRECT_SOLVE_MAX_N = 2000
@@ -133,44 +136,27 @@ def detect_malfunction(g: Graph, b: SpectralBasis, cfg: DetectorConfig,
                            offending_coefficients=offending)
 
 
-def _variation_operator(g: Graph, form: str) -> np.ndarray:
-    """Real symmetric PSD matrix M whose quadratic form (halved) is the
-    smoothness term of the classifier objective; cached on the graph."""
+def _variation_operator(g: Graph, form: str):
+    """Sparse (CSR) real symmetric PSD matrix M whose quadratic form (halved)
+    is the smoothness term of the classifier objective, cached on the graph:
+    Re(B^H B) with B = I - A/|lambda_max|, or twice the Laplacian D - A.
+    Every classifier solve uses this one M: the dense Cholesky up to
+    ``DIRECT_SOLVE_MAX_N`` nodes, conjugate gradients above, the factored
+    sweep and the objective."""
     key = f"_varop_{form}"
     cached = g.__dict__.get(key)
     if cached is not None:
         return cached
     if form == "laplacian":
-        m = 2.0 * laplacian(g)
+        _check_laplacian(g)
+        m = 2.0 * (scipy.sparse.diags_array(g.adjacency.sum(axis=1))
+                   - scipy.sparse.csr_array(g.adjacency))
     else:
-        b = np.eye(g.n) - g.adjacency / _nonzero_radius(g)
-        m = np.ascontiguousarray((b.conj().T @ b).real)
+        b = (scipy.sparse.eye_array(g.n, format="csr")
+             - scipy.sparse.csr_array(g.adjacency) / _nonzero_radius(g))
+        m = (b.conj().T @ b).real.tocsr()
     object.__setattr__(g, key, m)
     return m
-
-
-def _system_matvec(g: Graph, form: str, alpha: float, cmask: np.ndarray):
-    """Matrix-free application of M + 2*alpha*C for the iterative solver."""
-    a = g.adjacency
-    if form == "laplacian":
-        if g.directed:
-            raise ValueError("Laplacian is defined only for undirected graphs")
-        if np.any(a < 0):
-            raise ValueError("Laplacian requires non-negative edge weights")
-        deg = a.sum(axis=1)
-
-        def matvec(v):
-            return 2.0 * (deg * v - a @ v) + 2.0 * alpha * cmask * v
-    else:
-        rho = _nonzero_radius(g)
-        ah = a.conj().T
-
-        def matvec(v):
-            bv = v - (a @ v) / rho
-            mv = bv - (ah @ bv) / rho
-            return np.real(mv) + 2.0 * alpha * cmask * v
-
-    return matvec
 
 
 def _raise_singular(g: Graph, labels: LabelSignal):
@@ -206,23 +192,24 @@ def _solve_pos(g: Graph, labels: LabelSignal, a, b):
 
 
 def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
-    cmask = labels.known_mask.astype(float)
     rhs = 2.0 * cfg.alpha * labels.labels
+    m = _variation_operator(g, cfg.form)
+    system = m + scipy.sparse.diags_array(2.0 * cfg.alpha * labels.known_mask)
     if g.n <= DIRECT_SOLVE_MAX_N:
-        m = _variation_operator(g, cfg.form)
-        system = m + np.diag(2.0 * cfg.alpha * cmask)
-        s = _solve_pos(g, labels, system, rhs)
-        residual = float(np.linalg.norm(system @ s - rhs))
+        s = _solve_pos(g, labels, system.toarray(), rhs)
     else:
-        matvec = _system_matvec(g, cfg.form, cfg.alpha, cmask)
-        op = scipy.sparse.linalg.LinearOperator((g.n, g.n), matvec=matvec,
-                                                dtype=float)
-        s, info = scipy.sparse.linalg.cg(op, rhs, rtol=0.5 * cfg.solver_tolerance,
+        # rhs is zero on every component without a label, so CG converges
+        # even where the system is singular: factor those components' block,
+        # as the direct solve factors it within the whole system
+        _, comp = scipy.sparse.csgraph.connected_components(m, directed=False)
+        stray = np.flatnonzero(~np.isin(comp, comp[labels.known_mask]))
+        if stray.size:
+            _solve_pos(g, labels, system[stray][:, stray].toarray(), np.zeros(stray.size))
+        s, info = scipy.sparse.linalg.cg(system, rhs, rtol=0.5 * cfg.solver_tolerance,
                                          atol=0.0, maxiter=20 * g.n)
         if info != 0:
             _raise_singular(g, labels)
-        residual = float(np.linalg.norm(matvec(s) - rhs))
-    if residual > cfg.solver_tolerance * np.linalg.norm(rhs):
+    if np.linalg.norm(system @ s - rhs) > cfg.solver_tolerance * np.linalg.norm(rhs):
         _raise_singular(g, labels)
     return s
 
@@ -233,12 +220,13 @@ def _label_solver(g: Graph, labels: LabelSignal, form: str, tolerance: float):
     M_KK - M_UK^T X = Q diag(lam) Q^T: s_U = -X s_K, s_K = Q diag(2 alpha /
     (lam + 2 alpha)) Q^T y_K.  Singular for every alpha exactly when M_UU is."""
     m = _variation_operator(g, form)
+    dense = m.toarray()
     known = labels.known_mask
     kn, un = np.flatnonzero(known), np.flatnonzero(~known)
     y = labels.labels
-    m_uk = m[np.ix_(un, kn)]
-    x = _solve_pos(g, labels, m[np.ix_(un, un)], m_uk)
-    lam, q = np.linalg.eigh(m[np.ix_(kn, kn)] - m_uk.T @ x)
+    m_uk = dense[np.ix_(un, kn)]
+    x = _solve_pos(g, labels, dense[np.ix_(un, un)], m_uk)
+    lam, q = np.linalg.eigh(dense[np.ix_(kn, kn)] - m_uk.T @ x)
     qty = q.T @ y[kn]
 
     def solve(alphas):
@@ -293,7 +281,7 @@ def classification_objective(g: Graph, labels: LabelSignal,
         raise ValueError("candidate signal has the wrong length")
     m = _variation_operator(g, cfg.form)
     misfit = labels.known_mask * (labels.labels - v)
-    return float(0.5 * v @ m @ v + cfg.alpha * (misfit @ misfit))
+    return float(0.5 * v @ (m @ v) + cfg.alpha * (misfit @ misfit))
 
 
 def label_misfit(labels: LabelSignal, values) -> float:

@@ -72,10 +72,10 @@ class Graph:
     def __post_init__(self):
         a = _as_adjacency(self.adjacency)
         directed = self.directed
-        symmetric = (
-            not np.iscomplexobj(a)
-            and bool(np.all(np.abs(a - a.T) <= SYMMETRY_TOL))
-        )
+        symmetric = False
+        if not np.iscomplexobj(a):
+            d = a - a.T
+            symmetric = bool(np.abs(d, out=d).max() <= SYMMETRY_TOL)
         if directed is None:
             directed = not symmetric
         elif not directed and not symmetric:
@@ -245,11 +245,16 @@ def graph_shift(g: Graph, s: GraphSignal) -> GraphSignal:
     return GraphSignal(g.adjacency @ s.values, g)
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian D - A of an undirected graph with non-negative real weights."""
+def _check_laplacian(g: Graph):
+    """Refuse a graph whose Laplacian D - A is not defined."""
     if g.directed:
         raise ValueError("Laplacian is defined only for undirected graphs")
-    a = g.adjacency
-    if np.any(a < 0):
+    if g.adjacency.min() < 0:
         raise ValueError("Laplacian requires non-negative edge weights")
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """Laplacian D - A of an undirected graph with non-negative real weights."""
+    _check_laplacian(g)
+    a = g.adjacency
     return np.diag(a.sum(axis=1)) - a

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graph import Graph, GraphSignal, _check_bound, _freeze, _nonzero_radius, laplacian
+from .graph import (Graph, GraphSignal, _check_bound, _check_laplacian, _freeze,
+                    _nonzero_radius, laplacian)
 
 DEFECTIVE_COND_LIMIT = 1e8
 EIGENVALUE_GROUP_TOL = 1e-12
@@ -353,7 +354,7 @@ def laplacian_total_variation(g: Graph, s: GraphSignal) -> float:
     """Laplacian-style variation: per-node root of weighted squared
     neighbor differences, summed over nodes."""
     _check_bound(g, s)
-    laplacian(g)  # rejects directed / negative-weight graphs
+    _check_laplacian(g)
     a = g.adjacency
     v = s.values
     diff2 = np.abs(v[:, None] - v[None, :]) ** 2

@@ -21,7 +21,7 @@ from graphdsp import (
     standard_alpha_grid,
     sweep_alpha,
 )
-from graphdsp.applications import _label_solver
+from graphdsp.applications import DIRECT_SOLVE_MAX_N, _label_solver
 
 
 def two_cliques(k=5, bridge=0.5):
@@ -381,6 +381,65 @@ def test_large_problem_uses_iterative_path():
     result = classify(g, labels, ClassifierConfig(alpha=5.0))
     accuracy = np.mean(result.classes == truth.labels)
     assert accuracy > 0.8
+
+
+@pytest.fixture(scope="module")
+def large_draw():
+    g, truth = sbm_graph(2100, 0.01, 0.002, seed=3)
+    assert g.n > DIRECT_SOLVE_MAX_N
+    values = np.array(truth.labels, dtype=float)
+    values[np.random.default_rng(23).random(g.n) < 0.9] = 0.0
+    return g, LabelSignal(values)
+
+
+def dense_system(g, labels, cfg):
+    """M + 2 alpha C built here from the dense adjacency."""
+    a = g.adjacency
+    if cfg.form == "shift":
+        b = np.eye(g.n) - a / g.spectral_radius
+        m = b.T @ b
+    else:
+        m = 2.0 * (np.diag(a.sum(axis=1)) - a)
+    return m + np.diag(2.0 * cfg.alpha * labels.known_mask)
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_iterative_path_meets_the_dense_system(large_draw, form):
+    g, labels = large_draw
+    cfg = ClassifierConfig(alpha=5.0, form=form)
+    result = classify(g, labels, cfg)
+    system = dense_system(g, labels, cfg)
+    rhs = 2.0 * cfg.alpha * labels.labels
+    assert (np.linalg.norm(system @ result.predicted - rhs)
+            <= 1e-8 * np.linalg.norm(rhs))
+    exact = np.linalg.solve(system, rhs)
+    assert np.array_equal(result.classes, np.where(exact > 0.0, 1, -1))
+
+
+def test_iterative_laplacian_form_refuses_directed_and_negative(large_draw):
+    g, labels = large_draw
+    negative = np.array(g.adjacency)
+    negative[0, 1] = negative[1, 0] = -1.0
+    cfg = ClassifierConfig(alpha=1.0, form="laplacian")
+    for bad, message in ((Graph(g.adjacency, directed=True), "undirected"),
+                         (Graph(negative), "non-negative")):
+        with pytest.raises(ValueError, match=message):
+            classify(bad, labels, cfg)
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_iterative_path_refuses_unlabeled_component(large_draw, form):
+    # two disconnected copies share the spectral radius, so the unlabeled
+    # copy makes the system singular for both forms, as in the direct test
+    g, labels = large_draw
+    half = g.n // 2
+    a = np.zeros((g.n, g.n))
+    a[:half, :half] = a[half:, half:] = g.adjacency[:half, :half]
+    values = np.array(labels.labels)
+    values[half:] = 0.0
+    with pytest.raises(SingularSystemError) as e:
+        classify(Graph(a), LabelSignal(values), ClassifierConfig(alpha=5.0, form=form))
+    assert set(e.value.component) == set(range(half, g.n))
 
 
 # ---------------------------------------------------------------------------

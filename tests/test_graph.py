@@ -15,6 +15,7 @@ from graphdsp import (
     path_graph,
     sbm_graph,
 )
+from graphdsp.graph import SYMMETRY_TOL
 
 
 def test_adjacency_must_be_square():
@@ -58,6 +59,20 @@ def test_directedness_detected_structurally():
     # complex weights are never treated as undirected
     cpx = Graph(np.array([[0, 1j], [-1j, 0]]))
     assert cpx.directed
+
+
+def test_symmetry_decision_matches_the_two_temporary_reference():
+    # near-symmetric real matrices straddling SYMMETRY_TOL, at scales where
+    # the rounded difference falls on either side of it
+    rng = np.random.default_rng(29)
+    for scale in (1.0, 1e3, 1e4):
+        for gap in (0.0, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0):
+            a = rng.random((7, 7)) * scale
+            a = a + a.T
+            a[2, 5] += gap * SYMMETRY_TOL
+            old = bool(np.all(np.abs(a - a.T) <= SYMMETRY_TOL))
+            assert Graph(a).directed == (not old)
+            assert Graph(a.T).directed == (not old)
 
 
 def test_directed_flag_overrides_symmetric_matrix():

@@ -615,6 +615,14 @@ def test_laplacian_measures_reject_directed_graphs():
         laplacian_quadratic_form(g, s)
 
 
+def test_laplacian_measures_reject_negative_weights():
+    g = Graph([[0.0, -1.0], [-1.0, 0.0]])
+    s = g.signal([1.0, 0.0])
+    for measure in (laplacian_total_variation, laplacian_quadratic_form):
+        with pytest.raises(ValueError, match="non-negative edge weights"):
+            measure(g, s)
+
+
 def test_laplacian_quadratic_form_rejects_complex_signal():
     g = undirected_cycle(4)
     with pytest.raises(ValueError):
