@@ -5,6 +5,9 @@ Fourier basis, total variation against the normalized shift orders the
 frequencies, polynomials in the normalized shift A/|lambda_max| are the
 filters, and on top of that sit two pipelines: spectral anomaly detection
 and label regularization.
+
+Modules import numpy and the stdlib only; scipy and networkx are imported
+inside the functions that call them, so a command loads what it runs.
 """
 
 from .graph import (

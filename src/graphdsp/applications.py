@@ -16,10 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .filtering import GraphFilter, apply_filter
 from .graph import (Graph, GraphSignal, LabelSignal, _check_laplacian, _freeze,
@@ -147,6 +143,8 @@ def _variation_operator(g: Graph, form: str):
     cached = g.__dict__.get(key)
     if cached is not None:
         return cached
+    import scipy.sparse
+
     if form == "laplacian":
         _check_laplacian(g)
         m = 2.0 * (scipy.sparse.diags_array(g.adjacency.sum(axis=1))
@@ -161,6 +159,8 @@ def _variation_operator(g: Graph, form: str):
 
 def _raise_singular(g: Graph, labels: LabelSignal):
     """Diagnose a singular classifier system before giving up."""
+    import scipy.sparse.csgraph
+
     pattern = scipy.sparse.csr_matrix(np.abs(g.adjacency) > 0)
     n_comp, comp = scipy.sparse.csgraph.connected_components(pattern,
                                                              directed=False)
@@ -180,6 +180,8 @@ def _raise_singular(g: Graph, labels: LabelSignal):
 
 def _solve_pos(g: Graph, labels: LabelSignal, a, b):
     """Cholesky solve of a @ x = b that refuses a singular classifier system."""
+    import scipy.linalg
+
     try:
         # a singular-but-consistent system can pass the residual checks
         # with an arbitrary nullspace component mixed in, so treat scipy's
@@ -192,6 +194,9 @@ def _solve_pos(g: Graph, labels: LabelSignal, a, b):
 
 
 def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
+    import scipy.sparse.csgraph
+    import scipy.sparse.linalg
+
     rhs = 2.0 * cfg.alpha * labels.labels
     m = _variation_operator(g, cfg.form)
     system = m + scipy.sparse.diags_array(2.0 * cfg.alpha * labels.known_mask)

@@ -4,7 +4,8 @@ One binary with subcommands: synthetic graph generation, spectrum
 inspection, filter design, signal filtering, anomaly detection, and label
 classification.  Every run writes a ``manifest.json`` next to its outputs
 recording the command, input digests, seed, and configuration; ``rerun``
-replays a manifest and reproduces the outputs bit for bit.
+refuses a manifest whose inputs no longer match their digests, and
+otherwise replays it to reproduce the outputs bit for bit.
 
 Exit codes: 0 success, 1 bad input or arguments, 2 numerical refusal
 (non-diagonalizable adjacency, singular regularization system).
@@ -227,6 +228,13 @@ def _cmd_rerun(args):
     command = doc.get("command") if isinstance(doc, dict) else None
     if not isinstance(command, list) or not command:
         raise ValueError(f"{args.manifest}: manifest has no recorded command")
+    inputs = doc.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise ValueError(f"{args.manifest}: recorded inputs are not a mapping")
+    for path, digest in inputs.items():
+        if _sha256(path) != digest:
+            raise ValueError(f"{args.manifest}: input {path} has changed since "
+                             f"the recorded run")
     argv = [str(v) for v in command]
     if args.out is not None:
         if "--out" in argv:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 
@@ -54,9 +55,32 @@ def write_edge_list(path, g: Graph):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_edge_list(path, *, directed=None) -> Graph:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+_REAL_ROWS = re.compile(r"(?:\S+\t\S+\t\S+(?:\n+|\Z))*")
+
+
+def _real_rows(text):
+    """The common file in one pass: a 'src<TAB>dst<TAB>weight' header, then
+    three fields on every row, each read by ``int``/``float`` as the row
+    parser reads it.  None for any other file, and for any file the row
+    parser would refuse, so that it stays the one source of error messages."""
+    head, _, body = text.partition("\n")
+    if head != "src\tdst\tweight" or not _REAL_ROWS.fullmatch(body):
+        return None
+    fields = body.split()
+    try:
+        src = np.array(list(map(int, fields[0::3])), dtype=np.int64)
+        dst = np.array(list(map(int, fields[1::3])), dtype=np.int64)
+        weights = np.array(list(map(float, fields[2::3])))
+    except (ValueError, OverflowError):
+        return None
+    if (src < 0).any() or (dst < 0).any():
+        return None
+    return src, dst, weights
+
+
+def _parse_rows(path, text):
+    """Row by row: two or three fields, complex weights, and every error."""
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
     header = lines[0].split("\t")
@@ -77,9 +101,16 @@ def read_edge_list(path, *, directed=None) -> Graph:
         src.append(s)
         dst.append(d)
         weights.append(_parse_weight(parts[2]) if len(parts) == 3 else 1.0)
-    n = max(src + dst, default=-1) + 1
-    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
     weights = np.array(weights, dtype=complex if complex in map(type, weights) else float)
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), weights
+
+
+def read_edge_list(path, *, directed=None) -> Graph:
+    with open(path) as fh:
+        text = fh.read()
+    rows = _real_rows(text)
+    src, dst, weights = rows if rows is not None else _parse_rows(path, text)
+    n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
     a = np.zeros((n, n), dtype=weights.dtype)
     first = np.unique(dst * n + src, return_index=True)[1]
     if first.size < src.size:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import Graph, GraphSignal, _check_bound, _freeze, _nonzero_radius
 from .spectral import FrequencyOrdering, SpectralBasis, order_frequencies
@@ -140,6 +139,8 @@ def design_filter(t: TargetResponse, degree: int) -> FilterDesign:
     """
     if degree < 0:
         raise ValueError(f"filter degree must be >= 0, got {degree}")
+    import scipy.linalg  # here: gelsy, not numpy's gelsd, fixes the taps' bits
+
     vand = np.vander(t.frequencies, degree + 1, increasing=True)
     taps, _, _, _ = scipy.linalg.lstsq(vand, t.desired, lapack_driver="gelsy")
     achieved = vand @ taps

@@ -41,6 +41,14 @@ def _freeze(a):
     return a
 
 
+def _is_symmetric(a):
+    """max |a - a^T| <= SYMMETRY_TOL, taken over the pairs on and above the
+    diagonal, 256 rows at a time: half the reads of a - a.T, no N x N
+    temporary, and a stop at the first asymmetric panel."""
+    return all(np.abs(a[i:i + 256, i:] - a[i:, i:i + 256].T).max() <= SYMMETRY_TOL
+               for i in range(0, a.shape[0], 256))
+
+
 def _as_adjacency(values):
     """Coerce to a square float64/complex128 matrix, real when possible."""
     a = np.asarray(values)
@@ -72,10 +80,7 @@ class Graph:
     def __post_init__(self):
         a = _as_adjacency(self.adjacency)
         directed = self.directed
-        symmetric = False
-        if not np.iscomplexobj(a):
-            d = a - a.T
-            symmetric = bool(np.abs(d, out=d).max() <= SYMMETRY_TOL)
+        symmetric = not np.iscomplexobj(a) and _is_symmetric(a)
         if directed is None:
             directed = not symmetric
         elif not directed and not symmetric:
@@ -94,7 +99,7 @@ class Graph:
         if "_rho" not in self.__dict__:
             a, rho = self.adjacency, None
             if not self.directed and self.n > 20 and a.any():
-                import scipy.sparse.linalg  # here, so package import order stays
+                import scipy.sparse.linalg
                 v0 = 1.0 + np.random.default_rng(0).random(self.n)
                 try:
                     rho = float(abs(scipy.sparse.linalg.eigsh(a, k=1, tol=0, v0=v0)[0][0]))

@@ -23,7 +23,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import (Graph, GraphSignal, _check_bound, _check_laplacian, _freeze,
                     _nonzero_radius, laplacian)
@@ -182,11 +181,8 @@ def decompose(g: Graph, *, cond_limit=DEFECTIVE_COND_LIMIT) -> SpectralBasis:
     a = g.adjacency
     if not a.any():
         raise ValueError("cannot decompose a zero adjacency")
-    if not g.directed:
-        w, V = np.linalg.eigh(a)
-        w = w.astype(complex)
-    else:
-        w, V = scipy.linalg.eig(a)
+    w, V = np.linalg.eig(a) if g.directed else np.linalg.eigh(a)
+    w = w.astype(complex, copy=False)  # real from eigh, and from eig on a real spectrum
     idx = np.lexsort((w.imag, -w.real))
     w = w[idx]
     # canonical scaling in complex arithmetic even for eigh's real vectors:

@@ -390,6 +390,25 @@ def test_rerun_rejects_a_recorded_out_without_a_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_rerun_refuses_a_changed_input_and_writes_nothing(tmp_path, capsys):
+    gdir, first = tmp_path / "g", tmp_path / "first"
+    assert run("gen", "cycle", 4, "--out", gdir) == 0
+    graph = gdir / "graph.tsv"
+    assert run("spectrum", graph, "--out", first) == 0
+    assert run("gen", "cycle", 5, "--out", gdir) == 0
+    capsys.readouterr()
+    second = tmp_path / "second"
+    assert run("rerun", first / "manifest.json", "--out", second) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(graph) in err
+    assert not second.exists()
+    graph.unlink()
+    assert run("rerun", first / "manifest.json", "--out", second) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(graph) in err
+    assert not second.exists()
+
+
 def test_manifest_hashes_inputs(tmp_path):
     gdir = tmp_path / "g"
     run("gen", "cycle", 4, "--out", gdir)
@@ -417,7 +436,35 @@ def test_no_arguments_exits_one():
     assert run() == 1
 
 
-def test_cli_import_does_not_load_networkx():
-    code = "import sys, graphdsp.cli; sys.exit('networkx' in sys.modules)"
+def run_python(code):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
+@pytest.mark.parametrize("module", ["networkx", "scipy"])
+def test_cli_import_does_not_load(module):
+    assert run_python(f"import sys, graphdsp.cli; sys.exit({module!r} in sys.modules)") == 0
+
+
+def test_spectrum_filter_and_detect_run_without_scipy(tmp_path):
+    rng = np.random.default_rng(4)
+    points, filt = tmp_path / "points.csv", tmp_path / "filter.json"
+    write_points(points, rng.random((30, 2)))
+    write_filter(filt, GraphFilter([0.5, -0.25, 0.125]))
+    signals = [tmp_path / f"s{i}.csv" for i in range(4)]
+    for p in signals:
+        write_signal(p, rng.standard_normal(30))
+    commands = []
+    for name, flags in (("directed", []), ("symmetric", ["--symmetrize"])):
+        d = tmp_path / name
+        g = str(d / "graph.tsv")
+        commands += [["gen", "knn", str(points), "4", *flags, "--out", str(d)],
+                     ["spectrum", g, "--out", str(d / "spectrum")],
+                     ["filter", g, str(filt), str(signals[0]), "--out", str(d / "filter")],
+                     ["detect", g, "--history", *map(str, signals[:3]),
+                      "--current", str(signals[3]), "--filter", str(filt),
+                      "--out", str(d / "detect")]]
+    code = (f"import sys\nfrom graphdsp.cli import main\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            f"sys.exit(codes != [0] * {len(commands)} or 'scipy' in sys.modules)")
+    assert run_python(code) == 0

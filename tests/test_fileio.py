@@ -15,7 +15,9 @@ from graphdsp import (
 )
 from graphdsp.fileio import (
     _fmt_weight,
+    _parse_rows,
     _parse_weight,
+    _real_rows,
     read_edge_list,
     read_filter,
     read_labels,
@@ -174,6 +176,54 @@ def test_duplicate_edge_message_names_the_first_repeat(tmp_path):
     with pytest.raises(ValueError) as ref:
         read_edge_list_reference(p)
     assert str(got.value) == str(ref.value) == f"{p}: duplicate edge 2 -> 3"
+
+
+def test_real_rows_match_the_row_parser(tmp_path):
+    """The one-pass parse of the common file, against the row parser."""
+    rng = np.random.default_rng(7)
+    texts = ["src\tdst\tweight\n0\t1\t-0.0\n1\t0\t1e-300\n2\t2\t0\n\n3\t0\t-7"]
+    for n in (3, 17, 40):
+        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        k = rng.integers(n)
+        a[k], a[:, k] = 0.0, 0.0  # an isolated node: a zero self row
+        p = tmp_path / f"g{n}.tsv"
+        write_edge_list(p, Graph(a))
+        texts.append(p.read_text())
+        assert f"\n{k}\t{k}\t0\n" in texts[-1]
+    for i, text in enumerate(texts):
+        rows = _real_rows(text)
+        assert rows is not None
+        for got, ref in zip(rows, _parse_rows("g.tsv", text)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        p = tmp_path / f"e{i}.tsv"
+        p.write_text(text)
+        assert read_edge_list(p).adjacency.tobytes() == read_edge_list_reference(p).tobytes()
+
+    dup = texts[-1] + texts[-1].splitlines()[1] + "\n"  # the first edge, again
+    assert _real_rows(dup) is not None
+    p = tmp_path / "dup.tsv"
+    p.write_text(dup)
+    with pytest.raises(ValueError) as got:
+        read_edge_list(p)
+    with pytest.raises(ValueError) as ref:
+        read_edge_list_reference(p)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("text", [
+    "src\tdst\tweight\n0\t1\t1-2i\n",       # complex weight
+    "src\tdst\tweight\n0\t1\n",             # two fields
+    "src\tdst\n0\t1\n",                      # two-field header
+    "src\tdst\tweight\n0\tx\t1\n",          # malformed id
+    "src\tdst\tweight\n0\t1.0\t1\n",        # id int() refuses
+    "src\tdst\tweight\n-1\t0\t1\n",         # negative id
+    "src\tdst\tweight\n0\t1\tfoo\n",        # malformed weight
+    "src\tdst\tweight\n0\t1\t2\t3\n4\t5\n",  # four fields, then two
+    "src\tdst\tweight\n0 \t1\t1\n",         # a space the row parser strips
+    "\nsrc\tdst\tweight\n0\t1\t1\n",        # a blank line before the header
+])
+def test_real_rows_leave_other_files_to_the_row_parser(text):
+    assert _real_rows(text) is None
 
 
 def test_edge_list_undirected_request(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -63,13 +65,15 @@ def test_directedness_detected_structurally():
 
 def test_symmetry_decision_matches_the_two_temporary_reference():
     # near-symmetric real matrices straddling SYMMETRY_TOL, at scales where
-    # the rounded difference falls on either side of it
+    # the rounded difference falls on either side of it; at N=600 the
+    # asymmetry sits in the first, a diagonal and the last partial panel
     rng = np.random.default_rng(29)
-    for scale in (1.0, 1e3, 1e4):
-        for gap in (0.0, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0):
-            a = rng.random((7, 7)) * scale
+    for n, (r, c) in ((7, (2, 5)), (600, (5, 590)), (600, (300, 299)), (600, (599, 598))):
+        for scale, gap in itertools.product((1.0, 1e3, 1e4),
+                                            (0.0, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0)):
+            a = rng.random((n, n)) * scale
             a = a + a.T
-            a[2, 5] += gap * SYMMETRY_TOL
+            a[r, c] += gap * SYMMETRY_TOL
             old = bool(np.all(np.abs(a - a.T) <= SYMMETRY_TOL))
             assert Graph(a).directed == (not old)
             assert Graph(a.T).directed == (not old)

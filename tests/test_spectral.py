@@ -1,8 +1,10 @@
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from graphdsp import (
     Graph,
@@ -241,7 +243,8 @@ def test_directed_basis_inverse_and_condition_match_lapack(name, folded, real_fo
     assert (n, solver, pairs > 0, real, condition) == (g.n, "eig", folded, real_form,
                                                        b.basis_condition)
 
-    w, V = scipy.linalg.eig(g.adjacency)
+    w, V = np.linalg.eig(g.adjacency)  # the solver decompose calls
+    w = w.astype(complex)
     idx = np.lexsort((w.imag, -w.real))
     assert np.array_equal(b.eigenvalues, w[idx])
     if name != "cycles":  # there _orthogonalize_repeated replaces groups
@@ -251,6 +254,33 @@ def test_directed_basis_inverse_and_condition_match_lapack(name, folded, real_fo
     assert np.abs(b.fourier - inv).max() <= 1e-10 * np.abs(inv).max()
     assert b.basis_condition == pytest.approx(np.linalg.cond(b.vectors), rel=1e-10)
     assert b.fourier.dtype == b.vectors.dtype
+
+
+def test_a_real_directed_spectrum_stays_complex():
+    # np.linalg.eig returns a real w when every eigenvalue is real
+    b = decompose(directed_basis_graphs()["real_spectrum"])
+    assert b.eigenvalues.dtype == np.complex128
+
+
+def test_directed_eig_is_bitwise_scipys_at_one_blas_thread():
+    """decompose's np.linalg.eig gives the bits scipy.linalg.eig gave.  The
+    numpy and scipy wheels link separate OpenBLAS builds whose threaded
+    kernels round differently, so the check runs with one BLAS thread."""
+    code = """if True:
+        import numpy as np, scipy.linalg
+        from graphdsp import build_knn_graph, decompose
+        from graphdsp.spectral import _canonical_columns
+        for n, seed in ((200, 8), (400, 1)):
+            g = build_knn_graph(np.random.default_rng(seed).random((n, 2)), 6)
+            b = decompose(g)
+            w, V = scipy.linalg.eig(g.adjacency)
+            idx = np.lexsort((w.imag, -w.real))
+            assert np.array_equal(b.eigenvalues, w[idx])
+            assert np.array_equal(b.vectors, _canonical_columns(V[:, idx].astype(complex)))
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("directed", [False, True])
