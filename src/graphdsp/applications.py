@@ -23,6 +23,7 @@ from .graph import (Graph, GraphSignal, LabelSignal, _check_laplacian, _freeze,
 from .spectral import SpectralBasis, gft
 
 DIRECT_SOLVE_MAX_N = 2000
+SOLVER_TOLERANCE = 1e-8
 REGULARIZER_FORMS = ("shift", "laplacian")
 CALIBRATIONS = ("max", "median")
 
@@ -76,7 +77,6 @@ class ClassifierConfig:
 
     alpha: float
     form: str = "shift"
-    solver_tolerance: float = 1e-8
 
     def __post_init__(self):
         a = float(self.alpha)
@@ -87,10 +87,6 @@ class ClassifierConfig:
         if form not in REGULARIZER_FORMS:
             raise ValueError(f"form must be one of {REGULARIZER_FORMS}, got {form!r}")
         object.__setattr__(self, "form", form)
-        tol = float(self.solver_tolerance)
-        if not np.isfinite(tol) or tol <= 0:
-            raise ValueError("solver_tolerance must be finite and positive")
-        object.__setattr__(self, "solver_tolerance", tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,16 +206,16 @@ def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
         stray = np.flatnonzero(~np.isin(comp, comp[labels.known_mask]))
         if stray.size:
             _solve_pos(g, labels, system[stray][:, stray].toarray(), np.zeros(stray.size))
-        s, info = scipy.sparse.linalg.cg(system, rhs, rtol=0.5 * cfg.solver_tolerance,
+        s, info = scipy.sparse.linalg.cg(system, rhs, rtol=0.5 * SOLVER_TOLERANCE,
                                          atol=0.0, maxiter=20 * g.n)
         if info != 0:
             _raise_singular(g, labels)
-    if np.linalg.norm(system @ s - rhs) > cfg.solver_tolerance * np.linalg.norm(rhs):
+    if np.linalg.norm(system @ s - rhs) > SOLVER_TOLERANCE * np.linalg.norm(rhs):
         _raise_singular(g, labels)
     return s
 
 
-def _label_solver(g: Graph, labels: LabelSignal, form: str, tolerance: float):
+def _label_solver(g: Graph, labels: LabelSignal, form: str):
     """Factor the system once per label set; return alphas -> N x len(alphas)
     solutions.  With K/U the known/unknown nodes, X = M_UU^-1 M_UK and
     M_KK - M_UK^T X = Q diag(lam) Q^T: s_U = -X s_K, s_K = Q diag(2 alpha /
@@ -245,7 +241,8 @@ def _label_solver(g: Graph, labels: LabelSignal, form: str, tolerance: float):
         s[kn] = np.where(small, q @ fit, y[kn, None] - q @ miss)
         s[un] = -(x @ s[kn])
         r = m @ s + two_a * (known[:, None] * s - y[:, None])
-        if not np.all(np.linalg.norm(r, axis=0) <= tolerance * two_a * np.linalg.norm(y)):
+        bound = SOLVER_TOLERANCE * two_a * np.linalg.norm(y)
+        if not np.all(np.linalg.norm(r, axis=0) <= bound):
             _raise_singular(g, labels)
         return s
 
@@ -297,8 +294,7 @@ def label_misfit(labels: LabelSignal, values) -> float:
 
 
 def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
-                                form="shift", *, solver_tolerance=1e-8,
-                                max_alpha=1e9, iterations=60):
+                                form="shift", *, max_alpha=1e9, iterations=60):
     """Classify with the smallest fidelity weight meeting a misfit budget.
 
     Runs a doubling search then log-domain bisection on alpha, all on one
@@ -316,9 +312,9 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
-    cfg = ClassifierConfig(alpha=1.0, form=form, solver_tolerance=solver_tolerance)
+    cfg = ClassifierConfig(alpha=1.0, form=form)
     _check_labels(g, labels)
-    solver = _label_solver(g, labels, cfg.form, cfg.solver_tolerance)
+    solver = _label_solver(g, labels, cfg.form)
 
     def meets(alpha):
         s = solver([alpha])[:, 0]
@@ -370,7 +366,7 @@ class SweepResult:
 
 
 def sweep_alpha(g: Graph, truth: LabelSignal, form, alphas, ratio: float,
-                runs: int, *, seed=0, solver_tolerance=1e-8) -> SweepResult:
+                runs: int, *, seed=0) -> SweepResult:
     """Average classification accuracy per fidelity weight.
 
     Each run reveals round(ratio*N) ground-truth labels drawn without
@@ -389,7 +385,7 @@ def sweep_alpha(g: Graph, truth: LabelSignal, form, alphas, ratio: float,
         raise ValueError("alpha grid is empty")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    cfg = [ClassifierConfig(a, form, solver_tolerance) for a in alphas][0]  # all checked
+    cfg = [ClassifierConfig(a, form) for a in alphas][0]  # all checked
     n = g.n
     n_known = int(round(ratio * n))
     if not 1 <= n_known <= n:
@@ -400,7 +396,7 @@ def sweep_alpha(g: Graph, truth: LabelSignal, form, alphas, ratio: float,
         nodes = rng.choice(n, size=n_known, replace=False)
         revealed = np.zeros(n)
         revealed[nodes] = truth.labels[nodes]
-        s = _label_solver(g, LabelSignal(revealed), cfg.form, cfg.solver_tolerance)(alphas)
+        s = _label_solver(g, LabelSignal(revealed), cfg.form)(alphas)
         accuracy[:, j] = np.mean((s > 0.0) == (truth.labels[:, None] > 0.0), axis=0)
     mean = accuracy.mean(axis=1)
     std = accuracy.std(axis=1)

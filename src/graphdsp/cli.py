@@ -3,9 +3,10 @@
 One binary with subcommands: synthetic graph generation, spectrum
 inspection, filter design, signal filtering, anomaly detection, and label
 classification.  Every run writes a ``manifest.json`` next to its outputs
-recording the command, input digests, seed, and configuration; ``rerun``
-refuses a manifest whose inputs no longer match their digests, and
-otherwise replays it to reproduce the outputs bit for bit.
+recording the command, input digests, seed, configuration, and the Python,
+numpy and BLAS thread settings; ``rerun`` refuses a manifest whose inputs no
+longer match their digests, and otherwise replays it to reproduce the
+outputs bit for bit.
 
 Exit codes: 0 success, 1 bad input or arguments, 2 numerical refusal
 (non-diagonalizable adjacency, singular regularization system).
@@ -19,6 +20,8 @@ import hashlib
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import fileio
 from .applications import (
@@ -36,6 +39,7 @@ from .graph import build_knn_graph, euclidean, haversine_km
 from .spectral import NearDefectiveError, decompose, gft, order_frequencies
 
 METRICS = {"euclidean": euclidean, "haversine": haversine_km}
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path):
@@ -54,6 +58,12 @@ def _finish(args, inputs, config, outputs, seed=None):
         "seed": seed,
         "config": config,
         "outputs": outputs,
+        # the bits of eig, and so of every basis, depend on the BLAS threads
+        "environment": {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES},
+        },
     })
     return 0
 

@@ -50,25 +50,28 @@ class GraphFilter:
         return f"GraphFilter(degree={self.degree})"
 
 
-def _close_pairs(values, tol):
-    """Index pairs (i, j), i != j, of complex values at most ``tol`` apart,
-    and their gaps.
+def _first_distinct(values, order, tol):
+    """Indices of ``values`` kept by a walk in ``order`` that drops each value
+    within ``tol`` of an earlier kept one.
 
-    Values are sorted along their wider axis (real or imaginary part), so
-    each one is compared only with the few that follow it within one
-    searchsorted window.  The window is 2*tol wide, so rounding at its edge
-    cannot drop a pair; the exact test is the gap itself.
+    Kept values are filed in square cells of side 2*tol, so each value is
+    compared only with the kept values of its own cell and the 8 around it.
+    The cell keys stay floats: a key that overflows to +-inf still files a
+    finite value, where an integer key could not.  A difference that
+    overflows reads as inf, which is far apart.
     """
-    axis = values.real if np.ptp(values.real) >= np.ptp(values.imag) else values.imag
-    s = np.argsort(axis, kind="stable")
-    x = axis[s]
-    width = np.searchsorted(x, x + 2.0 * tol, side="right") - np.arange(1, x.size + 1)
-    p = np.repeat(np.arange(x.size), width)
-    q = p + 1 + np.arange(p.size) - np.repeat(np.cumsum(width) - width, width)
-    i, j = s[p], s[q]
-    gap = np.abs(values[i] - values[j])
-    close = gap <= tol
-    return i[close], j[close], gap[close]
+    kept, filed = [], {}
+    with np.errstate(over="ignore"):
+        cells = np.floor(np.column_stack([values.real, values.imag]) / (2.0 * tol))
+        cells = cells.tolist()
+        for i in order:
+            x, y = cells[i]
+            near = [j for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)
+                    for j in filed.get((x + dx, y + dy), ())]
+            if not near or np.abs(values[near] - values[i]).min() > tol:
+                kept.append(i)
+                filed.setdefault((x, y), []).append(i)
+    return kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +88,12 @@ class TargetResponse:
             raise ValueError("frequencies and desired must be matching vectors")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(d))):
             raise ValueError("target response must be finite")
-        gap = _close_pairs(f, DISTINCT_FREQ_TOL)[2]
-        if gap.size:
+        if len(_first_distinct(f, range(f.size), DISTINCT_FREQ_TOL)) < f.size:
+            with np.errstate(over="ignore"):
+                gap = min(np.abs(f[k + 1:] - f[k]).min() for k in range(f.size - 1))
             raise ValueError(
                 f"frequencies must be pairwise distinct "
-                f"(closest pair {gap.min():.3e} apart)"
+                f"(closest pair {gap:.3e} apart)"
             )
         object.__setattr__(self, "frequencies", _freeze(f))
         object.__setattr__(self, "desired", _freeze(d))
@@ -131,7 +135,7 @@ def frequency_response(b: SpectralBasis, f: GraphFilter) -> np.ndarray:
 def design_filter(t: TargetResponse, degree: int) -> FilterDesign:
     """Fit taps to a target response via the M x (degree+1) Vandermonde system.
 
-    Solved by column-pivoted orthogonal factorization, never the normal
+    Solved by an SVD least-squares fit (LAPACK ``gelsd``), never the normal
     equations; underdetermined systems get the minimum-norm tap vector.
     When the system should be solvable exactly (M <= degree+1) but the fit
     misses by more than a relative 1e-8, the design is refused instead of
@@ -139,10 +143,8 @@ def design_filter(t: TargetResponse, degree: int) -> FilterDesign:
     """
     if degree < 0:
         raise ValueError(f"filter degree must be >= 0, got {degree}")
-    import scipy.linalg  # here: gelsy, not numpy's gelsd, fixes the taps' bits
-
     vand = np.vander(t.frequencies, degree + 1, increasing=True)
-    taps, _, _, _ = scipy.linalg.lstsq(vand, t.desired, lapack_driver="gelsy")
+    taps = np.linalg.lstsq(vand, t.desired, rcond=None)[0]
     achieved = vand @ taps
     residual = float(np.linalg.norm(achieved - t.desired))
     if t.m <= degree + 1 and residual > EXACT_FIT_RTOL * np.linalg.norm(t.desired):
@@ -159,23 +161,8 @@ def design_filter(t: TargetResponse, degree: int) -> FilterDesign:
 def _distinct_by_rank(eigenvalues, order):
     """Walk the spectrum in rank order, keeping first representatives of
     numerically repeated eigenvalues: a value within DEDUP_FREQ_TOL of an
-    earlier-ranked kept value is dropped.
-
-    Only values with a close earlier-ranked partner are visited, each after
-    every value ranked before it, so the partners' fate is already known.
-    """
-    rank = np.empty(order.size, dtype=int)
-    rank[order] = np.arange(order.size)
-    i, j, _ = _close_pairs(eigenvalues, DEDUP_FREQ_TOL)
-    earlier = np.where(rank[i] < rank[j], i, j)
-    later = i + j - earlier
-    s = np.argsort(rank[later], kind="stable")
-    earlier, later = earlier[s], later[s]
-    starts = np.flatnonzero(np.diff(later, prepend=-1))
-    keep = np.ones(order.size, dtype=bool)
-    for v, prior in zip(later[starts], np.split(earlier, starts[1:])):
-        keep[v] = not keep[prior].any()
-    return eigenvalues[order[keep[order]]]
+    earlier-ranked kept value is dropped."""
+    return eigenvalues[_first_distinct(eigenvalues, order, DEDUP_FREQ_TOL)]
 
 
 def ideal_response(ordering: FrequencyOrdering, eigenvalues, kind,

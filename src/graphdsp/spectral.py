@@ -104,8 +104,7 @@ class FrequencyOrdering:
 
 
 def _canonical_columns(V):
-    """Scale columns to unit l1 norm and fix their phase, in place; a
-    matrix left with no imaginary part comes back as a real copy.
+    """Scale columns to unit l1 norm and fix their phase, in place.
 
     The phase is chosen so the first entry whose modulus is within a small
     relative tolerance of the column maximum becomes real positive; the
@@ -116,10 +115,6 @@ def _canonical_columns(V):
     pivot = np.argmax(m >= (1.0 - PHASE_TIE_RTOL) * m.max(axis=0), axis=0)
     cols = np.arange(V.shape[1])
     V /= V[pivot, cols] / m[pivot, cols]
-    if np.iscomplexobj(V) and not V.imag.any():
-        # a copy in V's memory order: eigh's columns stay contiguous, which
-        # fixes the summation order of the column norms taken from them
-        V = np.array(V.real)
     return V
 
 
@@ -169,14 +164,15 @@ def _real_form(w, V):
     return M, j
 
 
-def decompose(g: Graph, *, cond_limit=DEFECTIVE_COND_LIMIT) -> SpectralBasis:
+def decompose(g: Graph) -> SpectralBasis:
     """Eigendecompose the adjacency into a canonical Fourier basis.
 
     Eigenvalues are sorted by descending real part, then ascending imaginary
     part, so real spectra come out ordered from lowest to highest frequency.
     Raises NearDefectiveError when the eigenvector condition number exceeds
-    ``cond_limit``.  ``lambda_max_abs`` reuses the graph's cached spectral
-    radius, or else seeds that cache with the largest eigenvalue magnitude.
+    DEFECTIVE_COND_LIMIT.  ``lambda_max_abs`` reuses the graph's cached
+    spectral radius, or else seeds that cache with the largest eigenvalue
+    magnitude.
     """
     a = g.adjacency
     if not a.any():
@@ -185,9 +181,7 @@ def decompose(g: Graph, *, cond_limit=DEFECTIVE_COND_LIMIT) -> SpectralBasis:
     w = w.astype(complex, copy=False)  # real from eigh, and from eig on a real spectrum
     idx = np.lexsort((w.imag, -w.real))
     w = w[idx]
-    # canonical scaling in complex arithmetic even for eigh's real vectors:
-    # numpy's complex division rounds differently from the real one
-    V = V[:, idx].astype(complex, copy=False)
+    V = V[:, idx]
     if g.directed:
         V = _orthogonalize_repeated(w, V, a)
     V = _canonical_columns(V)
@@ -204,8 +198,8 @@ def decompose(g: Graph, *, cond_limit=DEFECTIVE_COND_LIMIT) -> SpectralBasis:
     log.debug("decompose: n=%d solver=%s folded_pairs=%d real_form=%s "
               "basis_condition=%.6g", g.n, "eig" if g.directed else "eigh",
               len(pairs), not np.iscomplexobj(M), condition)
-    if not np.isfinite(condition) or condition > cond_limit:
-        raise NearDefectiveError(condition, cond_limit)
+    if not np.isfinite(condition) or condition > DEFECTIVE_COND_LIMIT:
+        raise NearDefectiveError(condition)
     if g.directed:
         F = np.linalg.inv(M).astype(V.dtype, copy=False)
         for j in pairs:  # rows of U M^-1: (R[j] -/+ i R[j+1]) / sqrt2

@@ -81,13 +81,10 @@ def test_detector_config_validation():
 def test_classifier_config_validation():
     cfg = ClassifierConfig(alpha=2.0)
     assert cfg.form == "shift"
-    assert cfg.solver_tolerance == 1e-8
     with pytest.raises(ValueError):
         ClassifierConfig(alpha=0.0)
     with pytest.raises(ValueError):
         ClassifierConfig(alpha=1.0, form="fourier")
-    with pytest.raises(ValueError):
-        ClassifierConfig(alpha=1.0, solver_tolerance=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +610,7 @@ def test_sweep_validates_inputs():
 
 def assert_matches_per_alpha_classify(g, labels, form):
     grid = standard_alpha_grid()
-    s = _label_solver(g, labels, form, 1e-8)(grid)
+    s = _label_solver(g, labels, form)(grid)
     assert s.shape == (g.n, grid.size)
     for i, alpha in enumerate(grid):
         ref = classify(g, labels, ClassifierConfig(alpha=float(alpha), form=form))
@@ -651,7 +648,7 @@ def test_factored_solver_isolated_unlabeled_node():
     s = assert_matches_per_alpha_classify(g, labels, "shift")
     assert np.all(s[-1] == 0.0)
     # under the Laplacian the isolated node is an unlabeled component
-    for solve in (lambda: _label_solver(g, labels, "laplacian", 1e-8),
+    for solve in (lambda: _label_solver(g, labels, "laplacian"),
                   lambda: classify(g, labels, ClassifierConfig(1.0, "laplacian"))):
         with pytest.raises(SingularSystemError) as e:
             solve()

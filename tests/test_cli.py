@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -463,8 +464,28 @@ def test_spectrum_filter_and_detect_run_without_scipy(tmp_path):
                      ["filter", g, str(filt), str(signals[0]), "--out", str(d / "filter")],
                      ["detect", g, "--history", *map(str, signals[:3]),
                       "--current", str(signals[3]), "--filter", str(filt),
-                      "--out", str(d / "detect")]]
+                      "--out", str(d / "detect")],
+                     ["design", g, "--kind", "lowpass", "--degree", "3",
+                      "--out", str(d / "design")],
+                     ["detect", g, "--history", *map(str, signals[:3]),
+                      "--current", str(signals[3]), "--out", str(d / "detect_design")]]
     code = (f"import sys\nfrom graphdsp.cli import main\n"
             f"codes = [main(argv) for argv in {commands!r}]\n"
             f"sys.exit(codes != [0] * {len(commands)} or 'scipy' in sys.modules)")
     assert run_python(code) == 0
+
+
+def test_manifest_records_the_environment(tmp_path):
+    out = tmp_path / "c"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    code = f"from graphdsp.cli import main; main(['gen', 'cycle', '4', '--out', {str(out)!r}])"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "threads": {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": None},
+    }

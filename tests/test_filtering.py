@@ -9,6 +9,7 @@ from graphdsp import (
     NearDefectiveError,
     TargetResponse,
     apply_filter,
+    build_knn_graph,
     cycle_graph,
     decompose,
     design_filter,
@@ -379,6 +380,32 @@ def test_target_response_refuses_what_the_gap_matrix_refused():
         with pytest.raises(ValueError, match=re.escape(f"closest pair {closest:.3e} apart")):
             TargetResponse(w, np.ones(w.size))
     assert refused > 100
+
+
+def test_distinct_by_rank_keeps_one_value_of_a_tight_cluster():
+    w = -1.0 + np.random.default_rng(7).uniform(-1e-15, 1e-15, 1000) + 0j
+    assert _distinct_by_rank(w, np.arange(w.size)).size == 1
+
+
+def test_target_response_at_any_finite_scale():
+    far = np.array([1e300, 2e300, -1e300, 1e300j, -1e300 - 1e300j, 1.7e308, -1.7e308, 1.0])
+    TargetResponse(far, np.ones(far.size))
+    with pytest.raises(ValueError, match="closest pair 1.000e-13 apart"):
+        TargetResponse([1.7e308, -1.7e308, 0.0, 1e-13], [1.0, 1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("symmetrize", [False, True])
+def test_taps_match_the_pivoted_qr_fit(symmetrize):
+    import scipy.linalg
+
+    points = np.random.default_rng(12).random((300, 2))
+    b = decompose(build_knn_graph(points, 6, symmetrize=symmetrize))
+    t = ideal_response(order_frequencies(b), b.eigenvalues / b.lambda_max_abs, "lowpass")
+    for degree in range(2, 13):
+        vand = np.vander(t.frequencies, degree + 1, increasing=True)
+        ref = scipy.linalg.lstsq(vand, t.desired, lapack_driver="gelsy")[0]
+        taps = design_filter(t, degree).filter.taps
+        assert np.abs(taps - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_lowpass_highpass_taps_sum_to_delta():

@@ -194,7 +194,7 @@ def test_undirected_basis_inverse_and_condition_are_exact(name):
     w = w.astype(complex)
     idx = np.lexsort((w.imag, -w.real))
     assert np.array_equal(b.eigenvalues, w[idx])
-    assert np.array_equal(b.vectors, _canonical_columns(V[:, idx].astype(complex)))
+    assert np.array_equal(b.vectors, _canonical_columns(V[:, idx]))
 
     inv = np.linalg.inv(b.vectors)
     assert np.abs(b.fourier - inv).max() <= 1e-12 * np.abs(inv).max()
@@ -248,7 +248,7 @@ def test_directed_basis_inverse_and_condition_match_lapack(name, folded, real_fo
     idx = np.lexsort((w.imag, -w.real))
     assert np.array_equal(b.eigenvalues, w[idx])
     if name != "cycles":  # there _orthogonalize_repeated replaces groups
-        assert np.array_equal(b.vectors, _canonical_columns(V[:, idx].astype(complex)))
+        assert np.array_equal(b.vectors, _canonical_columns(V[:, idx]))
 
     inv = np.linalg.inv(b.vectors)
     assert np.abs(b.fourier - inv).max() <= 1e-10 * np.abs(inv).max()
