@@ -6,7 +6,9 @@ classification.  Every run writes a ``manifest.json`` next to its outputs
 recording the command, input digests, seed, configuration, and the Python,
 numpy and BLAS thread settings; ``rerun`` refuses a manifest whose inputs no
 longer match their digests, and otherwise replays it to reproduce the
-outputs bit for bit.
+outputs bit for bit.  ``graphdsp --verbose <command>`` prints the library's
+debug records, such as the solver and condition path of each ``decompose``,
+to stderr.
 
 Exit codes: 0 success, 1 bad input or arguments, 2 numerical refusal
 (non-diagonalizable adjacency, singular regularization system).
@@ -18,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import os
 import sys
 
@@ -262,6 +265,8 @@ def _build_parser():
         prog="graphdsp",
         description="Signal processing on graphs via the adjacency shift.",
     )
+    parser.add_argument("--verbose", action="store_true",
+                        help="print the library's debug records to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_out(p):
@@ -359,6 +364,11 @@ def main(argv=None) -> int:
         code = e.code if isinstance(e.code, int) else 1
         return 0 if code == 0 else 1
     args.argv = argv
+    log = logging.getLogger("graphdsp")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         return args.func(args)
     except (NearDefectiveError, SingularSystemError) as e:
@@ -367,6 +377,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

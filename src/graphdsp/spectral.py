@@ -13,8 +13,12 @@ An undirected graph's ``eigh`` basis has orthogonal columns, so its
 condition and inverse follow from the column norms.  A real directed
 graph's eigenvectors come in exactly conjugate pairs (v, conj v); folding
 each pair into the real columns sqrt2 (Re v, Im v) is a unitary change of
-basis, so the 2-norm condition and the inverse come from real LAPACK on
-that real form.
+basis, so the inverse comes from real LAPACK on that real form M.  The
+refusal test then needs no SVD unless the basis is near the limit: with
+R = M^-1, cond2(M) <= ||M||_F ||R||_F (since ||X||_2 <= ||X||_F), and a
+bound at most half the limit accepts M.  Only a bound above that, a
+non-finite one or a failed inverse costs the exact cond2 before deciding.
+An accepted basis computes its exact condition when it is first read.
 """
 
 from __future__ import annotations
@@ -53,19 +57,27 @@ class SpectralBasis:
 
     Columns of ``vectors`` are eigenvectors scaled to unit l1 norm with a
     canonical phase (first near-maximal-modulus entry real positive);
-    ``fourier`` is the inverse of ``vectors``.
+    ``fourier`` is the inverse of ``vectors``.  ``basis_condition`` is the
+    exact 2-norm condition of ``vectors``; where ``decompose`` accepted the
+    basis on a bound, it is computed (an SVD of the real form) on first read.
     """
 
     graph: Graph
     eigenvalues: np.ndarray
     vectors: np.ndarray
     fourier: np.ndarray
-    basis_condition: float
     lambda_max_abs: float
 
     @property
     def n(self):
         return self.eigenvalues.shape[0]
+
+    @property
+    def basis_condition(self):
+        if "_condition" not in self.__dict__:
+            M, _ = _real_form(self.eigenvalues, self.vectors)
+            self.__dict__["_condition"] = float(np.linalg.cond(M))
+        return self.__dict__["_condition"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,9 +182,10 @@ def decompose(g: Graph) -> SpectralBasis:
     Eigenvalues are sorted by descending real part, then ascending imaginary
     part, so real spectra come out ordered from lowest to highest frequency.
     Raises NearDefectiveError when the eigenvector condition number exceeds
-    DEFECTIVE_COND_LIMIT.  ``lambda_max_abs`` reuses the graph's cached
-    spectral radius, or else seeds that cache with the largest eigenvalue
-    magnitude.
+    DEFECTIVE_COND_LIMIT; a directed basis whose Frobenius bound on that
+    condition is at most half the limit is accepted without an SVD.
+    ``lambda_max_abs`` reuses the graph's cached spectral radius, or else
+    seeds that cache with the largest eigenvalue magnitude.
     """
     a = g.adjacency
     if not a.any():
@@ -188,20 +201,32 @@ def decompose(g: Graph) -> SpectralBasis:
 
     if g.directed:
         M, pairs = _real_form(w, V)
-        condition = float(np.linalg.cond(M))
+        try:
+            R = np.linalg.inv(M)
+        except np.linalg.LinAlgError:  # singular: the SVD refuses it below
+            R = None
+        # cond2(M) <= |M|_F |R|_F; near the limit R is accurate to eps*cond,
+        # far inside the factor 2.  A near-singular fold can overflow the norms.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.inf if R is None else np.linalg.norm(M) * np.linalg.norm(R)
+        if bound <= DEFECTIVE_COND_LIMIT / 2:
+            path, condition = "bound", float(bound)
+        else:
+            path, condition = "svd", float(np.linalg.cond(M))
     else:
         # orthogonal real columns: V = QD with Q orthogonal and D the column
         # 2-norms, so cond(V) = max D / min D and V^-1 = D^-2 V^T exactly
-        M, pairs = V, ()
+        M, pairs, path = V, (), "norms"
         norms = np.linalg.norm(V, axis=0)
         condition = float(norms.max() / norms.min())
     log.debug("decompose: n=%d solver=%s folded_pairs=%d real_form=%s "
-              "basis_condition=%.6g", g.n, "eig" if g.directed else "eigh",
-              len(pairs), not np.iscomplexobj(M), condition)
-    if not np.isfinite(condition) or condition > DEFECTIVE_COND_LIMIT:
-        raise NearDefectiveError(condition)
+              "condition_path=%s condition=%.6g", g.n, "eig" if g.directed else "eigh",
+              len(pairs), not np.iscomplexobj(M), path, condition)
+    if (not np.isfinite(condition) or condition > DEFECTIVE_COND_LIMIT
+            or g.directed and R is None):
+        raise NearDefectiveError(condition, DEFECTIVE_COND_LIMIT)
     if g.directed:
-        F = np.linalg.inv(M).astype(V.dtype, copy=False)
+        F = R.astype(V.dtype, copy=False)
         for j in pairs:  # rows of U M^-1: (R[j] -/+ i R[j+1]) / sqrt2
             re, im = F[j] / SQRT2, F[j + 1] * (1j / SQRT2)
             F[j], F[j + 1] = re - im, re + im
@@ -210,14 +235,10 @@ def decompose(g: Graph) -> SpectralBasis:
     rho = g.__dict__.setdefault("_rho", float(np.max(np.abs(w))))
     for x in (w, V, F):  # built here, so frozen without a copy
         x.setflags(write=False)
-    return SpectralBasis(
-        graph=g,
-        eigenvalues=w,
-        vectors=V,
-        fourier=F,
-        basis_condition=condition,
-        lambda_max_abs=rho,
-    )
+    b = SpectralBasis(graph=g, eigenvalues=w, vectors=V, fourier=F, lambda_max_abs=rho)
+    if path != "bound":  # exact already; a bound leaves it to the first read
+        b.__dict__["_condition"] = condition
+    return b
 
 
 def gft(b: SpectralBasis, s: GraphSignal) -> np.ndarray:

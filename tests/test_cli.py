@@ -101,6 +101,20 @@ def test_spectrum_of_cycle(tmp_path):
     assert doc["order"] == [0, 1, 2, 3]
 
 
+def test_verbose_prints_the_decompose_record(tmp_path, capsys):
+    gdir = tmp_path / "g"
+    run("gen", "cycle", 6, "--out", gdir)
+    capsys.readouterr()
+    for _ in range(2):  # once per run: the handler leaves with the command
+        assert run("--verbose", "spectrum", gdir / "graph.tsv", "--out", tmp_path / "v") == 0
+        err = capsys.readouterr().err
+        assert err.count("decompose: n=6 solver=eig folded_pairs=2") == 1
+        assert "condition_path=bound" in err
+        assert run("spectrum", gdir / "graph.tsv", "--out", tmp_path / "q") == 0
+        assert capsys.readouterr().err == ""
+    assert tree_bytes(tmp_path / "v") == tree_bytes(tmp_path / "q")
+
+
 def test_spectrum_of_self_loop_graph_has_zero_variations(tmp_path):
     p = tmp_path / "id.tsv"
     p.write_text("src\tdst\tweight\n0\t0\t1.0\n1\t1\t1.0\n2\t2\t1.0\n")

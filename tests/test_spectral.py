@@ -28,7 +28,8 @@ from graphdsp import (
     tv_of_chain_vector,
     validate_chain,
 )
-from graphdsp.spectral import _canonical_columns
+from graphdsp import spectral
+from graphdsp.spectral import _canonical_columns, _real_form
 
 
 def dft_matrix(n):
@@ -226,6 +227,9 @@ def directed_basis_graphs():
         "cycles": permuted_directed_cycles((6, 6, 3)),
         # distinct real eigenvalues, real eigenvectors
         "real_spectrum": Graph(np.triu(rng.random((8, 8)), 1) + np.diag(np.arange(1.0, 9.0))),
+        # four blocks [[k, 1], [0, k + 1e-7]]: condition 2e7, Frobenius bound 8e7
+        "near_jordan": Graph(np.kron(np.diag(np.arange(1.0, 5.0)), np.eye(2))
+                             + np.kron(np.eye(4), [[0.0, 1.0], [0.0, 1e-7]])),
     }
 
 
@@ -234,14 +238,21 @@ def directed_basis_graphs():
     ("complex_weights", False, False),
     ("cycles", True, False),
     ("real_spectrum", False, True),
+    ("near_jordan", False, True),
 ])
 def test_directed_basis_inverse_and_condition_match_lapack(name, folded, real_form, caplog):
+    path = "svd" if name == "near_jordan" else "bound"  # its bound exceeds half the limit
     g = directed_basis_graphs()[name]
     with caplog.at_level(logging.DEBUG, logger="graphdsp"):
         b = decompose(g)
-    n, solver, pairs, real, condition = caplog.records[-1].args
-    assert (n, solver, pairs > 0, real, condition) == (g.n, "eig", folded, real_form,
-                                                       b.basis_condition)
+    n, solver, pairs, real, logged_path, condition = caplog.records[-1].args
+    assert (n, solver, pairs > 0, real, logged_path) == (g.n, "eig", folded, real_form, path)
+    exact = np.linalg.cond(_real_form(b.eigenvalues, b.vectors)[0])
+    assert b.basis_condition == exact  # the SVD's bits, whichever path decided
+    if path == "bound":
+        assert condition >= b.basis_condition
+    else:
+        assert condition == b.basis_condition
 
     w, V = np.linalg.eig(g.adjacency)  # the solver decompose calls
     w = w.astype(complex)
@@ -254,6 +265,50 @@ def test_directed_basis_inverse_and_condition_match_lapack(name, folded, real_fo
     assert np.abs(b.fourier - inv).max() <= 1e-10 * np.abs(inv).max()
     assert b.basis_condition == pytest.approx(np.linalg.cond(b.vectors), rel=1e-10)
     assert b.fourier.dtype == b.vectors.dtype
+
+
+def test_refusal_threshold_is_the_exact_condition(monkeypatch):
+    exact = decompose(directed_basis_graphs()["knn200"]).basis_condition
+    below = np.nextafter(exact, 0.0)
+    monkeypatch.setattr(spectral, "DEFECTIVE_COND_LIMIT", below)
+    with pytest.raises(NearDefectiveError) as e:
+        decompose(directed_basis_graphs()["knn200"])
+    assert (e.value.condition, e.value.limit) == (exact, below)
+    monkeypatch.setattr(spectral, "DEFECTIVE_COND_LIMIT", exact)
+    assert decompose(directed_basis_graphs()["knn200"]).basis_condition == exact
+
+
+def test_a_bound_well_inside_the_limit_costs_no_svd(monkeypatch, caplog):
+    g = directed_basis_graphs()["knn200"]
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        decompose(g)
+    bound = caplog.records[-1].args[-1]
+    monkeypatch.setattr(spectral, "DEFECTIVE_COND_LIMIT", 2 * bound)
+    calls = []
+
+    def spy(fn):
+        return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "cond", spy(np.linalg.cond))
+    monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
+    b = decompose(g)
+    assert calls == []
+    first, second = b.basis_condition, b.basis_condition
+    assert calls == ["cond"] and first == second <= bound  # computed once per basis
+
+
+def test_a_fold_that_inv_cannot_invert_is_refused(monkeypatch):
+    g = Graph([[0.0, 0.0], [1.0, 0.0]])  # one nilpotent Jordan block
+    with pytest.raises(NearDefectiveError) as unpatched:
+        decompose(g)
+
+    def singular(m):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(NearDefectiveError) as e:
+        decompose(g)
+    assert e.value.condition == unpatched.value.condition > 1e8
 
 
 def test_a_real_directed_spectrum_stays_complex():
