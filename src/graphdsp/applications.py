@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import GraphFilter, apply_filter
-from .graph import (Graph, GraphSignal, LabelSignal, _check_laplacian, _freeze,
+from .graph import (Graph, GraphSignal, LabelSignal, _check_laplacian, _csr, _freeze,
                     _nonzero_radius)
 from .spectral import SpectralBasis, gft
 
@@ -131,7 +131,8 @@ def detect_malfunction(g: Graph, b: SpectralBasis, cfg: DetectorConfig,
 def _variation_operator(g: Graph, form: str):
     """Sparse (CSR) real symmetric PSD matrix M whose quadratic form (halved)
     is the smoothness term of the classifier objective, cached on the graph:
-    Re(B^H B) with B = I - A/|lambda_max|, or twice the Laplacian D - A.
+    Re(B^H B) with B = I - A/|lambda_max|, or twice the Laplacian D - A,
+    from the graph's cached CSR view of A.
     Every classifier solve uses this one M: the dense Cholesky up to
     ``DIRECT_SOLVE_MAX_N`` nodes, conjugate gradients above, the factored
     sweep and the objective."""
@@ -143,11 +144,10 @@ def _variation_operator(g: Graph, form: str):
 
     if form == "laplacian":
         _check_laplacian(g)
-        m = 2.0 * (scipy.sparse.diags_array(g.adjacency.sum(axis=1))
-                   - scipy.sparse.csr_array(g.adjacency))
+        m = 2.0 * (scipy.sparse.diags_array(g.adjacency.sum(axis=1)) - _csr(g))
     else:
         b = (scipy.sparse.eye_array(g.n, format="csr")
-             - scipy.sparse.csr_array(g.adjacency) / _nonzero_radius(g))
+             - _csr(g) / _nonzero_radius(g))
         m = (b.conj().T @ b).real.tocsr()
     object.__setattr__(g, key, m)
     return m
@@ -157,8 +157,7 @@ def _raise_singular(g: Graph, labels: LabelSignal):
     """Diagnose a singular classifier system before giving up."""
     import scipy.sparse.csgraph
 
-    pattern = scipy.sparse.csr_matrix(np.abs(g.adjacency) > 0)
-    n_comp, comp = scipy.sparse.csgraph.connected_components(pattern,
+    n_comp, comp = scipy.sparse.csgraph.connected_components(abs(_csr(g)),
                                                              directed=False)
     known = labels.known_mask
     for c in range(n_comp):

@@ -2,16 +2,25 @@
 
 One binary with subcommands: synthetic graph generation, spectrum
 inspection, filter design, signal filtering, anomaly detection, and label
-classification.  Every run writes a ``manifest.json`` next to its outputs
-recording the command, input digests, seed, configuration, and the Python,
-numpy and BLAS thread settings; ``rerun`` refuses a manifest whose inputs no
-longer match their digests, and otherwise replays it to reproduce the
-outputs bit for bit.  ``graphdsp --verbose <command>`` prints the library's
-debug records, such as the solver and condition path of each ``decompose``,
-to stderr.
+classification.  ``filter`` applies h(A/rho) by repeated shifts, which needs
+the spectral radius alone; it builds the eigenbasis only for
+``--spectra``, which also writes the signal's spectrum before and after.
+Every run writes a ``manifest.json`` next to its outputs recording the
+command, input digests, seed, configuration, and the Python, numpy and
+BLAS thread settings; ``rerun`` refuses a manifest whose inputs no longer
+match their digests, and otherwise replays its argv, which reproduces the
+outputs bit for bit under the graphdsp version that wrote it.  A
+``filter`` manifest written before ``--spectra`` existed replays without
+``spectra.csv`` and with the cold spectral radius, so its ``filtered.csv``
+moves at rounding level; the recorded command run with ``--spectra``
+reproduces both files.  ``graphdsp --verbose <command>`` prints the
+library's debug records, such as the solver and condition path of each
+``decompose`` and the path of each cold spectral radius, to stderr.
 
-Exit codes: 0 success, 1 bad input or arguments, 2 numerical refusal
-(non-diagonalizable adjacency, singular regularization system).
+Exit codes: 0 success, 1 bad input or arguments, 2 numerical refusal: a
+near-defective adjacency in a command that builds the eigenbasis
+(``spectrum``, ``design``, ``detect``, ``filter --spectra``), or a singular
+regularization system.
 """
 
 from __future__ import annotations
@@ -154,10 +163,14 @@ def _cmd_filter(args):
     g = fileio.read_edge_list(args.graph)
     filt = fileio.read_filter(args.filter)
     s = g.signal(fileio.read_signal(args.signal))
-    # first, so a defective graph is refused before anything is written
-    b = decompose(g)
+    inputs, config = [args.graph, args.filter, args.signal], {"spectra": args.spectra}
+    # h(A/rho) s needs rho alone, so only the spectra build a basis: first,
+    # so a defective graph is refused before anything is written
+    b = decompose(g) if args.spectra else None
     result = apply_filter(g, filt, s)
     fileio.write_signal(os.path.join(out, "filtered.csv"), result.values)
+    if b is None:
+        return _finish(args, inputs, config, ["filtered.csv"])
     before = gft(b, s)
     after = gft(b, result)
     response = frequency_response(b, filt)
@@ -170,8 +183,7 @@ def _cmd_filter(args):
                                    (before[i].real, before[i].imag,
                                     after[i].real, after[i].imag,
                                     response[i].real, response[i].imag)])
-    return _finish(args, [args.graph, args.filter, args.signal], {},
-                   ["filtered.csv", "spectra.csv"])
+    return _finish(args, inputs, config, ["filtered.csv", "spectra.csv"])
 
 
 def _cmd_detect(args):
@@ -318,6 +330,8 @@ def _build_parser():
     p.add_argument("graph")
     p.add_argument("filter")
     p.add_argument("signal")
+    p.add_argument("--spectra", action="store_true",
+                   help="also write spectra.csv, which needs the eigenbasis")
     p.set_defaults(func=_cmd_filter)
     add_out(p)
 

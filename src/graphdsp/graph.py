@@ -8,13 +8,17 @@ real entries.  All objects are immutable after construction.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
+ARPACK_MAX_RESTARTS = 100
 
 EARTH_RADIUS_KM = 6371.0088
+
+log = logging.getLogger("graphdsp")
 
 
 def euclidean(p, q):
@@ -94,20 +98,34 @@ class Graph:
 
     @property
     def spectral_radius(self):
-        """Largest eigenvalue magnitude, cached by first use or ``decompose``;
-        Lanczos from a fixed start (bitwise reruns) above 20 undirected nodes."""
+        """Largest eigenvalue magnitude, cached by first use or ``decompose``.
+
+        Above 20 nodes a cold call on an undirected graph runs Lanczos
+        (``eigsh``) on the CSR view of the adjacency from a fixed start
+        vector, so reruns agree bitwise, for at most ``ARPACK_MAX_RESTARTS``
+        restarts.  A directed graph, a graph of up to 20 nodes and a failed
+        Lanczos run take the dense ``eigvals``/``eigvalsh``: on a defective or
+        strongly non-normal adjacency, such as a DAG, Arnoldi meets its
+        residual test far from every eigenvalue.  Each cold call logs its path
+        at debug level.
+        """
         if "_rho" not in self.__dict__:
-            a, rho = self.adjacency, None
+            a, rho, path, restarts = self.adjacency, None, "dense", 0
             if not self.directed and self.n > 20 and a.any():
                 import scipy.sparse.linalg
+                restarts = ARPACK_MAX_RESTARTS
                 v0 = 1.0 + np.random.default_rng(0).random(self.n)
                 try:
-                    rho = float(abs(scipy.sparse.linalg.eigsh(a, k=1, tol=0, v0=v0)[0][0]))
-                except scipy.sparse.linalg.ArpackError:
-                    pass  # the dense solver below
+                    w = scipy.sparse.linalg.eigsh(_csr(self), k=1, tol=0, v0=v0,
+                                                  maxiter=restarts)[0]
+                    rho, path = float(abs(w[0])), "lanczos"
+                except scipy.sparse.linalg.ArpackError as e:
+                    path = f"dense after={type(e).__name__}"
             if rho is None:
                 eigvals = np.linalg.eigvals if self.directed else np.linalg.eigvalsh
                 rho = float(np.max(np.abs(eigvals(a)))) if a.any() else 0.0
+            log.debug("spectral_radius: n=%d path=%s max_restarts=%d rho=%.17g",
+                      self.n, path, restarts, rho)
             self.__dict__["_rho"] = rho
         return self.__dict__["_rho"]
 
@@ -229,6 +247,14 @@ def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
     weights = np.exp(log_gauss - 0.5 * (top[:, None] + top[None, :]), out=log_gauss)
     weights /= np.sqrt(sums[:, None] * sums[None, :])
     return Graph(weights)
+
+
+def _csr(g: Graph):
+    """The adjacency as a CSR array, built on first use and cached."""
+    if "_csr" not in g.__dict__:
+        import scipy.sparse
+        g.__dict__["_csr"] = scipy.sparse.csr_array(g.adjacency)
+    return g.__dict__["_csr"]
 
 
 def _nonzero_radius(g: Graph) -> float:

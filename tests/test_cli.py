@@ -115,6 +115,31 @@ def test_verbose_prints_the_decompose_record(tmp_path, capsys):
     assert tree_bytes(tmp_path / "v") == tree_bytes(tmp_path / "q")
 
 
+def knn_filter_inputs(tmp_path, *flags):
+    """A 4-NN graph on 40 points (directed unless ``--symmetrize``), a
+    filter and a signal."""
+    write_points(tmp_path / "points.csv", np.random.default_rng(2).random((40, 2)))
+    assert run("gen", "knn", tmp_path / "points.csv", 4, *flags,
+               "--out", tmp_path / "g") == 0
+    fpath, spath = tmp_path / "f.json", tmp_path / "s.csv"
+    write_filter(fpath, GraphFilter([0.5, -0.25, 0.125]))
+    write_signal(spath, np.arange(40.0))
+    return tmp_path / "g" / "graph.tsv", fpath, spath
+
+
+@pytest.mark.parametrize("flags,path", [((), "dense max_restarts=0"),
+                                         (("--symmetrize",), "lanczos max_restarts=")],
+                         ids=["directed", "symmetrized"])
+def test_verbose_filter_prints_one_spectral_radius_record(flags, path, tmp_path, capsys):
+    inputs = knn_filter_inputs(tmp_path, *flags)
+    capsys.readouterr()
+    assert run("--verbose", "filter", *inputs, "--out", tmp_path / "f") == 0
+    records = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("spectral_radius:")]
+    assert len(records) == 1
+    assert records[0].startswith(f"spectral_radius: n=40 path={path}")
+
+
 def test_spectrum_of_self_loop_graph_has_zero_variations(tmp_path):
     p = tmp_path / "id.tsv"
     p.write_text("src\tdst\tweight\n0\t0\t1.0\n1\t1\t1.0\n2\t2\t1.0\n")
@@ -205,7 +230,7 @@ def test_filter_spectra_table_is_consistent(tmp_path):
     write_signal(spath, np.random.default_rng(3).standard_normal(8))
     out = tmp_path / "f"
     assert run("filter", gdir / "graph.tsv", tmp_path / "d" / "filter.json",
-               spath, "--out", out) == 0
+               spath, "--spectra", "--out", out) == 0
     rows = (out / "spectra.csv").read_text().splitlines()
     assert rows[0].split(",")[0] == "index"
     for row in rows[1:]:
@@ -228,7 +253,7 @@ def test_filter_with_malformed_filter_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_filter_on_defective_graph_exits_2_before_writing(tmp_path):
+def jordan_filter_inputs(tmp_path):
     gpath = tmp_path / "bad.tsv"
     # A = [[1, 0], [1, 1]]: one Jordan block, spectral radius 1
     gpath.write_text("src\tdst\tweight\n0\t0\t1.0\n0\t1\t1.0\n1\t1\t1.0\n")
@@ -236,9 +261,50 @@ def test_filter_on_defective_graph_exits_2_before_writing(tmp_path):
     write_filter(fpath, GraphFilter([0.5, 0.5]))
     spath = tmp_path / "s.csv"
     write_signal(spath, np.array([1.0, 2.0]))
+    return gpath, fpath, spath
+
+
+def test_filter_on_defective_graph_exits_2_before_writing(tmp_path):
+    gpath, fpath, spath = jordan_filter_inputs(tmp_path)
     out = tmp_path / "f"
-    assert run("filter", gpath, fpath, spath, "--out", out) == 2
+    assert run("filter", gpath, fpath, spath, "--spectra", "--out", out) == 2
     assert not (out / "filtered.csv").exists()
+
+
+def test_filter_without_spectra_filters_a_defective_graph(tmp_path):
+    # h(A/rho) s = 0.5 s + 0.5 A s needs no eigenbasis
+    gpath, fpath, spath = jordan_filter_inputs(tmp_path)
+    out = tmp_path / "f"
+    assert run("filter", gpath, fpath, spath, "--out", out) == 0
+    assert np.array_equal(read_signal(out / "filtered.csv"), [1.0, 2.5])
+    assert not (out / "spectra.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["directed", "symmetrized"])
+def test_filter_on_a_knn_graph_builds_no_basis(flags, tmp_path, monkeypatch):
+    # a directed graph's rho is the dense eigvals, an undirected one's Lanczos
+    import graphdsp.cli
+    inputs = knn_filter_inputs(tmp_path, *flags)
+    directed = read_edge_list(inputs[0]).directed
+    assert directed == (not flags)
+    calls = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            if name != "eigvals" or not directed:
+                raise AssertionError(f"{name} called")
+            return real_eigvals(*args, **kwargs)
+        return record
+
+    real_eigvals = np.linalg.eigvals
+    monkeypatch.setattr(graphdsp.cli, "decompose", spy("decompose"))
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    out = tmp_path / "f"
+    assert run("filter", *inputs, "--out", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["filtered.csv", "manifest.json"]
+    assert calls == (["eigvals"] if directed else [])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +541,8 @@ def test_spectrum_filter_and_detect_run_without_scipy(tmp_path):
         g = str(d / "graph.tsv")
         commands += [["gen", "knn", str(points), "4", *flags, "--out", str(d)],
                      ["spectrum", g, "--out", str(d / "spectrum")],
-                     ["filter", g, str(filt), str(signals[0]), "--out", str(d / "filter")],
+                     ["filter", g, str(filt), str(signals[0]), "--spectra",
+                      "--out", str(d / "filter")],
                      ["detect", g, "--history", *map(str, signals[:3]),
                       "--current", str(signals[3]), "--filter", str(filt),
                       "--out", str(d / "detect")],
@@ -483,9 +550,18 @@ def test_spectrum_filter_and_detect_run_without_scipy(tmp_path):
                       "--out", str(d / "design")],
                      ["detect", g, "--history", *map(str, signals[:3]),
                       "--current", str(signals[3]), "--out", str(d / "detect_design")]]
+    # plain filter takes a directed graph's rho from the dense eigvals
+    commands.append(["filter", str(tmp_path / "directed" / "graph.tsv"), str(filt),
+                     str(signals[0]), "--out", str(tmp_path / "directed" / "plain")])
     code = (f"import sys\nfrom graphdsp.cli import main\n"
             f"codes = [main(argv) for argv in {commands!r}]\n"
             f"sys.exit(codes != [0] * {len(commands)} or 'scipy' in sys.modules)")
+    assert run_python(code) == 0
+    # on an undirected graph above 20 nodes it runs Lanczos
+    argv = ["filter", str(tmp_path / "symmetric" / "graph.tsv"), str(filt),
+            str(signals[0]), "--out", str(tmp_path / "symmetric" / "plain")]
+    code = (f"import sys\nfrom graphdsp.cli import main\n"
+            f"sys.exit(main({argv!r}) != 0 or 'scipy' not in sys.modules)")
     assert run_python(code) == 0
 
 

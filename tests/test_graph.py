@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from graphdsp import (
     path_graph,
     sbm_graph,
 )
-from graphdsp.graph import SYMMETRY_TOL
+from graphdsp.graph import ARPACK_MAX_RESTARTS, SYMMETRY_TOL
 
 
 def test_adjacency_must_be_square():
@@ -157,6 +158,80 @@ def test_spectral_radius_falls_back_to_dense_when_arpack_fails(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
     g = _undirected_fixtures()["knn"]
     assert g.spectral_radius == float(np.abs(np.linalg.eigvalsh(g.adjacency)).max())
+
+
+def test_directed_spectral_radius_is_dense(monkeypatch, caplog):
+    import scipy.sparse.linalg
+
+    def fail(*args, **kwargs):
+        raise AssertionError("ARPACK called")
+
+    for name in ("eigs", "eigsh"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, fail)
+    # DAGs (strictly lower triangular), one of them a path: every eigenvalue
+    # is 0, yet Arnoldi can meet its residual test at a Ritz value far from 0
+    rng = np.random.default_rng(0)
+    for a in (np.tril(rng.random((21, 21)), -1), np.eye(200, k=-1)):
+        assert Graph(a).spectral_radius == 0.0
+    # a cycle's eigenvalues share one modulus, on which Arnoldi never settles
+    for g in (Graph(np.roll(np.eye(200), 1, axis=0)), build_knn_graph(rng.random((200, 2)), 6)):
+        with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+            assert g.spectral_radius == float(np.abs(np.linalg.eigvals(g.adjacency)).max())
+        assert radius_records(caplog) == [
+            f"spectral_radius: n=200 path=dense max_restarts=0 rho={g.spectral_radius:.17g}"]
+        caplog.clear()
+
+
+def test_lanczos_runs_under_the_restart_budget(monkeypatch):
+    import scipy.sparse.linalg
+    budgets = []
+    for name in ("eigs", "eigsh"):
+        real = getattr(scipy.sparse.linalg, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            budgets.append((_name, kwargs["maxiter"]))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, name, spy)
+    points = np.random.default_rng(1).random((200, 2))
+    for symmetrize in (False, True):
+        assert build_knn_graph(points, 6, symmetrize=symmetrize).spectral_radius > 0
+    assert 0 < ARPACK_MAX_RESTARTS < np.inf
+    assert budgets == [("eigsh", ARPACK_MAX_RESTARTS)]
+
+
+def radius_records(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("spectral_radius:")]
+
+
+@pytest.mark.parametrize("kind", ["cycle", "path"])
+def test_undirected_cycles_and_paths_fall_back_to_dense(kind, caplog):
+    # Lanczos needs 175 (cycle) and 432 (path) restarts at 500 nodes (at 200
+    # nodes it converges in 37 and 99)
+    a = np.roll(np.eye(500), 1, axis=0) if kind == "cycle" else np.eye(500, k=-1)
+    g = Graph(a + a.T)
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        assert g.spectral_radius == float(np.abs(np.linalg.eigvalsh(g.adjacency)).max())
+    [record] = radius_records(caplog)
+    assert "n=500 path=dense after=ArpackNoConvergence " in record
+    assert f"max_restarts={ARPACK_MAX_RESTARTS} " in record
+
+
+def test_spectral_radius_logs_its_path_once(caplog):
+    points = np.random.default_rng(1).random((200, 2))
+    graphs = [("dense", build_knn_graph(points, 6)),
+              ("lanczos", build_knn_graph(points, 6, symmetrize=True)),
+              ("dense", cycle_graph(8))]
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        for path, g in graphs:
+            rho = g.spectral_radius
+            assert g.spectral_radius == rho  # cached: no second record
+            restarts = ARPACK_MAX_RESTARTS if path == "lanczos" else 0
+            assert radius_records(caplog) == [
+                f"spectral_radius: n={g.n} path={path} max_restarts={restarts} "
+                f"rho={rho:.17g}"]
+            caplog.clear()
 
 
 def test_signal_binding_and_validation():

@@ -8,7 +8,11 @@ both the real form of a conjugate-paired basis and a complex one are
 hit.  Rounding in V and F = V^-1 grows with the basis condition, so the
 tolerances scale with it.  The refusal of a basis is checked against the
 SVD of its real form at random limits, and a relabeling of the nodes
-against the spectrum of the original graph.
+against the spectrum of the original graph.  Above 20 nodes the cold
+spectral radius of an undirected graph (Lanczos, or the dense fallback) is
+checked against the dense spectrum, and filtering a relabeled graph against
+the original.  The classifier's solution is checked to minimize its
+objective.
 """
 
 from unittest import mock
@@ -21,10 +25,15 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from graphdsp import (
+    ClassifierConfig,
     Graph,
     GraphFilter,
+    LabelSignal,
     NearDefectiveError,
+    SingularSystemError,
     apply_filter,
+    classification_objective,
+    classify,
     decompose,
     frequency_response,
     gft,
@@ -157,3 +166,92 @@ def test_relabeling_the_nodes_keeps_the_spectrum(data):
     assert np.abs(np.sort(v) - np.sort(vp)).max() <= 2 * tol / b.lambda_max_abs
     if rel <= 1e-3:
         assert abs(bp.basis_condition - b.basis_condition) <= rel * b.basis_condition
+
+
+@st.composite
+def large_graphs(draw, max_n=150, kinds=("nonnegative", "complex", "symmetric")):
+    """A graph above the 20 nodes where the cold spectral radius of an
+    undirected graph turns to Lanczos: a digraph with nonnegative or complex
+    weights, or a symmetric graph with weights of either sign.  Each entry
+    is nonzero with a drawn density; the weights come from a drawn seed, as
+    drawing each of up to 150^2 entries through hypothesis is slow."""
+    n = draw(st.integers(21, max_n))
+    kind = draw(st.sampled_from(kinds))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def weights():
+        return np.where(rng.random((n, n)) < density, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+
+    a = weights()
+    if kind == "complex":
+        a = a + 1j * weights()
+    if kind == "symmetric":
+        a = np.triu(a * rng.choice([-1.0, 1.0], (n, n)))
+        a = a + np.triu(a, 1).T
+    return Graph(a, directed=kind != "symmetric")
+
+
+@settings(max_examples=30, deadline=None)
+@given(large_graphs(kinds=("symmetric",)))
+def test_cold_spectral_radius_is_the_dense_one(g):
+    dense = float(np.abs(np.linalg.eigvals(g.adjacency)).max())
+    assert abs(g.spectral_radius - dense) <= 1e-12 * dense
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_relabeling_the_nodes_permutes_the_filtered_signal(data):
+    g = data.draw(large_graphs(max_n=60))
+    assume(g.spectral_radius > 0.0)
+    p = np.array(data.draw(st.permutations(range(g.n))))
+    gp = Graph(g.adjacency[np.ix_(p, p)], directed=g.directed)
+    f = GraphFilter(data.draw(arrays(float, st.integers(1, 6), elements=VALUES)))
+    s = data.draw(signals(g.n))
+    out = apply_filter(g, f, g.signal(s)).values
+    outp = apply_filter(gp, f, gp.signal(s[p])).values
+    # the two cold radii agree to 1e-12 (above); Horner's k-th term moves by
+    # k times that, and each product by rounding, relative to its norm bound
+    growth = np.abs(g.adjacency).sum(axis=1).max() / g.spectral_radius
+    bound = sum(abs(h) * growth ** k for k, h in enumerate(f.taps)) * np.abs(s).max()
+    assert np.abs(outp - out[p]).max() <= 1e-10 * f.taps.size * bound
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_classify_minimizes_its_objective(data):
+    n = data.draw(st.integers(2, 12))
+    a = data.draw(arrays(float, (n, n), elements=st.just(0.0) | st.floats(0.1, 1.0)))
+    form = data.draw(st.sampled_from(["shift", "laplacian"]))
+    if form == "laplacian" or data.draw(st.booleans()):
+        a = np.triu(a) + np.triu(a, 1).T
+    g = Graph(a)
+    assume(g.spectral_radius > 0.0)  # the shift form normalizes by it
+    labels = LabelSignal(data.draw(arrays(float, n, elements=st.sampled_from([-1.0, 0.0, 1.0]))))
+    assume(labels.known_mask.any())
+    cfg = ClassifierConfig(alpha=data.draw(st.floats(0.01, 100.0)), form=form)
+    try:
+        v = classify(g, labels, cfg).predicted
+    except SingularSystemError:
+        assume(False)
+
+    def objective(x):
+        return classification_objective(g, labels, cfg, x)
+
+    # central differences are exact on a quadratic up to the rounding of J;
+    # the solve is accepted at a relative residual (the gradient) of 1e-8
+    steps = np.eye(n)
+    values = [objective(v + e) for e in steps] + [objective(v - e) for e in steps]
+    grad = (np.array(values[:n]) - np.array(values[n:])) / 2.0
+    rounding = 1e3 * n * EPS * max(values)
+    assert np.abs(grad).max() <= 1e-8 * 2.0 * cfg.alpha * n + rounding
+    # a step along any direction d rises by t^2/2 d^T H d > 0 (H is positive
+    # definite where the system is nonsingular), less t |grad . d|
+    j = objective(v)
+    for _ in range(3):
+        d = data.draw(arrays(float, n, elements=VALUES))
+        assume(np.abs(d).max() > 0.1)
+        d = d / np.linalg.norm(d)
+        for x in (v + d, v - d):
+            assert objective(x) > j - np.abs(grad).max() * np.sqrt(n) - rounding
+        assert objective(v + d) + objective(v - d) > 2.0 * j
