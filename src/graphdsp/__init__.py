@@ -26,6 +26,7 @@ from .spectral import (
     JordanChain,
     NearDefectiveError,
     SpectralBasis,
+    Spectrum,
     decompose,
     dirichlet_form,
     gft,
@@ -38,6 +39,7 @@ from .spectral import (
     order_frequencies,
     quadratic_form,
     seminorm,
+    spectrum,
     total_variation,
     tv_of_chain_vector,
     validate_chain,

@@ -304,10 +304,15 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
     unlabeled component) before any alpha is tried.  A refusal during the
     search therefore only means that alpha is too small for the system to
     resolve, as when the variation operator is singular and a loose budget
-    halves alpha toward the 1e-12 floor: the search then stops and returns
-    the smallest alpha already verified, which meets the budget and passed
-    the residual check.  A budget unreachable below ``max_alpha`` raises
-    ValueError.
+    halves alpha toward the 1e-12 floor: the search then stops at the
+    smallest alpha already verified, which meets the budget and passed the
+    residual check.  The factored residual and ``classify``'s own solve can
+    judge an alpha near that edge differently, so the alpha found is
+    confirmed by ``classify``'s solve and doubled until ``classify`` accepts
+    it; the misfit falls as alpha grows, so each larger alpha meets the
+    budget too.  The factored solution at that alpha is returned: its
+    misfit is the one checked against ``epsilon``.  A budget unreachable
+    below ``max_alpha`` raises ValueError.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
@@ -343,7 +348,15 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
     except SingularSystemError:
         if hi is None:
             raise
-    return _classification(out), hi
+    while True:
+        try:
+            classify(g, labels, ClassifierConfig(hi, form))
+            return _classification(out), hi
+        except SingularSystemError:
+            if 2.0 * hi > max_alpha:
+                raise
+            hi *= 2.0
+            out = solver([hi])[:, 0]
 
 
 def standard_alpha_grid() -> np.ndarray:

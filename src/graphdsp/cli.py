@@ -2,7 +2,12 @@
 
 One binary with subcommands: synthetic graph generation, spectrum
 inspection, filter design, signal filtering, anomaly detection, and label
-classification.  ``filter`` applies h(A/rho) by repeated shifts, which needs
+classification.  ``spectrum`` writes ``spectrum.json``: the eigenvalues,
+their variations and frequency order, and ``basis_condition``, cond2 of the
+eigenvector matrix with unit 2-norm columns.  That condition is exactly 1 on
+an undirected graph, so there ``spectrum`` and ``design`` compute
+eigenvalues alone; on a directed graph they build the eigenbasis, which may
+be refused.  ``filter`` applies h(A/rho) by repeated shifts, which needs
 the spectral radius alone; it builds the eigenbasis only for
 ``--spectra``, which also writes the signal's spectrum before and after.
 Every run writes a ``manifest.json`` next to its outputs recording the
@@ -19,8 +24,8 @@ library's debug records, such as the solver and condition path of each
 
 Exit codes: 0 success, 1 bad input or arguments, 2 numerical refusal: a
 near-defective adjacency in a command that builds the eigenbasis
-(``spectrum``, ``design``, ``detect``, ``filter --spectra``), or a singular
-regularization system.
+(``detect`` and ``filter --spectra``; ``spectrum`` and ``design`` on a
+directed graph), or a singular regularization system.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .applications import (
 from .filtering import apply_filter, design_ideal_filter, frequency_response
 from .generators import cycle_graph, path_graph, regular_graph, sbm_graph
 from .graph import build_knn_graph, euclidean, haversine_km
-from .spectral import NearDefectiveError, decompose, gft, order_frequencies
+from .spectral import NearDefectiveError, decompose, gft, order_frequencies, spectrum
 
 METRICS = {"euclidean": euclidean, "haversine": haversine_km}
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -140,9 +145,8 @@ def _cmd_gen(args):
 def _cmd_spectrum(args):
     out = _outdir(args)
     g = fileio.read_edge_list(args.graph)
-    b = decompose(g)
-    ordering = order_frequencies(b)
-    fileio.write_spectrum(os.path.join(out, "spectrum.json"), b, ordering)
+    sp = spectrum(g)
+    fileio.write_spectrum(os.path.join(out, "spectrum.json"), sp, order_frequencies(sp))
     return _finish(args, [args.graph], {}, ["spectrum.json"])
 
 
@@ -150,7 +154,7 @@ def _cmd_design(args):
     out = _outdir(args)
     g = fileio.read_edge_list(args.graph)
     kind, band = _parse_kind(args.kind)
-    design = design_ideal_filter(decompose(g), kind, args.degree, band)
+    design = design_ideal_filter(spectrum(g), kind, args.degree, band)
     fileio.write_filter(os.path.join(out, "filter.json"), design.filter)
     fileio.write_design_report(os.path.join(out, "design.json"), design)
     return _finish(args, [args.graph],

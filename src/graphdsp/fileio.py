@@ -15,7 +15,7 @@ import numpy as np
 
 from .filtering import FilterDesign, GraphFilter
 from .graph import Graph, LabelSignal
-from .spectral import FrequencyOrdering, SpectralBasis
+from .spectral import FrequencyOrdering, Spectrum
 
 
 def _fmt(x) -> str:
@@ -217,7 +217,7 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def write_spectrum(path, b: SpectralBasis, ordering: FrequencyOrdering):
+def write_spectrum(path, b: Spectrum, ordering: FrequencyOrdering):
     _write_json(path, {
         "eigenvalues": _pairs(b.eigenvalues),
         "variations": [float(v) for v in ordering.variations],

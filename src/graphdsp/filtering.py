@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, GraphSignal, _check_bound, _freeze, _nonzero_radius
-from .spectral import FrequencyOrdering, SpectralBasis, order_frequencies
+from .spectral import FrequencyOrdering, Spectrum, order_frequencies
 
 DISTINCT_FREQ_TOL = 1e-12
 DEDUP_FREQ_TOL = 1e-10
@@ -125,9 +125,9 @@ def apply_filter(g: Graph, f: GraphFilter, s: GraphSignal) -> GraphSignal:
     return GraphSignal(out, g)
 
 
-def frequency_response(b: SpectralBasis, f: GraphFilter) -> np.ndarray:
-    """Filter value h(lam/|lambda_max|) at every eigenvalue of the basis, in
-    basis order: the factor by which apply_filter scales each Fourier
+def frequency_response(b: Spectrum, f: GraphFilter) -> np.ndarray:
+    """Filter value h(lam/|lambda_max|) at every eigenvalue of the spectrum,
+    in its order: the factor by which apply_filter scales each Fourier
     coefficient."""
     return np.polyval(f.taps[::-1], b.eigenvalues / b.lambda_max_abs)
 
@@ -204,9 +204,9 @@ def ideal_response(ordering: FrequencyOrdering, eigenvalues, kind,
     return TargetResponse(freqs, desired)
 
 
-def design_ideal_filter(b: SpectralBasis, kind, degree: int,
+def design_ideal_filter(b: Spectrum, kind, degree: int,
                         band=None) -> FilterDesign:
-    """Order the basis' spectrum, build the ideal target, and fit taps.
+    """Order the spectrum, build the ideal target, and fit taps.
 
     The target sits on the normalized frequencies lambda/|lambda_max|, where
     apply_filter evaluates the taps; the Vandermonde entries stay bounded by

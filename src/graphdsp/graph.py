@@ -192,6 +192,22 @@ def _check_bound(g: Graph, s: GraphSignal):
         raise ValueError("signal is bound to a different graph")
 
 
+def _nearest(dist, k):
+    """Mask of the k smallest entries of each row, ties going to the lowest
+    column index, as a stable argsort would pick them.
+
+    A partition finds each row's k-th smallest value; every entry below it
+    is taken, then the lowest-index entries equal to it fill the row up to k.
+    """
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    mask = dist < kth
+    tie = dist == kth
+    short = k - mask.sum(axis=1)
+    rows = np.flatnonzero(tie.sum(axis=1) > short)  # more ties than places
+    tie[rows] &= np.cumsum(tie[rows], axis=1) <= short[rows, None]
+    return np.logical_or(mask, tie, out=mask)
+
+
 def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
                     symmetrize=False) -> Graph:
     """Directed k-nearest-neighbor graph with Gaussian distance weights.
@@ -230,8 +246,7 @@ def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
         raise ValueError("all pairwise distances must be finite")
 
     np.fill_diagonal(dist, np.inf)
-    mask = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(mask, np.argsort(dist, axis=1, kind="stable")[:, :k], True, axis=1)
+    mask = _nearest(dist, k)
     if symmetrize:
         mask |= mask.T
     if unweighted:

@@ -6,19 +6,33 @@ Oscillation of a signal is measured by its total variation, the l1 distance
 between the signal and its shifted copy on the normalized adjacency.
 Frequencies are ordered from low to high by increasing variation of their
 eigenvectors, which for an eigenvalue ``lam`` reduces to the planar distance
-``|1 - lam/|lam_max||``.
+``|1 - lam/|lam_max||``.  Ordering and filter design therefore need only a
+``Spectrum``: the eigenvalues, the spectral radius and the basis condition.
+
+``basis_condition`` is cond2 of the eigenvector matrix with its columns
+scaled to unit 2-norm.  That number depends only on the graph: relabeling
+the nodes, or choosing another orthonormal basis within an eigenspace,
+leaves it unchanged, and it is within sqrt(N) of the best column scaling
+(van der Sluis, 1969).  An undirected graph's eigenbasis is orthonormal, so
+its condition is exactly 1 and ``spectrum`` computes its eigenvalues alone
+(``eigvalsh``).  A directed graph's basis is refused above
+DEFECTIVE_COND_LIMIT, so ``spectrum`` decomposes it.
 
 ``decompose`` never inverts or conditions a complex matrix it can avoid.
-An undirected graph's ``eigh`` basis has orthogonal columns, so its
-condition and inverse follow from the column norms.  A real directed
-graph's eigenvectors come in exactly conjugate pairs (v, conj v); folding
-each pair into the real columns sqrt2 (Re v, Im v) is a unitary change of
-basis, so the inverse comes from real LAPACK on that real form M.  The
-refusal test then needs no SVD unless the basis is near the limit: with
-R = M^-1, cond2(M) <= ||M||_F ||R||_F (since ||X||_2 <= ||X||_F), and a
-bound at most half the limit accepts M.  Only a bound above that, a
-non-finite one or a failed inverse costs the exact cond2 before deciding.
-An accepted basis computes its exact condition when it is first read.
+An undirected graph's ``eigh`` basis has orthogonal columns, so its inverse
+follows from the column norms.  A real directed graph's eigenvectors come
+in exactly conjugate pairs (v, conj v); folding each pair into the real
+columns sqrt2 (Re v, Im v) is a unitary change of basis, so the inverse R
+comes from real LAPACK on that real form M.  Both columns of a pair share
+the pair's ||v||_2, so M D^-1, with D the column 2-norms of the basis, is
+the unit-column basis up to the same unitary change, and D R its inverse.
+The refusal test then needs no SVD unless the basis is near the limit:
+cond2(M D^-1) <= ||M D^-1||_F ||D R||_F = sqrt(N) ||D R||_F (since
+||X||_2 <= ||X||_F, and M D^-1 has N unit columns up to a unitary change),
+and a bound at most half the limit accepts the basis.  Only a bound above that,
+a non-finite one or a failed inverse costs the exact cond2 before
+deciding.  An accepted basis computes its exact condition when it is first
+read.
 """
 
 from __future__ import annotations
@@ -52,20 +66,17 @@ class NearDefectiveError(Exception):
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralBasis:
-    """Eigenvalues and Fourier matrices of a diagonalizable adjacency.
+class Spectrum:
+    """Eigenvalues of an adjacency, its spectral radius and basis condition.
 
-    Columns of ``vectors`` are eigenvectors scaled to unit l1 norm with a
-    canonical phase (first near-maximal-modulus entry real positive);
-    ``fourier`` is the inverse of ``vectors``.  ``basis_condition`` is the
-    exact 2-norm condition of ``vectors``; where ``decompose`` accepted the
-    basis on a bound, it is computed (an SVD of the real form) on first read.
+    ``eigenvalues`` are complex, sorted by descending real part, then
+    ascending imaginary part.  ``basis_condition`` is cond2 of the
+    eigenvector matrix with its columns scaled to unit 2-norm; an undirected
+    graph's eigenbasis is orthonormal, so its condition is exactly 1.
     """
 
     graph: Graph
     eigenvalues: np.ndarray
-    vectors: np.ndarray
-    fourier: np.ndarray
     lambda_max_abs: float
 
     @property
@@ -74,9 +85,35 @@ class SpectralBasis:
 
     @property
     def basis_condition(self):
+        if self.graph.directed:
+            raise ValueError("a directed graph's basis condition needs its "
+                             "eigenvectors; use decompose")
+        return 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralBasis(Spectrum):
+    """A spectrum with the Fourier matrices of a diagonalizable adjacency.
+
+    Columns of ``vectors`` are eigenvectors scaled to unit l1 norm with a
+    canonical phase (first near-maximal-modulus entry real positive);
+    ``fourier`` is the inverse of ``vectors``.  ``basis_condition`` is the
+    exact cond2 of ``vectors`` with its columns rescaled to unit 2-norm:
+    exactly 1 for an undirected graph.  Where ``decompose`` accepted a
+    directed basis on a bound, it is computed (an SVD of the scaled real
+    form) on first read.
+    """
+
+    vectors: np.ndarray
+    fourier: np.ndarray
+
+    @property
+    def basis_condition(self):
+        if not self.graph.directed:
+            return 1.0
         if "_condition" not in self.__dict__:
-            M, _ = _real_form(self.eigenvalues, self.vectors)
-            self.__dict__["_condition"] = float(np.linalg.cond(M))
+            M, _, norms = _real_form(self.eigenvalues, self.vectors)
+            self.__dict__["_condition"] = float(np.linalg.cond(M / norms))
         return self.__dict__["_condition"]
 
 
@@ -134,24 +171,37 @@ def _orthogonalize_repeated(eigenvalues, V, a):
     """Replace eigenvector groups of (numerically) equal eigenvalues by an
     orthonormal basis of their span; a no-op for simple eigenvalues.
 
+    A group is every eigenvalue within EIGENVALUE_GROUP_TOL of its member
+    of least real part.  It is found in order of real part, so its columns
+    need not be adjacent: the sort by (-real, imag) can put another
+    eigenvalue of the same rounded real part between them.
     A defective matrix also reports repeated eigenvalues, but its reported
     "eigenvectors" span less than the full group, so orthogonalizing them
     would fabricate vectors that are not eigenvectors at all.  Such groups
     are left untouched and the basis condition check rejects them later.
     """
-    n = len(eigenvalues)
     scale = max(np.abs(a).max(), 1.0)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and abs(eigenvalues[j] - eigenvalues[i]) <= EIGENVALUE_GROUP_TOL:
-            j += 1
-        if j - i > 1:
-            q, _ = np.linalg.qr(V[:, i:j])
-            resid = np.abs(a @ q - eigenvalues[i] * q).max()
-            if resid <= 1e-10 * scale:
-                V[:, i:j] = q
-        i = j
+    by_real = np.argsort(eigenvalues.real, kind="stable")
+    re = eigenvalues.real[by_real]
+    grouped = np.zeros(len(eigenvalues), dtype=bool)
+    # only a value with a neighbour within the tolerance in real part can head a group
+    for k in np.flatnonzero(np.diff(re) <= EIGENVALUE_GROUP_TOL):
+        i = by_real[k]
+        if grouped[i]:
+            continue
+        near = by_real[k:np.searchsorted(re, re[k] + EIGENVALUE_GROUP_TOL, side="right")]
+        cols = np.sort(near[(np.abs(eigenvalues[near] - eigenvalues[i])
+                             <= EIGENVALUE_GROUP_TOL) & ~grouped[near]])
+        if cols.size < 2:
+            continue
+        grouped[cols] = True
+        q, _ = np.linalg.qr(V[:, cols])
+        resid = np.abs(a @ q - eigenvalues[i] * q).max()
+        if resid <= 1e-10 * scale:
+            V[:, cols] = q
+            log.debug("orthogonalize_repeated: eigenvalue=%.6g%+.6gj multiplicity=%d "
+                      "columns=%s", eigenvalues[i].real, eigenvalues[i].imag, cols.size,
+                      cols.tolist())
     return V
 
 
@@ -163,7 +213,9 @@ def _real_form(w, V):
     U block-diagonal of [[1, -i], [1, i]]/sqrt2 on the pairs and the
     identity elsewhere.  U is unitary, so cond2(M) = cond2(V) and
     V^-1 = U M^-1.  M is real unless a column outside the pairs is complex.
-    Returns M and the first indices j of the folded pairs.
+    Returns M, the first indices j of the folded pairs, and the column
+    2-norms D of V.  A pair's two norms are equal, so D commutes with U:
+    M D^-1 is the unit-column basis V D^-1 times U, and D M^-1 its inverse.
     """
     j = np.flatnonzero((w.imag[:-1] < 0.0) & (w[1:] == w[:-1].conj()))
     j = j[np.all(V[:, j + 1] == V[:, j].conj(), axis=0)]
@@ -173,7 +225,43 @@ def _real_form(w, V):
     M = np.array(V.real if real else V)
     v = V[:, j]
     M[:, j], M[:, j + 1] = SQRT2 * v.real, SQRT2 * v.imag
-    return M, j
+    return M, j, np.linalg.norm(V, axis=0)
+
+
+def _nonzero_adjacency(g: Graph):
+    if not g.adjacency.any():
+        raise ValueError("cannot decompose a zero adjacency")
+    return g.adjacency
+
+
+def _descending(w):
+    """Complex eigenvalues and the permutation that sorts them by descending
+    real part, then ascending imaginary part."""
+    w = w.astype(complex, copy=False)  # real from eigh, and from eig on a real spectrum
+    idx = np.lexsort((w.imag, -w.real))
+    return w[idx], idx
+
+
+def _seed_radius(g: Graph, w):
+    """The graph's cached spectral radius, or else max |w|, now cached."""
+    return g.__dict__.setdefault("_rho", float(np.max(np.abs(w))))
+
+
+def spectrum(g: Graph) -> Spectrum:
+    """Eigenvalues, spectral radius and basis condition of the adjacency.
+
+    An undirected graph's basis condition is exactly 1, so its eigenvalues
+    come from ``eigvalsh`` alone, sorted as ``decompose`` sorts them; the
+    spectral radius is cached or seeded as there.  A directed graph's basis
+    may be refused, which needs its eigenvectors, so it is decomposed and
+    the ``SpectralBasis`` returned.
+    """
+    if g.directed:
+        return decompose(g)
+    w, _ = _descending(np.linalg.eigvalsh(_nonzero_adjacency(g)))
+    log.debug("spectrum: n=%d solver=eigvalsh condition=1", g.n)
+    w.setflags(write=False)
+    return Spectrum(graph=g, eigenvalues=w, lambda_max_abs=_seed_radius(g, w))
 
 
 def decompose(g: Graph) -> SpectralBasis:
@@ -181,47 +269,48 @@ def decompose(g: Graph) -> SpectralBasis:
 
     Eigenvalues are sorted by descending real part, then ascending imaginary
     part, so real spectra come out ordered from lowest to highest frequency.
-    Raises NearDefectiveError when the eigenvector condition number exceeds
-    DEFECTIVE_COND_LIMIT; a directed basis whose Frobenius bound on that
-    condition is at most half the limit is accepted without an SVD.
-    ``lambda_max_abs`` reuses the graph's cached spectral radius, or else
-    seeds that cache with the largest eigenvalue magnitude.
+    Raises NearDefectiveError when the basis condition exceeds
+    DEFECTIVE_COND_LIMIT, which an undirected graph (condition 1) never
+    does; a directed basis whose Frobenius bound on that condition is at
+    most half the limit is accepted without an SVD.  ``lambda_max_abs``
+    reuses the graph's cached spectral radius, or else seeds that cache with
+    the largest eigenvalue magnitude.
     """
-    a = g.adjacency
-    if not a.any():
-        raise ValueError("cannot decompose a zero adjacency")
+    a = _nonzero_adjacency(g)
     w, V = np.linalg.eig(a) if g.directed else np.linalg.eigh(a)
-    w = w.astype(complex, copy=False)  # real from eigh, and from eig on a real spectrum
-    idx = np.lexsort((w.imag, -w.real))
-    w = w[idx]
+    w, idx = _descending(w)
     V = V[:, idx]
     if g.directed:
         V = _orthogonalize_repeated(w, V, a)
     V = _canonical_columns(V)
 
     if g.directed:
-        M, pairs = _real_form(w, V)
+        M, pairs, norms = _real_form(w, V)
         try:
             R = np.linalg.inv(M)
         except np.linalg.LinAlgError:  # singular: the SVD refuses it below
             R = None
-        # cond2(M) <= |M|_F |R|_F; near the limit R is accurate to eps*cond,
-        # far inside the factor 2.  A near-singular fold can overflow the norms.
+        # M D^-1 has the unit-column basis' singular values and D R is its
+        # inverse, so cond2 <= |M D^-1|_F |D R|_F = sqrt(N) |D R|_F: each
+        # column of V D^-1 has unit norm, and U is unitary.  Near the limit
+        # R is accurate to eps*cond, far inside the factor 2.  A
+        # near-singular fold can overflow the norm.
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.inf if R is None else np.linalg.norm(M) * np.linalg.norm(R)
+            bound = (np.inf if R is None
+                     else np.sqrt(g.n) * np.linalg.norm(norms[:, None] * R))
         if bound <= DEFECTIVE_COND_LIMIT / 2:
             path, condition = "bound", float(bound)
         else:
-            path, condition = "svd", float(np.linalg.cond(M))
+            path, condition = "svd", float(np.linalg.cond(M / norms))
     else:
         # orthogonal real columns: V = QD with Q orthogonal and D the column
-        # 2-norms, so cond(V) = max D / min D and V^-1 = D^-2 V^T exactly
-        M, pairs, path = V, (), "norms"
+        # 2-norms, so the unit-column basis is Q itself and V^-1 = D^-2 V^T
+        M, pairs, path, condition = V, (), "orthonormal", 1.0
         norms = np.linalg.norm(V, axis=0)
-        condition = float(norms.max() / norms.min())
     log.debug("decompose: n=%d solver=%s folded_pairs=%d real_form=%s "
-              "condition_path=%s condition=%.6g", g.n, "eig" if g.directed else "eigh",
-              len(pairs), not np.iscomplexobj(M), path, condition)
+              "condition_path=%s scaled_condition=%.6g", g.n,
+              "eig" if g.directed else "eigh", len(pairs), not np.iscomplexobj(M),
+              path, condition)
     if (not np.isfinite(condition) or condition > DEFECTIVE_COND_LIMIT
             or g.directed and R is None):
         raise NearDefectiveError(condition, DEFECTIVE_COND_LIMIT)
@@ -232,11 +321,11 @@ def decompose(g: Graph) -> SpectralBasis:
             F[j], F[j + 1] = re - im, re + im
     else:
         F = V.T / (norms ** 2)[:, None]
-    rho = g.__dict__.setdefault("_rho", float(np.max(np.abs(w))))
     for x in (w, V, F):  # built here, so frozen without a copy
         x.setflags(write=False)
-    b = SpectralBasis(graph=g, eigenvalues=w, vectors=V, fourier=F, lambda_max_abs=rho)
-    if path != "bound":  # exact already; a bound leaves it to the first read
+    b = SpectralBasis(graph=g, eigenvalues=w, lambda_max_abs=_seed_radius(g, w),
+                      vectors=V, fourier=F)
+    if path == "svd":  # exact already; a bound leaves it to the first read
         b.__dict__["_condition"] = condition
     return b
 
@@ -351,13 +440,12 @@ def order_eigenvalues(eigenvalues, lambda_max_abs) -> FrequencyOrdering:
     if r <= 0.0:
         raise ValueError("lambda_max_abs must be positive")
     variations = np.abs(1.0 - w / r)
-    order = sorted(range(len(w)),
-                   key=lambda i: (variations[i], -w[i].real, w[i].imag, i))
-    return FrequencyOrdering(order=np.array(order), variations=variations)
+    order = np.lexsort((np.arange(w.size), w.imag, -w.real, variations))
+    return FrequencyOrdering(order=order, variations=variations)
 
 
-def order_frequencies(b: SpectralBasis) -> FrequencyOrdering:
-    """Frequency ordering of a basis from lowest to highest variation."""
+def order_frequencies(b: Spectrum) -> FrequencyOrdering:
+    """Frequency ordering of a spectrum from lowest to highest variation."""
     return order_eigenvalues(b.eigenvalues, b.lambda_max_abs)
 
 

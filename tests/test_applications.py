@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -524,6 +526,20 @@ def test_loose_misfit_budget_on_a_singular_operator(form):
     if alpha > 1e-12:
         with pytest.raises(SingularSystemError):
             classify(g, labels, ClassifierConfig(alpha=alpha / 2, form=form))
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_budget_alpha_is_one_classify_accepts(form, k):
+    # near the singular edge the factored residual and classify's Cholesky
+    # could judge the budget's alpha differently; classify must accept it
+    for bridge, known, epsilon in itertools.product((0.25, 0.5, 1.0), (1, 2), (2.0, 3.0, 5.0)):
+        g = two_cliques(k, bridge)
+        labels = clique_labels(k, known)
+        result, alpha = classify_with_misfit_budget(g, labels, epsilon, form)
+        assert label_misfit(labels, result.predicted) <= epsilon
+        direct = classify(g, labels, ClassifierConfig(alpha=alpha, form=form))
+        assert np.abs(direct.predicted - result.predicted).max() <= 1e-6
 
 
 def test_unreachable_misfit_budget_is_refused():

@@ -307,6 +307,37 @@ def test_filter_on_a_knn_graph_builds_no_basis(flags, tmp_path, monkeypatch):
     assert calls == (["eigvals"] if directed else [])
 
 
+@pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["directed", "symmetrized"])
+@pytest.mark.parametrize("command", [("spectrum",), ("design", "--kind", "lowpass",
+                                                      "--degree", "3")],
+                         ids=["spectrum", "design"])
+def test_spectrum_and_design_compute_eigenvalues_alone_when_undirected(
+        command, flags, tmp_path, monkeypatch):
+    # an undirected basis has condition 1, so no eigenvector is needed
+    from graphdsp import spectral
+    gpath = knn_filter_inputs(tmp_path, *flags)[0]
+    directed = not flags
+    calls = []
+
+    def spy(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "decompose", spy("decompose", spectral.decompose))
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    assert run(command[0], gpath, *command[1:], "--out", tmp_path / "o") == 0
+    assert calls == (["decompose", "eig"] if directed else ["eigvalsh"])
+
+
+def test_spectrum_json_of_an_undirected_graph(tmp_path):
+    gpath = knn_filter_inputs(tmp_path, "--symmetrize")[0]
+    assert run("spectrum", gpath, "--out", tmp_path / "o") == 0
+    doc = json.loads((tmp_path / "o" / "spectrum.json").read_text())
+    w = np.linalg.eigvalsh(read_edge_list(gpath).adjacency)[::-1]
+    assert np.array_equal([re for re, _ in doc["eigenvalues"]], w)
+    assert doc["basis_condition"] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # detect
 

@@ -509,6 +509,33 @@ def test_knn_matches_per_pair_reference(name, symmetrize, k):
     assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
 
 
+def stable_argsort_mask(points, k, symmetrize):
+    """The k-NN mask by a stable argsort of the distances build_knn_graph
+    computes: the k nearest of each row, ties to the lowest index."""
+    pts = np.asarray(points, dtype=float)
+    dist = np.array([euclidean(p, pts) for p in pts])
+    dist = np.triu(dist, 1) + np.triu(dist, 1).T
+    np.fill_diagonal(dist, np.inf)
+    mask = np.zeros(dist.shape, dtype=bool)
+    np.put_along_axis(mask, np.argsort(dist, axis=1, kind="stable")[:, :k], True, axis=1)
+    return mask | mask.T if symmetrize else mask
+
+
+TIE_GRIDS = {f"grid15x{h}": h * np.array([[i, j] for i in range(15) for j in range(15)], float)
+             for h in (1.0, 0.1, 0.3, 0.37)}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_GRIDS) + ["random"])
+@pytest.mark.parametrize("symmetrize", [False, True])
+@pytest.mark.parametrize("k", [4, 6])
+def test_knn_mask_is_the_stable_argsort_mask(name, symmetrize, k):
+    pts = TIE_GRIDS.get(name)
+    if pts is None:
+        pts = np.random.default_rng(14).random((300, 2))
+    got = build_knn_graph(pts, k, unweighted=True, symmetrize=symmetrize).adjacency
+    assert np.array_equal(got != 0, stable_argsort_mask(pts, k, symmetrize))
+
+
 def test_knn_weights_ignore_a_constant_added_to_squared_distances():
     pts = np.random.default_rng(13).random((30, 2))
 

@@ -7,12 +7,12 @@ inverse property draws directed graphs with real or complex weights, so
 both the real form of a conjugate-paired basis and a complex one are
 hit.  Rounding in V and F = V^-1 grows with the basis condition, so the
 tolerances scale with it.  The refusal of a basis is checked against the
-SVD of its real form at random limits, and a relabeling of the nodes
-against the spectrum of the original graph.  Above 20 nodes the cold
-spectral radius of an undirected graph (Lanczos, or the dense fallback) is
-checked against the dense spectrum, and filtering a relabeled graph against
-the original.  The classifier's solution is checked to minimize its
-objective.
+SVD of its unit-column real form at random limits, and a relabeling of the
+nodes against the spectrum and basis condition of the original graph.
+Above 20 nodes the cold spectral radius of an undirected graph (Lanczos,
+or the dense fallback) is checked against the dense spectrum, and
+filtering a relabeled graph against the original.  The classifier's
+solution is checked to minimize its objective.
 """
 
 from unittest import mock
@@ -88,7 +88,7 @@ def test_igft_inverts_gft(data):
     g, b = data.draw(bases())
     s = g.signal(data.draw(signals(g.n)))
     back = igft(b, gft(b, s)).values
-    tol = 100 * g.n * EPS * b.basis_condition * max(1.0, np.abs(s.values).max())
+    tol = 100 * g.n * EPS * np.linalg.cond(b.vectors) * max(1.0, np.abs(s.values).max())
     assert np.abs(back - s.values).max() <= tol
 
 
@@ -102,7 +102,7 @@ def test_filtering_is_multiplication_by_the_response(data):
     lhs = gft(b, apply_filter(g, f, s))
     rhs = frequency_response(b, f) * gft(b, s)
     scale = max(1.0, np.abs(taps).sum()) * max(1.0, np.abs(s.values).max())
-    tol = 100 * g.n * f.taps.shape[0] * EPS * b.basis_condition * scale
+    tol = 100 * g.n * f.taps.shape[0] * EPS * np.linalg.cond(b.vectors) * scale
     assert np.abs(lhs - rhs).max() <= tol
 
 
@@ -114,16 +114,18 @@ def test_fourier_inverts_the_eigenvector_matrix(g):
     except NearDefectiveError:
         assume(False)
     err = np.abs(b.fourier @ b.vectors - np.eye(g.n)).max()
-    assert err <= 100 * g.n * EPS * b.basis_condition
+    assert err <= 100 * g.n * EPS * np.linalg.cond(b.vectors)
 
 
 def folded_basis(g):
-    """The real form of the eigenvector basis that decompose conditions."""
+    """The real form of the eigenvector basis that decompose conditions,
+    with unit 2-norm columns."""
     w, V = np.linalg.eig(g.adjacency)
     w = w.astype(complex)
     idx = np.lexsort((w.imag, -w.real))
     w, V = w[idx], V[:, idx]
-    return _real_form(w, _canonical_columns(_orthogonalize_repeated(w, V, g.adjacency)))[0]
+    M, _, norms = _real_form(w, _canonical_columns(_orthogonalize_repeated(w, V, g.adjacency)))
+    return M / norms
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,23 +151,57 @@ def test_relabeling_the_nodes_keeps_the_spectrum(data):
     g, b = data.draw(bases())
     p = np.array(data.draw(st.permutations(range(g.n))))
     a = g.adjacency
-    tol = 100 * g.n * EPS * b.basis_condition * max(1.0, np.abs(a).sum(axis=0).max())
-    # a simple eigenvalue fixes its vector up to rounding / gap; a repeated
-    # one leaves the basis of its eigenspace, and so the condition, free
-    gaps = np.abs(np.subtract.outer(b.eigenvalues, b.eigenvalues))[~np.eye(g.n, dtype=bool)]
-    gap = gaps.min(initial=np.inf)
-    rel = tol / gap if gap > 0.0 else np.inf
+    tol = 100 * g.n * EPS * np.linalg.cond(b.vectors) * max(1.0, np.abs(a).sum(axis=0).max())
+    # an eigenspace is fixed up to rounding / its gap to the other eigenvalues;
+    # the basis within a repeated eigenvalue's eigenspace is free, but the
+    # condition of the unit-column basis does not depend on it
+    dist = np.abs(np.subtract.outer(b.eigenvalues, b.eigenvalues))[~np.eye(g.n, dtype=bool)]
+    gap = dist[dist > spectral.EIGENVALUE_GROUP_TOL].min(initial=np.inf)
+    rel = tol / gap
     try:
         bp = decompose(Graph(a[np.ix_(p, p)], directed=g.directed))
-    except NearDefectiveError:  # rounding may tip a basis near the limit over it
-        assert b.basis_condition * (1.0 + rel) > spectral.DEFECTIVE_COND_LIMIT
+    except NearDefectiveError:
+        # rounding may tip a basis near the limit over it; and for a repeated
+        # eigenvalue eig may return dependent vectors under one labeling only
+        closest = dist.min(initial=np.inf)
+        assert (closest <= spectral.EIGENVALUE_GROUP_TOL
+                or b.basis_condition * (1.0 + tol / closest) > spectral.DEFECTIVE_COND_LIMIT)
         return
     rows, cols = linear_sum_assignment(np.abs(b.eigenvalues[:, None] - bp.eigenvalues))
     assert np.abs(b.eigenvalues[rows] - bp.eigenvalues[cols]).max() <= tol
     v, vp = order_frequencies(b).variations, order_frequencies(bp).variations
     assert np.abs(np.sort(v) - np.sort(vp)).max() <= 2 * tol / b.lambda_max_abs
-    if rel <= 1e-3:
+    if not g.directed:
+        assert bp.basis_condition == b.basis_condition == 1.0
+        return
+    # an invariant subspace with residual r lies within r / gap of the exact
+    # one; QR of eig's vectors for a repeated eigenvalue can raise r above tol
+    rel = max(rel, max(residual(b), residual(bp)) / gap)
+    groups = repeated_groups(b)
+    if rel <= 1e-3 and groups is not None and groups == repeated_groups(bp):
         assert abs(bp.basis_condition - b.basis_condition) <= rel * b.basis_condition
+
+
+def residual(b):
+    """Largest ||A u - lam u||_2 over the unit-column eigenvectors u."""
+    u = b.vectors / np.linalg.norm(b.vectors, axis=0)
+    return np.linalg.norm(b.graph.adjacency @ u - u * b.eigenvalues, axis=0).max()
+
+
+def repeated_groups(b):
+    """Sizes of the groups of eigenvalues within EIGENVALUE_GROUP_TOL, where
+    decompose replaced each group's vectors by an orthonormal basis; None
+    where it kept a group's vectors, as eig returned them dependent.
+
+    Rounding under a relabeling can split a group near the tolerance, or
+    make eig's vectors for a repeated eigenvalue dependent; the condition
+    then follows eig, not the graph, so such pairs are not compared."""
+    u = b.vectors / np.linalg.norm(b.vectors, axis=0)
+    dist = np.abs(np.subtract.outer(b.eigenvalues, b.eigenvalues))
+    close = dist <= spectral.EIGENVALUE_GROUP_TOL
+    if np.abs(u.conj().T @ u - np.eye(b.n))[close].max() > 1e-8:
+        return None
+    return sorted(close.sum(axis=0).tolist())
 
 
 @st.composite

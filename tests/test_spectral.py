@@ -29,7 +29,7 @@ from graphdsp import (
     validate_chain,
 )
 from graphdsp import spectral
-from graphdsp.spectral import _canonical_columns, _real_form
+from graphdsp.spectral import SpectralBasis, _canonical_columns, _real_form
 
 
 def dft_matrix(n):
@@ -177,6 +177,10 @@ def test_decompose_is_deterministic():
     assert b1.graph is g and b2.graph is g
 
 
+def unit_columns(V):
+    return V / np.linalg.norm(V, axis=0)
+
+
 def undirected_basis_graphs():
     return {
         "cycle8": undirected_cycle(8),  # eigenvalues +-sqrt(2) and 0 repeated
@@ -199,7 +203,8 @@ def test_undirected_basis_inverse_and_condition_are_exact(name):
 
     inv = np.linalg.inv(b.vectors)
     assert np.abs(b.fourier - inv).max() <= 1e-12 * np.abs(inv).max()
-    assert b.basis_condition == pytest.approx(np.linalg.cond(b.vectors), rel=1e-12)
+    assert b.basis_condition == 1.0
+    assert np.linalg.cond(unit_columns(b.vectors)) == pytest.approx(1.0, rel=1e-12)
 
 
 def permuted_directed_cycles(sizes, seed=0):
@@ -247,7 +252,8 @@ def test_directed_basis_inverse_and_condition_match_lapack(name, folded, real_fo
         b = decompose(g)
     n, solver, pairs, real, logged_path, condition = caplog.records[-1].args
     assert (n, solver, pairs > 0, real, logged_path) == (g.n, "eig", folded, real_form, path)
-    exact = np.linalg.cond(_real_form(b.eigenvalues, b.vectors)[0])
+    M, _, norms = _real_form(b.eigenvalues, b.vectors)
+    exact = np.linalg.cond(M / norms)
     assert b.basis_condition == exact  # the SVD's bits, whichever path decided
     if path == "bound":
         assert condition >= b.basis_condition
@@ -263,8 +269,62 @@ def test_directed_basis_inverse_and_condition_match_lapack(name, folded, real_fo
 
     inv = np.linalg.inv(b.vectors)
     assert np.abs(b.fourier - inv).max() <= 1e-10 * np.abs(inv).max()
-    assert b.basis_condition == pytest.approx(np.linalg.cond(b.vectors), rel=1e-10)
+    assert b.basis_condition == pytest.approx(np.linalg.cond(unit_columns(b.vectors)),
+                                              rel=1e-10)
     assert b.fourier.dtype == b.vectors.dtype
+
+
+def test_undirected_spectrum_logs_eigenvalues_alone(caplog):
+    g = undirected_basis_graphs()["knn60"]
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        sp = spectral.spectrum(g)
+    [record] = [r for r in caplog.records if r.getMessage().startswith("spectrum:")]
+    assert record.getMessage() == "spectrum: n=60 solver=eigvalsh condition=1"
+    assert sp.basis_condition == 1.0 and not hasattr(sp, "vectors")
+    b = decompose(g)
+    assert np.abs(sp.eigenvalues - b.eigenvalues).max() <= 1e-13 * b.lambda_max_abs
+    assert sp.lambda_max_abs == b.lambda_max_abs == g.spectral_radius
+
+
+def test_directed_spectrum_is_the_decomposition():
+    g = directed_basis_graphs()["real_spectrum"]
+    sp = spectral.spectrum(g)
+    assert isinstance(sp, SpectralBasis)
+    assert np.array_equal(sp.eigenvalues, decompose(g).eigenvalues)
+    with pytest.raises(ValueError, match="zero adjacency"):
+        spectral.spectrum(Graph(np.zeros((3, 3))))
+
+
+def test_orthogonalized_groups_are_logged(caplog):
+    g = directed_basis_graphs()["cycles"]  # 6 + 6 + 3 cycles
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        b = decompose(g)
+    groups = [r.args for r in caplog.records if r.getMessage().startswith("orthogonalize")]
+    # the cube roots of unity three times each, the other sixth roots twice
+    assert sorted(m for *_, m, _ in groups) == [2, 2, 2, 3, 3, 3]
+    for re, im, m, cols in groups:
+        assert np.abs(b.eigenvalues[cols] - complex(re, im)).max() <= 1e-6
+        u = b.vectors[:, cols] / np.linalg.norm(b.vectors[:, cols], axis=0)
+        assert np.abs(u.conj().T @ u - np.eye(m)).max() <= 1e-12
+    decomposed = caplog.records[-1]
+    assert "scaled_condition=" in decomposed.msg
+    assert decomposed.args[-1] >= b.basis_condition
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_condition_of_a_repeated_eigenvalue_ignores_the_labels(directed):
+    # eigenvalue 0 twice; the l1-scaled condition read 1.158 and, with nodes
+    # 3 and 4 swapped, 1.250
+    a = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 1, 1], [1, 0, 1, 0, 1],
+                  [1, 1, 0, 1, 1], [1, 1, 1, 1, 1]], dtype=float)
+    p = [0, 1, 2, 4, 3]
+    b = decompose(Graph(a, directed=directed))
+    bp = decompose(Graph(a[np.ix_(p, p)], directed=directed))
+    if directed:
+        assert b.basis_condition == pytest.approx(1.0, abs=1e-12)
+        assert bp.basis_condition == pytest.approx(b.basis_condition, abs=1e-12)
+    else:
+        assert b.basis_condition == bp.basis_condition == 1.0
 
 
 def test_refusal_threshold_is_the_exact_condition(monkeypatch):
@@ -642,6 +702,46 @@ def test_directed_ordering_matches_distance_from_radius():
         w = b.eigenvalues
         expect = np.lexsort((np.arange(n), w.imag, -w.real, np.abs(r - w)))
         assert list(order_frequencies(b).order) == list(expect)
+
+
+def tuple_key_order(eigenvalues, lambda_max_abs):
+    """The ordering as a Python sort with a tuple key: variation, then
+    descending real part, ascending imaginary part, index."""
+    w = np.asarray(eigenvalues, dtype=complex)
+    v = np.abs(1.0 - w / lambda_max_abs)
+    return sorted(range(len(w)), key=lambda i: (v[i], -w[i].real, w[i].imag, i))
+
+
+def tied_spectra():
+    rng = np.random.default_rng(113)
+    k5 = np.ones((5, 5)) - np.eye(5)
+    c8 = np.roll(np.eye(8), 1, axis=1)
+    graphs = {
+        "directed_cycles": permuted_directed_cycles((6, 6, 3, 4)).adjacency,
+        "undirected_cycles": np.kron(np.eye(3), c8 + c8.T),
+        "complete": np.kron(np.eye(2), k5),
+        "signed_complete": np.kron(np.eye(2), k5) * np.kron([1.0, -1.0], np.ones(5))[:, None],
+    }
+    spectra = {}
+    for name, a in graphs.items():
+        w = np.linalg.eigvals(a)
+        spectra[name] = w  # LAPACK's own order
+        spectra[name + "_shuffled"] = w[rng.permutation(w.size)]
+    # exact conjugate pairs and repeats, with signed zeros
+    pairs = np.array([1j, -1j, 1.0, -1.0, 0.5 + 0.5j, 0.5 - 0.5j, 1j, -1j, 0.0,
+                      complex(-0.0, 0.0), complex(0.0, -0.0), -1.0, 0.5 - 0.5j])
+    spectra["pairs"] = pairs
+    spectra["pairs_shuffled"] = pairs[rng.permutation(pairs.size)]
+    return spectra
+
+
+@pytest.mark.parametrize("name", sorted(tied_spectra()))
+def test_order_eigenvalues_is_the_tuple_key_sort(name):
+    w = tied_spectra()[name]
+    rho = float(np.abs(w).max())
+    got = order_eigenvalues(w, rho)
+    assert got.order.tolist() == tuple_key_order(w, rho)
+    assert np.array_equal(got.variations, np.abs(1.0 - w / rho))
 
 
 # ---------------------------------------------------------------------------
