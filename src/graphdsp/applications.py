@@ -309,10 +309,11 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
     residual check.  The factored residual and ``classify``'s own solve can
     judge an alpha near that edge differently, so the alpha found is
     confirmed by ``classify``'s solve and doubled until ``classify`` accepts
-    it; the misfit falls as alpha grows, so each larger alpha meets the
-    budget too.  The factored solution at that alpha is returned: its
-    misfit is the one checked against ``epsilon``.  A budget unreachable
-    below ``max_alpha`` raises ValueError.
+    it; the misfit falls as alpha grows, so each larger alpha should meet
+    the budget too, and it is checked again at each.  The factored solution
+    at that alpha is returned, not ``classify``'s: its misfit is the one
+    checked against ``epsilon``, which ``classify``'s can miss by rounding.
+    A budget unreachable below ``max_alpha`` raises ValueError.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
@@ -351,12 +352,18 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
     while True:
         try:
             classify(g, labels, ClassifierConfig(hi, form))
-            return _classification(out), hi
         except SingularSystemError:
             if 2.0 * hi > max_alpha:
                 raise
-            hi *= 2.0
-            out = solver([hi])[:, 0]
+        else:
+            if label_misfit(labels, out) <= epsilon:
+                return _classification(out), hi
+            if 2.0 * hi > max_alpha:
+                raise ValueError(
+                    f"misfit budget {epsilon} not met at alpha={hi} after doubling"
+                )
+        hi *= 2.0
+        out = solver([hi])[:, 0]
 
 
 def standard_alpha_grid() -> np.ndarray:

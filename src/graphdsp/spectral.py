@@ -65,7 +65,7 @@ class NearDefectiveError(Exception):
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Spectrum:
     """Eigenvalues of an adjacency, its spectral radius and basis condition.
 
@@ -73,6 +73,8 @@ class Spectrum:
     ascending imaginary part.  ``basis_condition`` is cond2 of the
     eigenvector matrix with its columns scaled to unit 2-norm; an undirected
     graph's eigenbasis is orthonormal, so its condition is exactly 1.
+    Fields are keyword-only, so ``SpectralBasis`` can add its own after
+    them without a positional call binding the wrong field.
     """
 
     graph: Graph
@@ -91,7 +93,7 @@ class Spectrum:
         return 1.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class SpectralBasis(Spectrum):
     """A spectrum with the Fourier matrices of a diagonalizable adjacency.
 
@@ -169,15 +171,18 @@ def _canonical_columns(V):
 
 def _orthogonalize_repeated(eigenvalues, V, a):
     """Replace eigenvector groups of (numerically) equal eigenvalues by an
-    orthonormal basis of their span; a no-op for simple eigenvalues.
+    orthonormal basis of their eigenspace; a no-op for simple eigenvalues.
 
     A group is every eigenvalue within EIGENVALUE_GROUP_TOL of its member
     of least real part.  It is found in order of real part, so its columns
     need not be adjacent: the sort by (-real, imag) can put another
     eigenvalue of the same rounded real part between them.
-    A defective matrix also reports repeated eigenvalues, but its reported
-    "eigenvectors" span less than the full group, so orthogonalizing them
-    would fabricate vectors that are not eigenvectors at all.  Such groups
+    The basis is the QR of eig's vectors for the group, or, where those are
+    nearly dependent and so span the eigenspace inaccurately, the null space
+    of A - lam I of the group's dimension (its smallest right singular
+    vectors); either is kept only if it passes the residual check.
+    A defective matrix also reports repeated eigenvalues, but its eigenspace
+    has less than the group's dimension, so neither basis passes: such groups
     are left untouched and the basis condition check rejects them later.
     """
     scale = max(np.abs(a).max(), 1.0)
@@ -195,13 +200,20 @@ def _orthogonalize_repeated(eigenvalues, V, a):
         if cols.size < 2:
             continue
         grouped[cols] = True
+        lam = eigenvalues[i] if np.iscomplexobj(V) else eigenvalues[i].real
         q, _ = np.linalg.qr(V[:, cols])
-        resid = np.abs(a @ q - eigenvalues[i] * q).max()
-        if resid <= 1e-10 * scale:
+        source = "span"
+        if np.abs(a @ q - lam * q).max() > 1e-10 * scale:
+            # eig may return nearly dependent vectors for a semisimple
+            # eigenvalue, under some labelings only; the null space of
+            # A - lam I has the group's dimension there, and less when defective
+            q = np.linalg.svd(a - lam * np.eye(len(a)))[2][-cols.size:].conj().T
+            source = "null_space"
+        if np.abs(a @ q - lam * q).max() <= 1e-10 * scale:
             V[:, cols] = q
             log.debug("orthogonalize_repeated: eigenvalue=%.6g%+.6gj multiplicity=%d "
-                      "columns=%s", eigenvalues[i].real, eigenvalues[i].imag, cols.size,
-                      cols.tolist())
+                      "columns=%s basis=%s", eigenvalues[i].real, eigenvalues[i].imag,
+                      cols.size, cols.tolist(), source)
     return V
 
 

@@ -23,6 +23,7 @@ from graphdsp import (
     standard_alpha_grid,
     sweep_alpha,
 )
+from graphdsp import applications
 from graphdsp.applications import DIRECT_SOLVE_MAX_N, _label_solver
 
 
@@ -540,6 +541,23 @@ def test_budget_alpha_is_one_classify_accepts(form, k):
         assert label_misfit(labels, result.predicted) <= epsilon
         direct = classify(g, labels, ClassifierConfig(alpha=alpha, form=form))
         assert np.abs(direct.predicted - result.predicted).max() <= 1e-6
+
+
+def test_budget_alpha_refused_by_classify_is_doubled(monkeypatch):
+    g, labels = two_cliques(), clique_labels()
+    _, found = classify_with_misfit_budget(g, labels, 1e-3)
+    refused = []
+
+    def refuse_once(g, labels, cfg):
+        if not refused:
+            refused.append(cfg.alpha)
+            raise SingularSystemError("refused")
+        return classify(g, labels, cfg)
+
+    monkeypatch.setattr(applications, "classify", refuse_once)
+    result, alpha = classify_with_misfit_budget(g, labels, 1e-3)
+    assert refused == [found] and alpha == 2 * found
+    assert label_misfit(labels, result.predicted) <= 1e-3
 
 
 def test_unreachable_misfit_budget_is_refused():

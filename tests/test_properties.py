@@ -160,12 +160,10 @@ def test_relabeling_the_nodes_keeps_the_spectrum(data):
     rel = tol / gap
     try:
         bp = decompose(Graph(a[np.ix_(p, p)], directed=g.directed))
-    except NearDefectiveError:
-        # rounding may tip a basis near the limit over it; and for a repeated
-        # eigenvalue eig may return dependent vectors under one labeling only
+    except NearDefectiveError:  # rounding may tip a basis near the limit over it
         closest = dist.min(initial=np.inf)
-        assert (closest <= spectral.EIGENVALUE_GROUP_TOL
-                or b.basis_condition * (1.0 + tol / closest) > spectral.DEFECTIVE_COND_LIMIT)
+        assert b.basis_condition * (1.0 + (tol / closest if closest > 0.0 else np.inf)) \
+            > spectral.DEFECTIVE_COND_LIMIT
         return
     rows, cols = linear_sum_assignment(np.abs(b.eigenvalues[:, None] - bp.eigenvalues))
     assert np.abs(b.eigenvalues[rows] - bp.eigenvalues[cols]).max() <= tol
@@ -175,7 +173,8 @@ def test_relabeling_the_nodes_keeps_the_spectrum(data):
         assert bp.basis_condition == b.basis_condition == 1.0
         return
     # an invariant subspace with residual r lies within r / gap of the exact
-    # one; QR of eig's vectors for a repeated eigenvalue can raise r above tol
+    # one; the orthonormal basis of a repeated eigenvalue's group can raise r
+    # above tol
     rel = max(rel, max(residual(b), residual(bp)) / gap)
     groups = repeated_groups(b)
     if rel <= 1e-3 and groups is not None and groups == repeated_groups(bp):
@@ -191,11 +190,13 @@ def residual(b):
 def repeated_groups(b):
     """Sizes of the groups of eigenvalues within EIGENVALUE_GROUP_TOL, where
     decompose replaced each group's vectors by an orthonormal basis; None
-    where it kept a group's vectors, as eig returned them dependent.
+    where it kept eig's vectors, as no orthonormal basis of the group's
+    dimension passed its residual check (a group that is, or nearly is,
+    defective).
 
     Rounding under a relabeling can split a group near the tolerance, or
-    make eig's vectors for a repeated eigenvalue dependent; the condition
-    then follows eig, not the graph, so such pairs are not compared."""
+    tip a nearly defective group's check; the condition then follows eig,
+    not the graph, so such pairs are not compared."""
     u = b.vectors / np.linalg.norm(b.vectors, axis=0)
     dist = np.abs(np.subtract.outer(b.eigenvalues, b.eigenvalues))
     close = dist <= spectral.EIGENVALUE_GROUP_TOL

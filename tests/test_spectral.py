@@ -1,3 +1,4 @@
+import itertools
 import logging
 import os
 import subprocess
@@ -286,6 +287,14 @@ def test_undirected_spectrum_logs_eigenvalues_alone(caplog):
     assert sp.lambda_max_abs == b.lambda_max_abs == g.spectral_radius
 
 
+def test_spectrum_fields_are_keyword_only():
+    b = decompose(directed_basis_graphs()["real_spectrum"])
+    with pytest.raises(TypeError):
+        SpectralBasis(b.graph, b.eigenvalues, b.vectors, b.fourier, b.lambda_max_abs)
+    with pytest.raises(TypeError):
+        spectral.Spectrum(b.graph, b.eigenvalues, b.lambda_max_abs)
+
+
 def test_directed_spectrum_is_the_decomposition():
     g = directed_basis_graphs()["real_spectrum"]
     sp = spectral.spectrum(g)
@@ -301,8 +310,9 @@ def test_orthogonalized_groups_are_logged(caplog):
         b = decompose(g)
     groups = [r.args for r in caplog.records if r.getMessage().startswith("orthogonalize")]
     # the cube roots of unity three times each, the other sixth roots twice
-    assert sorted(m for *_, m, _ in groups) == [2, 2, 2, 3, 3, 3]
-    for re, im, m, cols in groups:
+    assert sorted(m for *_, m, _, _ in groups) == [2, 2, 2, 3, 3, 3]
+    for re, im, m, cols, source in groups:
+        assert source == "span"
         assert np.abs(b.eigenvalues[cols] - complex(re, im)).max() <= 1e-6
         u = b.vectors[:, cols] / np.linalg.norm(b.vectors[:, cols], axis=0)
         assert np.abs(u.conj().T @ u - np.eye(m)).max() <= 1e-12
@@ -325,6 +335,28 @@ def test_condition_of_a_repeated_eigenvalue_ignores_the_labels(directed):
         assert bp.basis_condition == pytest.approx(b.basis_condition, abs=1e-12)
     else:
         assert b.basis_condition == bp.basis_condition == 1.0
+
+
+@pytest.mark.parametrize("a, step", [
+    (np.where(np.arange(36).reshape(6, 6) == 31, 0.0, -1.85), 5),  # 0 four times, rank 2
+    (np.array([[-4.83, -4.83, -0.966]] * 3), 1),  # 0 twice, rank 1
+])
+def test_a_semisimple_eigenvalue_is_accepted_under_relabeling(a, step, caplog):
+    # under some labelings eig returns nearly dependent vectors for the
+    # repeated 0, and only the null space of A spans its eigenspace; every
+    # 5th of the 720 labelings of the 6-node graph keeps the test short
+    conditions, sources = [], set()
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        for p in itertools.islice(itertools.permutations(range(len(a))), 0, None, step):
+            caplog.clear()
+            b = decompose(Graph(a[np.ix_(p, p)], directed=True))
+            conditions.append(b.basis_condition)
+            sources |= {r.args[-1] for r in caplog.records
+                        if r.getMessage().startswith("orthogonalize")}
+            zero = np.abs(b.eigenvalues) <= 1e-12
+            assert np.abs(a[np.ix_(p, p)] @ b.vectors[:, zero]).max() <= 1e-12
+    assert sources == {"span", "null_space"}
+    assert max(conditions) - min(conditions) <= 1e-12 * min(conditions)
 
 
 def test_refusal_threshold_is_the_exact_condition(monkeypatch):
