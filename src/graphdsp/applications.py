@@ -26,6 +26,7 @@ DIRECT_SOLVE_MAX_N = 2000
 SOLVER_TOLERANCE = 1e-8
 REGULARIZER_FORMS = ("shift", "laplacian")
 CALIBRATIONS = ("max", "median")
+BISECTION_STEPS = 60
 
 
 class SingularSystemError(Exception):
@@ -293,7 +294,7 @@ def label_misfit(labels: LabelSignal, values) -> float:
 
 
 def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
-                                form="shift", *, max_alpha=1e9, iterations=60):
+                                form="shift", *, max_alpha=1e9):
     """Classify with the smallest fidelity weight meeting a misfit budget.
 
     Runs a doubling search then log-domain bisection on alpha, all on one
@@ -339,7 +340,7 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
                     raise ValueError(
                         f"misfit budget {epsilon} not reachable below alpha={max_alpha}"
                     )
-        for _ in range(iterations if lo is not None else 0):
+        for _ in range(BISECTION_STEPS if lo is not None else 0):
             mid = float(np.sqrt(lo * hi))
             ok, s = meets(mid)
             if ok:

@@ -11,16 +11,18 @@ be refused.  ``filter`` applies h(A/rho) by repeated shifts, which needs
 the spectral radius alone; it builds the eigenbasis only for
 ``--spectra``, which also writes the signal's spectrum before and after.
 Every run writes a ``manifest.json`` next to its outputs recording the
-command, input digests, seed, configuration, and the Python, numpy and
-BLAS thread settings; ``rerun`` refuses a manifest whose inputs no longer
-match their digests, and otherwise replays its argv, which reproduces the
-outputs bit for bit under the graphdsp version that wrote it.  A
-``filter`` manifest written before ``--spectra`` existed replays without
-``spectra.csv`` and with the cold spectral radius, so its ``filtered.csv``
-moves at rounding level; the recorded command run with ``--spectra``
-reproduces both files.  ``graphdsp --verbose <command>`` prints the
-library's debug records, such as the solver and condition path of each
-``decompose`` and the path of each cold spectral radius, to stderr.
+command, input digests, seed, configuration, the files written in write
+order, and the Python, numpy and BLAS thread settings.  ``--out`` is made at
+the first write, so a command failing before it leaves no directory.
+``rerun`` refuses a manifest whose inputs no longer match their digests, and
+otherwise replays its argv, which reproduces the outputs bit for bit under
+the graphdsp version that wrote it.  A ``filter`` manifest written before
+``--spectra`` existed replays without ``spectra.csv`` and with the cold
+spectral radius, so its ``filtered.csv`` moves at rounding level; the
+recorded command run with ``--spectra`` reproduces both files.
+``graphdsp --verbose <command>`` prints the library's debug records, such as
+the solver and condition path of each ``decompose`` and the path of each
+cold spectral radius, to stderr.
 
 Exit codes: 0 success, 1 bad input or arguments, 2 numerical refusal: a
 near-defective adjacency in a command that builds the eigenbasis
@@ -31,7 +33,6 @@ directed graph), or a singular regularization system.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -67,14 +68,22 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _finish(args, inputs, config, outputs, seed=None):
+def _output(args, name):
+    """The path of output ``name`` in ``--out``, which this creates; the name
+    joins the manifest's outputs, in the order the files are written."""
+    os.makedirs(args.out, exist_ok=True)
+    args.outputs.append(name)
+    return os.path.join(args.out, name)
+
+
+def _finish(args, inputs, config, seed=None):
     """Write the run manifest next to the outputs."""
     fileio._write_json(os.path.join(args.out, "manifest.json"), {
         "command": list(args.argv),
         "inputs": {p: _sha256(p) for p in inputs},
         "seed": seed,
         "config": config,
-        "outputs": outputs,
+        "outputs": args.outputs,
         # the bits of eig, and so of every basis, depend on the BLAS threads
         "environment": {
             "python": sys.version.split()[0],
@@ -83,11 +92,6 @@ def _finish(args, inputs, config, outputs, seed=None):
         },
     })
     return 0
-
-
-def _outdir(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 def _parse_kind(text):
@@ -109,11 +113,7 @@ def _parse_kind(text):
 
 
 def _cmd_gen(args):
-    out = _outdir(args)
-    graph_path = os.path.join(out, "graph.tsv")
-    inputs = []
-    outputs = ["graph.tsv"]
-    seed = None
+    inputs, seed, labels = [], None, None
     if args.kind == "cycle":
         g = cycle_graph(args.n)
         config = {"kind": "cycle", "n": args.n}
@@ -134,36 +134,31 @@ def _cmd_gen(args):
                   "unweighted": args.unweighted, "symmetrize": args.symmetrize}
     else:
         seed = args.seed
-        g, truth = sbm_graph(args.n, args.p, args.q, seed=seed)
-        fileio.write_signal(os.path.join(out, "labels.csv"), truth.labels)
-        outputs.append("labels.csv")
+        g, labels = sbm_graph(args.n, args.p, args.q, seed=seed)
         config = {"kind": "sbm", "n": args.n, "p": args.p, "q": args.q}
-    fileio.write_edge_list(graph_path, g)
-    return _finish(args, inputs, config, outputs, seed=seed)
+    fileio.write_edge_list(_output(args, "graph.tsv"), g)
+    if labels is not None:
+        fileio.write_signal(_output(args, "labels.csv"), labels.labels)
+    return _finish(args, inputs, config, seed=seed)
 
 
 def _cmd_spectrum(args):
-    out = _outdir(args)
     g = fileio.read_edge_list(args.graph)
     sp = spectrum(g)
-    fileio.write_spectrum(os.path.join(out, "spectrum.json"), sp, order_frequencies(sp))
-    return _finish(args, [args.graph], {}, ["spectrum.json"])
+    fileio.write_spectrum(_output(args, "spectrum.json"), sp, order_frequencies(sp))
+    return _finish(args, [args.graph], {})
 
 
 def _cmd_design(args):
-    out = _outdir(args)
     g = fileio.read_edge_list(args.graph)
     kind, band = _parse_kind(args.kind)
     design = design_ideal_filter(spectrum(g), kind, args.degree, band)
-    fileio.write_filter(os.path.join(out, "filter.json"), design.filter)
-    fileio.write_design_report(os.path.join(out, "design.json"), design)
-    return _finish(args, [args.graph],
-                   {"kind": args.kind, "degree": args.degree},
-                   ["filter.json", "design.json"])
+    fileio.write_filter(_output(args, "filter.json"), design.filter)
+    fileio.write_design_report(_output(args, "design.json"), design)
+    return _finish(args, [args.graph], {"kind": args.kind, "degree": args.degree})
 
 
 def _cmd_filter(args):
-    out = _outdir(args)
     g = fileio.read_edge_list(args.graph)
     filt = fileio.read_filter(args.filter)
     s = g.signal(fileio.read_signal(args.signal))
@@ -172,26 +167,14 @@ def _cmd_filter(args):
     # so a defective graph is refused before anything is written
     b = decompose(g) if args.spectra else None
     result = apply_filter(g, filt, s)
-    fileio.write_signal(os.path.join(out, "filtered.csv"), result.values)
-    if b is None:
-        return _finish(args, inputs, config, ["filtered.csv"])
-    before = gft(b, s)
-    after = gft(b, result)
-    response = frequency_response(b, filt)
-    with open(os.path.join(out, "spectra.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "before_re", "before_im", "after_re",
-                        "after_im", "response_re", "response_im"])
-        for i in range(b.n):
-            writer.writerow([i] + [format(float(x), ".17g") for x in
-                                   (before[i].real, before[i].imag,
-                                    after[i].real, after[i].imag,
-                                    response[i].real, response[i].imag)])
-    return _finish(args, inputs, config, ["filtered.csv", "spectra.csv"])
+    fileio.write_signal(_output(args, "filtered.csv"), result.values)
+    if b is not None:
+        fileio.write_spectra(_output(args, "spectra.csv"), gft(b, s), gft(b, result),
+                             frequency_response(b, filt))
+    return _finish(args, inputs, config)
 
 
 def _cmd_detect(args):
-    out = _outdir(args)
     g = fileio.read_edge_list(args.graph)
     b = decompose(g)
     if args.filter:
@@ -206,13 +189,13 @@ def _cmd_detect(args):
     history = [g.signal(fileio.read_signal(p)) for p in args.history]
     current = g.signal(fileio.read_signal(args.current))
     report = detect_malfunction(g, b, cfg, history, current)
-    fileio.write_detection_report(os.path.join(out, "detection.json"), report)
+    fileio.write_detection_report(_output(args, "detection.json"), report)
     config = {"window": args.window, "threshold_scale": args.threshold_scale,
               "calibration": args.calibration, **filter_config}
     inputs = [args.graph, *args.history, args.current]
     if args.filter:
         inputs.append(args.filter)
-    return _finish(args, inputs, config, ["detection.json"])
+    return _finish(args, inputs, config)
 
 
 def _parse_grid(text):
@@ -228,7 +211,6 @@ def _parse_grid(text):
 
 
 def _cmd_classify(args):
-    out = _outdir(args)
     g = fileio.read_edge_list(args.graph)
     labels = fileio.read_labels(args.labels)
     if args.sweep:
@@ -239,16 +221,16 @@ def _cmd_classify(args):
         grid = _parse_grid(args.sweep)
         sweep = sweep_alpha(g, truth, args.form, grid, ratio, args.runs,
                             seed=args.seed)
-        fileio.write_accuracy_table(os.path.join(out, "accuracy.csv"), sweep)
+        fileio.write_accuracy_table(_output(args, "accuracy.csv"), sweep)
         config = {"form": args.form, "sweep": args.sweep, "runs": args.runs,
                   "ratio": ratio, "best_alpha": sweep.best_alpha}
         return _finish(args, [args.graph, args.labels, args.truth], config,
-                       ["accuracy.csv"], seed=args.seed)
+                       seed=args.seed)
     cfg = ClassifierConfig(alpha=args.alpha, form=args.form)
     result = classify(g, labels, cfg)
-    fileio.write_predictions(os.path.join(out, "predictions.csv"), result)
+    fileio.write_predictions(_output(args, "predictions.csv"), result)
     return _finish(args, [args.graph, args.labels],
-                   {"alpha": args.alpha, "form": args.form}, ["predictions.csv"])
+                   {"alpha": args.alpha, "form": args.form})
 
 
 def _cmd_rerun(args):
@@ -285,61 +267,54 @@ def _build_parser():
                         help="print the library's debug records to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", default=".", help="output directory")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory")
 
     gen = sub.add_parser("gen", help="generate a synthetic graph")
+    gen.set_defaults(func=_cmd_gen)
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     for kind in ("cycle", "path"):
-        p = gen_sub.add_parser(kind)
+        p = gen_sub.add_parser(kind, parents=[out])
         p.add_argument("n", type=int)
-        p.set_defaults(func=_cmd_gen)
-        add_out(p)
-    p = gen_sub.add_parser("regular")
+    p = gen_sub.add_parser("regular", parents=[out])
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gen)
-    add_out(p)
-    p = gen_sub.add_parser("knn")
+    p = gen_sub.add_parser("knn", parents=[out])
     p.add_argument("points", help="CSV point cloud, one coordinate row per node")
     p.add_argument("k", type=int)
     p.add_argument("--metric", choices=sorted(METRICS), default="euclidean")
     p.add_argument("--symmetrize", action="store_true")
     p.add_argument("--unweighted", action="store_true")
-    p.set_defaults(func=_cmd_gen)
-    add_out(p)
-    p = gen_sub.add_parser("sbm")
+    p = gen_sub.add_parser("sbm", parents=[out])
     p.add_argument("n", type=int)
     p.add_argument("p", type=float)
     p.add_argument("q", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gen)
-    add_out(p)
 
-    p = sub.add_parser("spectrum", help="eigenvalues, variations, and ordering")
+    p = sub.add_parser("spectrum", parents=[out],
+                       help="eigenvalues, variations, and ordering")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_spectrum)
-    add_out(p)
 
-    p = sub.add_parser("design", help="fit taps to an ideal response")
+    p = sub.add_parser("design", parents=[out], help="fit taps to an ideal response")
     p.add_argument("graph")
     p.add_argument("--kind", required=True,
                    help="lowpass | highpass | bandpass:<lo>:<hi>")
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=_cmd_design)
-    add_out(p)
 
-    p = sub.add_parser("filter", help="apply a filter file to a signal file")
+    p = sub.add_parser("filter", parents=[out],
+                       help="apply a filter file to a signal file")
     p.add_argument("graph")
     p.add_argument("filter")
     p.add_argument("signal")
     p.add_argument("--spectra", action="store_true",
                    help="also write spectra.csv, which needs the eigenbasis")
     p.set_defaults(func=_cmd_filter)
-    add_out(p)
 
-    p = sub.add_parser("detect", help="threshold high-pass spectra against history")
+    p = sub.add_parser("detect", parents=[out],
+                       help="threshold high-pass spectra against history")
     p.add_argument("graph")
     p.add_argument("--history", nargs="+", required=True)
     p.add_argument("--current", required=True)
@@ -351,9 +326,9 @@ def _build_parser():
                    dest="threshold_scale")
     p.add_argument("--calibration", choices=("max", "median"), default="max")
     p.set_defaults(func=_cmd_detect)
-    add_out(p)
 
-    p = sub.add_parser("classify", help="spread known labels by regularization")
+    p = sub.add_parser("classify", parents=[out],
+                       help="spread known labels by regularization")
     p.add_argument("graph")
     p.add_argument("labels")
     p.add_argument("--alpha", type=float, default=1.0)
@@ -363,7 +338,6 @@ def _build_parser():
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)
-    add_out(p)
 
     p = sub.add_parser("rerun", help="replay a recorded manifest")
     p.add_argument("manifest")
@@ -381,7 +355,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 1
         return 0 if code == 0 else 1
-    args.argv = argv
+    args.argv, args.outputs = argv, []
     log = logging.getLogger("graphdsp")
     handler, level = logging.StreamHandler(sys.stderr), log.level
     if args.verbose:

@@ -149,19 +149,24 @@ def read_points(path) -> np.ndarray:
     return np.array(rows)
 
 
-def write_signal(path, values):
-    values = np.asarray(values)
-    complex_valued = np.iscomplexobj(values) and np.any(values.imag != 0.0)
+def _write_table(path, header, *columns):
+    """CSV table: the header row, then one row per entry of the columns, an
+    integer column as integers and any other with 17 significant digits."""
+    cells = [c.tolist() if c.dtype.kind in "iu" else [_fmt(x) for x in c.tolist()]
+             for c in map(np.asarray, columns)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if complex_valued:
-            writer.writerow(["node", "re", "im"])
-            for i, v in enumerate(values):
-                writer.writerow([i, _fmt(v.real), _fmt(v.imag)])
-        else:
-            writer.writerow(["node", "re"])
-            for i, v in enumerate(values):
-                writer.writerow([i, _fmt(np.real(v))])
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+def write_signal(path, values):
+    values = np.asarray(values)
+    nodes = np.arange(values.size)
+    if np.any(values.imag != 0.0):
+        _write_table(path, ["node", "re", "im"], nodes, values.real, values.imag)
+    else:
+        _write_table(path, ["node", "re"], nodes, values.real)
 
 
 def read_signal(path) -> np.ndarray:
@@ -261,18 +266,20 @@ def write_detection_report(path, report):
 
 
 def write_accuracy_table(path, sweep):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "ratio", "mean_accuracy", "std"])
-        for alpha, mean, std in zip(sweep.alphas, sweep.mean_accuracy,
-                                    sweep.std_accuracy):
-            writer.writerow([_fmt(alpha), _fmt(sweep.ratio), _fmt(mean), _fmt(std)])
+    _write_table(path, ["alpha", "ratio", "mean_accuracy", "std"], sweep.alphas,
+                 np.full(len(sweep.alphas), float(sweep.ratio)),
+                 sweep.mean_accuracy, sweep.std_accuracy)
 
 
 def write_predictions(path, classification):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "predicted", "class"])
-        for i, (value, cls) in enumerate(zip(classification.predicted,
-                                             classification.classes)):
-            writer.writerow([i, _fmt(value), int(cls)])
+    _write_table(path, ["node", "predicted", "class"],
+                 np.arange(len(classification.predicted)),
+                 classification.predicted, classification.classes)
+
+
+def write_spectra(path, before, after, response):
+    """The signal's spectrum before and after filtering, and the filter's
+    frequency response, one row per eigenvector."""
+    parts = [part(z) for z in (before, after, response) for part in (np.real, np.imag)]
+    _write_table(path, ["index", "before_re", "before_im", "after_re", "after_im",
+                        "response_re", "response_im"], np.arange(len(before)), *parts)

@@ -152,9 +152,7 @@ class GraphSignal:
             raise ValueError(
                 f"signal length {v.shape} does not match graph with {self.graph.n} nodes"
             )
-        if not np.all(np.isfinite(v)) or (
-            np.iscomplexobj(v) and not np.all(np.isfinite(v.imag))
-        ):
+        if not np.all(np.isfinite(v)):
             raise ValueError("signal entries must be finite")
         object.__setattr__(self, "values", _freeze(v))
 

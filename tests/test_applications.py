@@ -724,3 +724,53 @@ def test_sweep_rejects_bad_alpha_in_grid(bad):
     g, truth = sbm_graph(20, 0.5, 0.1, seed=6)
     with pytest.raises(ValueError):
         sweep_alpha(g, truth, "shift", np.array([1.0, bad, 2.0]), 0.2, 2)
+
+
+def test_budget_first_alpha_refused_is_raised(monkeypatch):
+    seen = []
+
+    def refuse(alphas):
+        seen.extend(alphas)
+        raise SingularSystemError("refused")
+
+    monkeypatch.setattr(applications, "_label_solver", lambda g, labels, form: refuse)
+    with pytest.raises(SingularSystemError, match="refused"):
+        classify_with_misfit_budget(two_cliques(), clique_labels(), 1e-3)
+    assert seen == [1.0]
+
+
+def test_budget_refused_by_classify_up_to_max_alpha_is_raised(monkeypatch):
+    refused = []
+
+    def refuse(g, labels, cfg):
+        refused.append(cfg.alpha)
+        raise SingularSystemError("refused by classify")
+
+    monkeypatch.setattr(applications, "classify", refuse)
+    with pytest.raises(SingularSystemError, match="refused by classify"):
+        classify_with_misfit_budget(two_cliques(), clique_labels(), 1e-3,
+                                    max_alpha=1e3)
+    assert refused == [refused[0] * 2 ** i for i in range(len(refused))]
+    assert refused[-1] <= 1e3 < 2 * refused[-1]
+
+
+def test_budget_not_met_after_doubling_is_an_error(monkeypatch):
+    # classify refuses the alpha found, and from then on the solver returns
+    # zeros, whose misfit no alpha brings within the budget
+    refused = []
+
+    def refuse_once(g, labels, cfg):
+        if not refused:
+            refused.append(cfg.alpha)
+            raise SingularSystemError("refused")
+        return classify(g, labels, cfg)
+
+    def label_solver(g, labels, form):
+        solve = _label_solver(g, labels, form)
+        return lambda alphas: 0.0 * solve(alphas) if refused else solve(alphas)
+
+    monkeypatch.setattr(applications, "classify", refuse_once)
+    monkeypatch.setattr(applications, "_label_solver", label_solver)
+    with pytest.raises(ValueError, match="not met at alpha=.* after doubling"):
+        classify_with_misfit_budget(two_cliques(), clique_labels(), 1e-3,
+                                    max_alpha=1e3)

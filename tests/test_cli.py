@@ -470,6 +470,26 @@ def test_classify_sweep_writes_accuracy_table(tmp_path):
     assert float(lines[1].split(",")[1]) == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("grid, rows, message", [
+    ("standard", 199, None),
+    ("1.0,half", None, "bad alpha grid '1.0,half'"),
+    (" , ", None, "alpha grid is empty"),
+])
+def test_classify_sweep_grid(tmp_path, capsys, grid, rows, message):
+    gpath, lpath = make_two_clique_files(tmp_path, labeled=2)
+    truth = tmp_path / "truth.csv"
+    write_signal(truth, np.repeat([1.0, -1.0], 5))
+    out = tmp_path / "sweep"
+    code = run("classify", gpath, lpath, "--sweep", grid, "--truth", truth,
+               "--runs", 1, "--out", out)
+    if rows is None:
+        assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert len((out / "accuracy.csv").read_text().splitlines()) == rows + 1
+
+
 def test_classify_sweep_requires_truth(tmp_path):
     gpath, lpath = make_two_clique_files(tmp_path)
     assert run("classify", gpath, lpath, "--sweep", "1.0",
@@ -502,6 +522,17 @@ def test_rerun_rejects_a_recorded_out_without_a_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_rerun_out_is_appended_to_a_command_recorded_without_it(tmp_path):
+    m = tmp_path / "manifest.json"
+    m.write_text(json.dumps({"command": ["gen", "cycle", "4"]}))
+    out = tmp_path / "o"
+    assert run("rerun", m, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == ["gen", "cycle", "4", "--out", str(out)]
+    assert np.array_equal(read_edge_list(out / "graph.tsv").adjacency,
+                          cycle_graph(4).adjacency)
+
+
 def test_rerun_refuses_a_changed_input_and_writes_nothing(tmp_path, capsys):
     gdir, first = tmp_path / "g", tmp_path / "first"
     assert run("gen", "cycle", 4, "--out", gdir) == 0
@@ -519,6 +550,31 @@ def test_rerun_refuses_a_changed_input_and_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(graph) in err
     assert not second.exists()
+
+
+def test_manifest_outputs_are_the_files_written_in_order(tmp_path):
+    g, identity = tmp_path / "g", tmp_path / "id.json"
+    write_filter(identity, GraphFilter([1.0]))
+    plain = ("filter", g / "graph.tsv", identity, g / "labels.csv")
+    for name, argv, outputs in [
+            ("g", ("gen", "sbm", 20, 0.5, 0.1, "--seed", 1), ["graph.tsv", "labels.csv"]),
+            ("f", plain, ["filtered.csv"]),
+            ("fs", plain + ("--spectra",), ["filtered.csv", "spectra.csv"])]:
+        out = tmp_path / name
+        assert run(*argv, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == outputs
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+
+
+def test_failing_before_the_first_write_leaves_no_out_directory(tmp_path, capsys):
+    gdir = tmp_path / "g"
+    assert run("gen", "cycle", 4, "--out", gdir) == 0
+    out = tmp_path / "d"
+    assert run("design", gdir / "graph.tsv", "--kind", "banana",
+               "--degree", 2, "--out", out) == 1
+    assert capsys.readouterr().err == "error: unknown filter kind 'banana'\n"
+    assert not out.exists()
 
 
 def test_manifest_hashes_inputs(tmp_path):

@@ -27,6 +27,7 @@ from graphdsp.fileio import (
     write_filter,
     write_points,
     write_signal,
+    write_spectra,
     write_spectrum,
 )
 
@@ -275,6 +276,33 @@ def test_signal_round_trip_complex(tmp_path):
     assert p.read_text().splitlines()[0] == "node,re,im"
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.csv", "", "empty point file"),
+    ("blank.csv", "\n  \n", "empty point file"),
+    ("word.csv", "1.0,2.0\n3.0,east\n", "non-numeric coordinate row"),
+])
+def test_points_reject_empty_and_non_numeric_files(tmp_path, name, text, message):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"{name}: {message}"):
+        read_points(p)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.csv", "", "empty signal file"),
+    ("header.csv", "node,re\n", "signal file has no rows"),
+    ("short.csv", "node,re,im\n0,1.0\n", "malformed signal row"),
+    ("long.csv", "node,re\n0,1.0,2.0\n", "malformed signal row"),
+    ("word.csv", "node,re\n0,one\n", "non-numeric signal row"),
+    ("node.csv", "node,re\nzero,1.0\n", "non-numeric signal row"),
+])
+def test_signal_rejects_empty_and_malformed_files(tmp_path, name, text, message):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"{name}: {message}"):
+        read_signal(p)
+
+
 def test_signal_rejects_gaps_and_duplicates(tmp_path):
     p = tmp_path / "gap.csv"
     p.write_text("node,re\n0,1.0\n2,2.0\n")
@@ -423,3 +451,42 @@ def test_reports_are_parseable(tmp_path):
     assert lines[0] == "node,predicted,class"
     assert len(lines) == 21
     assert all(line.split(",")[2] in ("1", "-1") for line in lines[1:])
+
+
+# ---------------------------------------------------------------------------
+# table bytes: header, CRLF rows, integer node and class columns, .17g floats
+
+
+def test_table_bytes(tmp_path):
+    from graphdsp.applications import Classification, SweepResult
+    from graphdsp.fileio import write_accuracy_table, write_predictions
+
+    def written(write, *args):
+        p = tmp_path / "table.csv"
+        write(p, *args)
+        return p.read_bytes()
+
+    assert written(write_signal, np.array([0.1, -2.0, 1e-17])) == (
+        b"node,re\r\n0,0.10000000000000001\r\n1,-2\r\n2,1.0000000000000001e-17\r\n")
+    assert written(write_signal, np.array([1 + 0.1j, -0.0 - 3j])) == (
+        b"node,re,im\r\n0,1,0.10000000000000001\r\n1,-0,-3\r\n")
+    # a complex signal whose imaginary parts are all zero is written as real
+    assert written(write_signal, np.array([2.5 + 0j, 1 / 3])) == (
+        b"node,re\r\n0,2.5\r\n1,0.33333333333333331\r\n")
+    prediction = Classification(predicted=np.array([0.75, -1 / 3]),
+                                classes=np.array([1, -1]))
+    assert written(write_predictions, prediction) == (
+        b"node,predicted,class\r\n0,0.75,1\r\n1,-0.33333333333333331,-1\r\n")
+    sweep = SweepResult(alphas=np.array([0.01, 2.0]), ratio=0.3,
+                        mean_accuracy=np.array([0.5, 1.0]),
+                        std_accuracy=np.array([0.125, 0.0]),
+                        best_alpha=2.0, best_accuracy=1.0)
+    assert written(write_accuracy_table, sweep) == (
+        b"alpha,ratio,mean_accuracy,std\r\n"
+        b"0.01,0.29999999999999999,0.5,0.125\r\n"
+        b"2,0.29999999999999999,1,0\r\n")
+    assert written(write_spectra, np.array([1 + 2j, 0.1]), np.array([-0.5j, 3.0]),
+                   np.array([1.0, 0.2 - 1j])) == (
+        b"index,before_re,before_im,after_re,after_im,response_re,response_im\r\n"
+        b"0,1,2,-0,-0.5,1,0\r\n"
+        b"1,0.10000000000000001,0,3,0,0.20000000000000001,-1\r\n")

@@ -243,6 +243,9 @@ def test_signal_binding_and_validation():
         g.signal([1.0, 2.0])
     with pytest.raises(ValueError):
         g.signal([1.0, np.nan, 3.0])
+    for bad in (complex(1.0, np.inf), complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            g.signal([bad, 0, 0])
     cs = g.signal([1 + 1j, 0, 0])
     assert np.iscomplexobj(cs.values)
 
