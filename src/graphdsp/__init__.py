@@ -8,6 +8,10 @@ and label regularization.
 
 Modules import numpy and the stdlib only; scipy and networkx are imported
 inside the functions that call them, so a command loads what it runs.
+Only the classifier's dense Cholesky imports scipy, and only
+``scipy.linalg``; a cold spectral radius is certified in numpy by a
+Collatz-Wielandt bracket around a restarted Arnoldi estimate, or falls back
+to the dense ``eigvals``/``eigvalsh`` (see ``Graph.spectral_radius``).
 """
 
 from .graph import (

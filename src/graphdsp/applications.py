@@ -4,22 +4,28 @@ The detector high-pass filters sensor snapshots and flags Fourier
 coefficients that exceed a threshold calibrated on recent history.  The
 classifier treats two-class labels as a graph signal and minimizes signal
 variation plus a fidelity penalty on the known labels, which reduces to a
-symmetric positive-definite system built from one sparse variation operator
-M.  A single fidelity weight is solved directly (dense Cholesky) up to 2000
-nodes and by conjugate gradients above; the alpha sweep and the
-misfit-budget search factor the system once per label set.
+symmetric positive-definite system built from one variation operator M.  A
+single fidelity weight is solved directly (a dense Cholesky of M formed by
+one GEMM) up to 2000 nodes and above by numpy conjugate gradients, which
+apply M as sparse products over the adjacency's nonzeros; the alpha sweep
+and the misfit-budget search factor the system once per label set.  Only
+the Cholesky imports scipy, and only ``scipy.linalg``: conjugate gradients
+import it just to factor the block of a component without a label.  Each
+solve logs its path (direct, cg with its iterations, or factored) and its
+relative residual at debug level.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .filtering import GraphFilter, apply_filter
-from .graph import (Graph, GraphSignal, LabelSignal, _check_laplacian, _csr, _freeze,
-                    _nonzero_radius)
+from .graph import (Graph, GraphSignal, LabelSignal, _check_laplacian, _components,
+                    _freeze, _nonzero_radius, _shift)
 from .spectral import SpectralBasis, gft
 
 DIRECT_SOLVE_MAX_N = 2000
@@ -27,6 +33,8 @@ SOLVER_TOLERANCE = 1e-8
 REGULARIZER_FORMS = ("shift", "laplacian")
 CALIBRATIONS = ("max", "median")
 BISECTION_STEPS = 60
+
+log = logging.getLogger("graphdsp")
 
 
 class SingularSystemError(Exception):
@@ -129,48 +137,80 @@ def detect_malfunction(g: Graph, b: SpectralBasis, cfg: DetectorConfig,
                            offending_coefficients=offending)
 
 
-def _variation_operator(g: Graph, form: str):
-    """Sparse (CSR) real symmetric PSD matrix M whose quadratic form (halved)
-    is the smoothness term of the classifier objective, cached on the graph:
-    Re(B^H B) with B = I - A/|lambda_max|, or twice the Laplacian D - A,
-    from the graph's cached CSR view of A.
-    Every classifier solve uses this one M: the dense Cholesky up to
-    ``DIRECT_SOLVE_MAX_N`` nodes, conjugate gradients above, the factored
-    sweep and the objective."""
-    key = f"_varop_{form}"
-    cached = g.__dict__.get(key)
-    if cached is not None:
-        return cached
-    import scipy.sparse
+class _VariationOperator:
+    """The real symmetric PSD matrix M whose quadratic form (halved) is the
+    smoothness term of the classifier objective: Re(B^H B) with
+    B = I - A/|lambda_max| (shift form), or twice the Laplacian D - A.
 
-    if form == "laplacian":
-        _check_laplacian(g)
-        m = 2.0 * (scipy.sparse.diags_array(g.adjacency.sum(axis=1)) - _csr(g))
-    else:
-        b = (scipy.sparse.eye_array(g.n, format="csr")
-             - _csr(g) / _nonzero_radius(g))
-        m = (b.conj().T @ b).real.tocsr()
-    object.__setattr__(g, key, m)
-    return m
+    ``op @ x`` applies M to a real vector as sparse products over the
+    graph's nonzeros (B, then B^H), never forming B^H B; ``op.dense()`` forms
+    M, or its block over ``nodes``, with one GEMM."""
+
+    def __init__(self, g: Graph, form: str):
+        self.graph, self.form = g, form
+        if form == "laplacian":
+            _check_laplacian(g)
+            self.degree = g.adjacency.sum(axis=1)
+        else:
+            self.rho = _nonzero_radius(g)
+
+    def __matmul__(self, x):
+        g = self.graph
+        if self.form == "laplacian":
+            return 2.0 * (self.degree * x - _shift(g, x))
+        b = x - _shift(g, x) / self.rho
+        return (b - _shift(g, b, adjoint=True) / self.rho).real
+
+    def dense(self, nodes=None):
+        """M as a dense array: the whole of it, formed once and read-only, or
+        a new array of its block over ``nodes``, a union of weak components
+        (on which B's block is B restricted to them)."""
+        if nodes is not None:
+            return self._form(self.graph.adjacency[np.ix_(nodes, nodes)], nodes)
+        if "_dense" not in self.__dict__:
+            self._dense = self._form(self.graph.adjacency, slice(None))
+            self._dense.setflags(write=False)
+        return self._dense
+
+    def _form(self, a, nodes):
+        diagonal = np.diag_indices_from(a)
+        if self.form == "laplacian":
+            m = -2.0 * a
+            m[diagonal] = 2.0 * (self.degree[nodes] - a[diagonal])
+            return m
+        b = a / -self.rho
+        b[diagonal] += 1.0
+        if np.iscomplexobj(b):  # Re(B^H B) = Re(B)^T Re(B) + Im(B)^T Im(B)
+            b = np.concatenate([b.real, b.imag])
+        return b.T @ b
+
+
+def _variation_operator(g: Graph, form: str) -> _VariationOperator:
+    """The classifier's variation operator M, one per graph and form, cached
+    on the graph.  Every classifier solve uses it: its dense form for the
+    Cholesky up to ``DIRECT_SOLVE_MAX_N`` nodes, the factored sweep and the
+    budget search, its products for conjugate gradients above and for the
+    objective."""
+    key = f"_varop_{form}"
+    if key not in g.__dict__:
+        g.__dict__[key] = _VariationOperator(g, form)
+    return g.__dict__[key]
 
 
 def _raise_singular(g: Graph, labels: LabelSignal):
-    """Diagnose a singular classifier system before giving up."""
-    import scipy.sparse.csgraph
-
-    n_comp, comp = scipy.sparse.csgraph.connected_components(abs(_csr(g)),
-                                                             directed=False)
-    known = labels.known_mask
-    for c in range(n_comp):
-        nodes = np.flatnonzero(comp == c)
-        if not known[nodes].any():
-            head = ", ".join(str(i) for i in nodes[:8])
-            more = "" if nodes.size <= 8 else f", ... ({nodes.size} nodes)"
-            raise SingularSystemError(
-                f"system is singular: connected component {{{head}{more}}} "
-                f"contains no labeled node",
-                component=tuple(int(i) for i in nodes),
-            )
+    """Diagnose a singular classifier system before giving up: name the
+    unlabeled weak component that holds the lowest node index."""
+    component = _components(g)
+    unlabeled = np.setdiff1d(component, component[labels.known_mask])
+    if unlabeled.size:
+        nodes = np.flatnonzero(component == unlabeled[0])
+        head = ", ".join(str(i) for i in nodes[:8])
+        more = "" if nodes.size <= 8 else f", ... ({nodes.size} nodes)"
+        raise SingularSystemError(
+            f"system is singular: connected component {{{head}{more}}} "
+            f"contains no labeled node",
+            component=tuple(int(i) for i in nodes),
+        )
     raise SingularSystemError("regularization system is numerically singular")
 
 
@@ -189,28 +229,50 @@ def _solve_pos(g: Graph, labels: LabelSignal, a, b):
         _raise_singular(g, labels)
 
 
-def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
-    import scipy.sparse.csgraph
-    import scipy.sparse.linalg
+def _cg(apply, b, rtol, maxiter):
+    """Conjugate gradients for apply(x) = b from x = 0, stopping once
+    ||r|| < rtol ||b||: the solution and the iterations taken, or None and
+    ``maxiter`` when it does not converge."""
+    x, r, p, rr_prev = np.zeros_like(b), b.copy(), None, None
+    atol = rtol * np.linalg.norm(b)
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        rr = r @ r
+        p = r.copy() if p is None else p * (rr / rr_prev) + r
+        q = apply(p)
+        step = rr / (p @ q)
+        x += step * p
+        r -= step * q
+        rr_prev = rr
+    return None, maxiter
 
+
+def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
     rhs = 2.0 * cfg.alpha * labels.labels
+    fidelity = 2.0 * cfg.alpha * labels.known_mask
     m = _variation_operator(g, cfg.form)
-    system = m + scipy.sparse.diags_array(2.0 * cfg.alpha * labels.known_mask)
     if g.n <= DIRECT_SOLVE_MAX_N:
-        s = _solve_pos(g, labels, system.toarray(), rhs)
+        system = np.array(m.dense())
+        system[np.diag_indices(g.n)] += fidelity
+        s, path = _solve_pos(g, labels, system, rhs), "direct"
     else:
         # rhs is zero on every component without a label, so CG converges
         # even where the system is singular: factor those components' block,
         # as the direct solve factors it within the whole system
-        _, comp = scipy.sparse.csgraph.connected_components(m, directed=False)
-        stray = np.flatnonzero(~np.isin(comp, comp[labels.known_mask]))
+        component = _components(g)
+        stray = np.flatnonzero(~np.isin(component, component[labels.known_mask]))
         if stray.size:
-            _solve_pos(g, labels, system[stray][:, stray].toarray(), np.zeros(stray.size))
-        s, info = scipy.sparse.linalg.cg(system, rhs, rtol=0.5 * SOLVER_TOLERANCE,
-                                         atol=0.0, maxiter=20 * g.n)
-        if info != 0:
+            _solve_pos(g, labels, m.dense(stray), np.zeros(stray.size))
+        s, iterations = _cg(lambda x: m @ x + fidelity * x, rhs,
+                            0.5 * SOLVER_TOLERANCE, 20 * g.n)
+        if s is None:
             _raise_singular(g, labels)
-    if np.linalg.norm(system @ s - rhs) > SOLVER_TOLERANCE * np.linalg.norm(rhs):
+        path = f"cg iterations={iterations}"
+    error, scale = np.linalg.norm(m @ s + fidelity * s - rhs), np.linalg.norm(rhs)
+    log.debug("classify: n=%d form=%s path=%s residual=%.3g", g.n, cfg.form, path,
+              error / scale)
+    if error > SOLVER_TOLERANCE * scale:
         _raise_singular(g, labels)
     return s
 
@@ -221,7 +283,7 @@ def _label_solver(g: Graph, labels: LabelSignal, form: str):
     M_KK - M_UK^T X = Q diag(lam) Q^T: s_U = -X s_K, s_K = Q diag(2 alpha /
     (lam + 2 alpha)) Q^T y_K.  Singular for every alpha exactly when M_UU is."""
     m = _variation_operator(g, form)
-    dense = m.toarray()
+    dense = m.dense()
     known = labels.known_mask
     kn, un = np.flatnonzero(known), np.flatnonzero(~known)
     y = labels.labels
@@ -240,9 +302,11 @@ def _label_solver(g: Graph, labels: LabelSignal, form: str):
         s = np.empty((g.n, two_a.size))
         s[kn] = np.where(small, q @ fit, y[kn, None] - q @ miss)
         s[un] = -(x @ s[kn])
-        r = m @ s + two_a * (known[:, None] * s - y[:, None])
-        bound = SOLVER_TOLERANCE * two_a * np.linalg.norm(y)
-        if not np.all(np.linalg.norm(r, axis=0) <= bound):
+        r = dense @ s + two_a * (known[:, None] * s - y[:, None])
+        error, scale = np.linalg.norm(r, axis=0), two_a * np.linalg.norm(y)
+        log.debug("classify: n=%d form=%s path=factored alphas=%d residual=%.3g",
+                  g.n, form, two_a.size, (error / scale).max())
+        if not np.all(error <= SOLVER_TOLERANCE * scale):
             _raise_singular(g, labels)
         return s
 

@@ -20,9 +20,13 @@ the graphdsp version that wrote it.  A ``filter`` manifest written before
 ``--spectra`` existed replays without ``spectra.csv`` and with the cold
 spectral radius, so its ``filtered.csv`` moves at rounding level; the
 recorded command run with ``--spectra`` reproduces both files.
-``graphdsp --verbose <command>`` prints the library's debug records, such as
-the solver and condition path of each ``decompose`` and the path of each
-cold spectral radius, to stderr.
+``graphdsp --verbose <command>`` prints the library's debug records to
+stderr: the solver and condition path of each ``decompose``, the path of
+each cold spectral radius (certified in numpy by its logged bracket, or the
+dense fallback) and the path and residual of each classifier solve.  Of the
+commands only ``classify`` loads scipy, and only ``scipy.linalg`` for its
+dense Cholesky (up to 2000 nodes, the sweep, or a component without a
+label).
 
 Exit codes: 0 success, 1 bad input or arguments, 2 numerical refusal: a
 near-defective adjacency in a command that builds the eigenbasis

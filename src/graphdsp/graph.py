@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
-ARPACK_MAX_RESTARTS = 100
+# the certified spectral radius: Arnoldi basis size, restart cap, restarts
+# allowed without halving the bracket, and the accepted bracket width
+KRYLOV_SIZE = 30
+KRYLOV_MAX_RESTARTS = 30
+KRYLOV_STALL = 4
+BRACKET_RTOL = 1e-13
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -100,32 +105,32 @@ class Graph:
     def spectral_radius(self):
         """Largest eigenvalue magnitude, cached by first use or ``decompose``.
 
-        Above 20 nodes a cold call on an undirected graph runs Lanczos
-        (``eigsh``) on the CSR view of the adjacency from a fixed start
-        vector, so reruns agree bitwise, for at most ``ARPACK_MAX_RESTARTS``
-        restarts.  A directed graph, a graph of up to 20 nodes and a failed
-        Lanczos run take the dense ``eigvals``/``eigvalsh``: on a defective or
-        strongly non-normal adjacency, such as a DAG, Arnoldi meets its
-        residual test far from every eigenvalue.  Each cold call logs its path
-        at debug level.
+        Above 20 nodes a cold call on a real adjacency with no negative entry,
+        directed or not, is certified without scipy.  A is block-diagonal
+        over its weak components, so rho is the largest rho of a block, and
+        an isolated node gives its self-loop weight.  On each block a
+        restarted Arnoldi (``KRYLOV_SIZE`` vectors, a fixed start vector, so
+        reruns agree bitwise) estimates the Perron vector x, restarting from
+        the modulus of the real part of the Ritz vector of the Ritz value of
+        largest real part.  For a positive x the Collatz-Wielandt bracket
+        min (Ax)_i/x_i <= rho <= max (Ax)_i/x_i holds, and rho is accepted
+        as its upper end once it is narrower than ``BRACKET_RTOL`` relative.
+        A block whose bracket cannot close takes the dense ``eigvals`` or
+        ``eigvalsh``: at once when a node has no in-edge within it (every
+        DAG and directed path), and otherwise after ``KRYLOV_MAX_RESTARTS``
+        restarts, after ``KRYLOV_STALL`` restarts that do not halve the
+        bracket (periodic cycles) or on an x with a zero entry.  A graph of
+        up to 20 nodes, or with a negative or complex weight, takes the dense
+        solver on the whole matrix.  Each cold call logs its path, blocks,
+        restarts and bracket at debug level.
         """
         if "_rho" not in self.__dict__:
-            a, rho, path, restarts = self.adjacency, None, "dense", 0
-            if not self.directed and self.n > 20 and a.any():
-                import scipy.sparse.linalg
-                restarts = ARPACK_MAX_RESTARTS
-                v0 = 1.0 + np.random.default_rng(0).random(self.n)
-                try:
-                    w = scipy.sparse.linalg.eigsh(_csr(self), k=1, tol=0, v0=v0,
-                                                  maxiter=restarts)[0]
-                    rho, path = float(abs(w[0])), "lanczos"
-                except scipy.sparse.linalg.ArpackError as e:
-                    path = f"dense after={type(e).__name__}"
-            if rho is None:
-                eigvals = np.linalg.eigvals if self.directed else np.linalg.eigvalsh
-                rho = float(np.max(np.abs(eigvals(a)))) if a.any() else 0.0
-            log.debug("spectral_radius: n=%d path=%s max_restarts=%d rho=%.17g",
-                      self.n, path, restarts, rho)
+            a = self.adjacency
+            if self.n <= 20 or np.iscomplexobj(a) or not a.any() or a.min() < 0:
+                rho = _dense_radius(a, self.directed)
+                log.debug("spectral_radius: n=%d path=dense rho=%.17g", self.n, rho)
+            else:
+                rho = _certified_radius(self)
             self.__dict__["_rho"] = rho
         return self.__dict__["_rho"]
 
@@ -262,12 +267,127 @@ def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
     return Graph(weights)
 
 
-def _csr(g: Graph):
-    """The adjacency as a CSR array, built on first use and cached."""
-    if "_csr" not in g.__dict__:
-        import scipy.sparse
-        g.__dict__["_csr"] = scipy.sparse.csr_array(g.adjacency)
-    return g.__dict__["_csr"]
+def _nonzeros(g: Graph):
+    """Row, column and value arrays of the adjacency's nonzeros in row-major
+    order, built on first use and cached: the graph's sparse view."""
+    if "_nonzeros" not in g.__dict__:
+        rows, cols = np.nonzero(g.adjacency)
+        g.__dict__["_nonzeros"] = (rows, cols, g.adjacency[rows, cols])
+    return g.__dict__["_nonzeros"]
+
+
+def _product(rows, cols, vals, x, n):
+    """The product of the n x n matrix with nonzeros ``vals`` at (``rows``,
+    ``cols``) and the vector x, by ``np.bincount``; complex terms are summed
+    as real and imaginary parts."""
+    terms = vals * x[cols]
+    if np.iscomplexobj(terms):
+        return (np.bincount(rows, terms.real, n)
+                + 1j * np.bincount(rows, terms.imag, n))
+    return np.bincount(rows, terms, n)
+
+
+def _shift(g: Graph, x, adjoint=False):
+    """A @ x, or A^H @ x, over the graph's sparse view."""
+    rows, cols, vals = _nonzeros(g)
+    if adjoint:
+        rows, cols, vals = cols, rows, vals.conj()
+    return _product(rows, cols, vals, x, g.n)
+
+
+def _components(g: Graph):
+    """Label of each node's weak component: the lowest node index in it.
+
+    Min-label propagation over the edges in both directions, with pointer
+    jumping: every label is a node of the same component and never above
+    the node's own index, so at the fixed point each component carries its
+    lowest index."""
+    rows, cols, _ = _nonzeros(g)
+    label = np.arange(g.n)
+    while True:
+        old = label.copy()
+        np.minimum.at(label, rows, label[cols])
+        np.minimum.at(label, cols, label[rows])
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        if np.array_equal(label, old):
+            return label
+
+
+def _dense_radius(a, directed):
+    eigvals = np.linalg.eigvals if directed else np.linalg.eigvalsh
+    return float(np.max(np.abs(eigvals(a)))) if a.any() else 0.0
+
+
+def _arnoldi_bracket(rows, cols, vals, n):
+    """Collatz-Wielandt bracket [lo, hi] of rho for an n-node block with
+    nonnegative nonzeros, narrower than ``BRACKET_RTOL`` relative, and the
+    restarts taken, or None for the bracket where it does not close."""
+    m = min(KRYLOV_SIZE, n)
+    x = 1.0 + np.random.default_rng(0).random(n)
+    best, stalled = np.inf, 0
+    for restart in range(1, KRYLOV_MAX_RESTARTS + 1):
+        v, h = np.zeros((m + 1, n)), np.zeros((m + 1, m))
+        v[0] = x / np.linalg.norm(x)
+        k = m
+        for j in range(m):
+            w = _product(rows, cols, vals, v[j], n)
+            for _ in range(2):  # Gram-Schmidt, repeated for orthogonality
+                c = v[:j + 1] @ w
+                w -= c @ v[:j + 1]
+                h[:j + 1, j] += c
+            h[j + 1, j] = np.linalg.norm(w)
+            if h[j + 1, j] == 0.0:  # an invariant subspace: the Ritz pairs are exact
+                k = j + 1
+                break
+            v[j + 1] = w / h[j + 1, j]
+        theta, z = np.linalg.eig(h[:k, :k])
+        x = np.abs((z[:, np.argmax(theta.real)] @ v[:k]).real)
+        if not x.all():
+            break
+        ratio = _product(rows, cols, vals, x, n) / x
+        lo, hi = ratio.min(), ratio.max()
+        if hi - lo <= BRACKET_RTOL * hi:
+            return (float(lo), float(hi)), restart
+        if hi - lo <= 0.5 * best:
+            best, stalled = hi - lo, 0
+        else:
+            stalled += 1
+            if stalled == KRYLOV_STALL:
+                break
+    return None, restart
+
+
+def _certified_radius(g: Graph):
+    """rho of a nonnegative real graph, the largest over its weak components
+    (see ``Graph.spectral_radius``), with its debug record."""
+    rows, cols, vals = _nonzeros(g)
+    label = _components(g)
+    roots, sizes = np.unique(label, return_counts=True)
+    edge_label, local = label[rows], np.empty(g.n, dtype=np.intp)
+    # an isolated node's only eigenvalue is its self-loop weight
+    lo = hi = float(np.diagonal(g.adjacency)[np.isin(label, roots[sizes == 1])]
+                    .max(initial=0.0))
+    certified = restarts = 0
+    for root in roots[sizes > 1]:
+        nodes = np.flatnonzero(label == root)
+        local[nodes] = np.arange(nodes.size)
+        edges = edge_label == root
+        r, c, w = local[rows[edges]], local[cols[edges]], vals[edges]
+        bracket = None
+        if np.bincount(r, minlength=nodes.size).all():  # a node without in-edges pins lo at 0
+            bracket, taken = _arnoldi_bracket(r, c, w, nodes.size)
+            restarts += taken
+        if bracket is None:
+            block = g.adjacency if nodes.size == g.n else g.adjacency[np.ix_(nodes, nodes)]
+            bracket = (_dense_radius(block, g.directed),) * 2
+        else:
+            certified += 1
+        lo, hi = max(lo, bracket[0]), max(hi, bracket[1])
+    log.debug("spectral_radius: n=%d path=krylov blocks=%d certified=%d restarts=%d "
+              "bracket=[%.17g, %.17g] rho=%.17g",
+              g.n, np.count_nonzero(sizes > 1), certified, restarts, lo, hi, hi)
+    return hi
 
 
 def _nonzero_radius(g: Graph) -> float:

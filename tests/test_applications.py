@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -440,6 +441,119 @@ def test_iterative_path_refuses_unlabeled_component(large_draw, form):
     with pytest.raises(SingularSystemError) as e:
         classify(Graph(a), LabelSignal(values), ClassifierConfig(alpha=5.0, form=form))
     assert set(e.value.component) == set(range(half, g.n))
+
+
+def operator_graphs():
+    """Small graphs of every kind the shift form accepts, and the Laplacian
+    form's undirected nonnegative ones."""
+    rng = np.random.default_rng(31)
+    a = np.where(rng.random((40, 40)) < 0.2, rng.random((40, 40)), 0.0)
+    signed = np.triu(a * rng.choice([-1.0, 1.0], a.shape))
+    return {"directed": Graph(a),
+            "complex": Graph(a + 1j * a.T * (rng.random((40, 40)) < 0.5)),
+            "symmetric": Graph(np.triu(a) + np.triu(a, 1).T),
+            "signed": Graph(signed + np.triu(signed, 1).T)}
+
+
+@pytest.mark.parametrize("kind", ["directed", "complex", "symmetric", "signed"])
+def test_operator_products_match_its_dense_form(kind):
+    g = operator_graphs()[kind]
+    forms = ["shift", "laplacian"] if kind == "symmetric" else ["shift"]
+    x = np.random.default_rng(3).standard_normal((g.n, 3))
+    for form in forms:
+        op = applications._variation_operator(g, form)
+        m = op.dense()
+        assert np.array_equal(m, m.T)
+        bound = 1e-13 * np.abs(m).sum(axis=1).max()
+        for col in x.T:
+            assert np.abs(op @ col - m @ col).max() <= bound * np.abs(col).max()
+        nodes = np.arange(g.n)
+        assert np.array_equal(op.dense(nodes), m)
+    if kind == "symmetric":
+        a = g.adjacency
+        lap = 2.0 * (np.diag(a.sum(axis=1)) - a)
+        assert np.array_equal(applications._variation_operator(g, "laplacian").dense(), lap)
+
+
+def test_shift_operator_on_a_full_density_graph_is_one_gemm():
+    # every entry of the adjacency is an edge: the dense form is B^T B by one
+    # matrix product, not an N^3 sparse product
+    rng = np.random.default_rng(37)
+    a = rng.random((1000, 1000))
+    g = Graph(a + a.T)
+    b = np.eye(g.n) - g.adjacency / g.spectral_radius
+    m = applications._variation_operator(g, "shift").dense()
+    assert np.abs(m - b.T @ b).max() <= 1e-13 * np.abs(m).max()
+
+
+def small_classifier_cases():
+    """Random small graphs, some cut into components and with unlabeled
+    ones, with labels and a form each."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for i in range(24):
+        n = int(rng.integers(4, 40))
+        a = np.where(rng.random((n, n)) < rng.uniform(0.1, 0.6), rng.random((n, n)), 0.0)
+        form = ("shift", "laplacian")[i % 2]
+        if form == "laplacian" or i % 4 == 0:
+            a = np.triu(a, 1) + np.triu(a, 1).T
+        if i % 3 == 0:  # two components
+            cut = n // 2
+            a[cut:, :cut] = a[:cut, cut:] = 0.0
+        labels = rng.choice([-1.0, 0.0, 1.0], n, p=[0.15, 0.7, 0.15])
+        if i % 6 == 0:  # the second component has no label
+            labels[n // 2:] = 0.0
+        labels[0] = 1.0
+        cases.append((Graph(a), LabelSignal(labels), ClassifierConfig(0.5 + i / 8, form)))
+    return cases
+
+
+def test_iterative_path_meets_the_dense_system_and_refuses_as_the_direct_path(monkeypatch):
+    refusals = 0
+    for g, labels, cfg in small_classifier_cases():
+        try:
+            direct = classify(g, labels, cfg).predicted
+        except SingularSystemError as e:
+            direct = e
+        monkeypatch.setattr(applications, "DIRECT_SOLVE_MAX_N", 1)
+        try:
+            iterative = classify(g, labels, cfg).predicted
+        except SingularSystemError as e:
+            iterative = e
+        monkeypatch.undo()
+        if isinstance(direct, SingularSystemError):
+            refusals += 1
+            assert isinstance(iterative, SingularSystemError)
+            assert iterative.component == direct.component is not None
+            continue
+        system = dense_system(g, labels, cfg)
+        rhs = 2.0 * cfg.alpha * labels.labels
+        assert (np.linalg.norm(system @ iterative - rhs)
+                <= 1e-8 * np.linalg.norm(rhs))
+    assert refusals >= 2
+
+
+def classify_records(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("classify:")]
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_each_classify_solve_logs_its_path_and_residual(form, monkeypatch, caplog):
+    g, _, labels = sbm_draw()
+    cfg = ClassifierConfig(2.0, form)
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        classify(g, labels, cfg)
+        monkeypatch.setattr(applications, "DIRECT_SOLVE_MAX_N", 10)
+        classify(g, labels, cfg)
+        _label_solver(g, labels, form)([0.5, 1.0, 2.0])
+    direct, cg, factored = classify_records(caplog)
+    assert direct.startswith(f"classify: n=60 form={form} path=direct residual=")
+    assert cg.startswith(f"classify: n=60 form={form} path=cg iterations=")
+    assert factored.startswith(f"classify: n=60 form={form} path=factored alphas=3 residual=")
+    for record in (direct, cg, factored):
+        assert float(record.split("residual=")[1]) <= 1e-8
+    assert int(cg.split("iterations=")[1].split()[0]) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from graphdsp.fileio import (
     write_points,
     write_signal,
 )
-from graphdsp import Graph, GraphFilter, cycle_graph
+from graphdsp import Graph, GraphFilter, cycle_graph, sbm_graph
 
 
 def run(*argv):
@@ -127,17 +127,15 @@ def knn_filter_inputs(tmp_path, *flags):
     return tmp_path / "g" / "graph.tsv", fpath, spath
 
 
-@pytest.mark.parametrize("flags,path", [((), "dense max_restarts=0"),
-                                         (("--symmetrize",), "lanczos max_restarts=")],
-                         ids=["directed", "symmetrized"])
-def test_verbose_filter_prints_one_spectral_radius_record(flags, path, tmp_path, capsys):
+@pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["directed", "symmetrized"])
+def test_verbose_filter_prints_one_spectral_radius_record(flags, tmp_path, capsys):
     inputs = knn_filter_inputs(tmp_path, *flags)
     capsys.readouterr()
     assert run("--verbose", "filter", *inputs, "--out", tmp_path / "f") == 0
     records = [line for line in capsys.readouterr().err.splitlines()
                if line.startswith("spectral_radius:")]
     assert len(records) == 1
-    assert records[0].startswith(f"spectral_radius: n=40 path={path}")
+    assert records[0].startswith("spectral_radius: n=40 path=krylov blocks=1 certified=1 ")
 
 
 def test_spectrum_of_self_loop_graph_has_zero_variations(tmp_path):
@@ -282,29 +280,28 @@ def test_filter_without_spectra_filters_a_defective_graph(tmp_path):
 
 @pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["directed", "symmetrized"])
 def test_filter_on_a_knn_graph_builds_no_basis(flags, tmp_path, monkeypatch):
-    # a directed graph's rho is the dense eigvals, an undirected one's Lanczos
+    # rho is certified on either graph, so no eigensolver sees the N x N
+    # adjacency; the Arnoldi's Hessenberg matrix is 30 x 30
     import graphdsp.cli
     inputs = knn_filter_inputs(tmp_path, *flags)
-    directed = read_edge_list(inputs[0]).directed
-    assert directed == (not flags)
+    assert read_edge_list(inputs[0]).directed == (not flags)
     calls = []
 
-    def spy(name):
+    def spy(name, real=None):
         def record(*args, **kwargs):
-            calls.append(name)
-            if name != "eigvals" or not directed:
-                raise AssertionError(f"{name} called")
-            return real_eigvals(*args, **kwargs)
+            if real is None or args[0].shape == (40, 40):
+                raise AssertionError(f"{name} called on the graph")
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
         return record
 
-    real_eigvals = np.linalg.eigvals
     monkeypatch.setattr(graphdsp.cli, "decompose", spy("decompose"))
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, spy(name))
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     out = tmp_path / "f"
     assert run("filter", *inputs, "--out", out) == 0
     assert sorted(p.name for p in out.iterdir()) == ["filtered.csv", "manifest.json"]
-    assert calls == (["eigvals"] if directed else [])
+    assert calls and max(calls) <= (30, 30)
 
 
 @pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["directed", "symmetrized"])
@@ -430,6 +427,22 @@ def test_classify_two_cliques(tmp_path):
     rows = (out / "predictions.csv").read_text().splitlines()[1:]
     classes = [int(r.split(",")[2]) for r in rows]
     assert classes == [1] * 5 + [-1] * 5
+
+
+@pytest.mark.parametrize("flags,path", [((), "direct"),
+                                        (("--sweep", "0.5,2", "--runs", "1"), "factored")])
+def test_verbose_classify_prints_its_solve_record(flags, path, tmp_path, capsys):
+    gpath, lpath = make_two_clique_files(tmp_path)
+    if flags:
+        write_signal(tmp_path / "truth.csv", [1.0] * 5 + [-1.0] * 5)
+        flags += ("--truth", tmp_path / "truth.csv")
+    capsys.readouterr()
+    assert run("--verbose", "classify", gpath, lpath, *flags, "--out", tmp_path / "c") == 0
+    records = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("classify:")]
+    assert len(records) == 1
+    assert records[0].startswith(f"classify: n=10 form=shift path={path} ")
+    assert float(records[0].split("residual=")[1]) <= 1e-8
 
 
 def test_classify_singular_system_exits_2(tmp_path):
@@ -637,18 +650,27 @@ def test_spectrum_filter_and_detect_run_without_scipy(tmp_path):
                       "--out", str(d / "design")],
                      ["detect", g, "--history", *map(str, signals[:3]),
                       "--current", str(signals[3]), "--out", str(d / "detect_design")]]
-    # plain filter takes a directed graph's rho from the dense eigvals
-    commands.append(["filter", str(tmp_path / "directed" / "graph.tsv"), str(filt),
-                     str(signals[0]), "--out", str(tmp_path / "directed" / "plain")])
+        # plain filter certifies rho in numpy on either graph
+        commands.append(["filter", g, str(filt), str(signals[0]),
+                         "--out", str(d / "plain")])
     code = (f"import sys\nfrom graphdsp.cli import main\n"
             f"codes = [main(argv) for argv in {commands!r}]\n"
             f"sys.exit(codes != [0] * {len(commands)} or 'scipy' in sys.modules)")
     assert run_python(code) == 0
-    # on an undirected graph above 20 nodes it runs Lanczos
-    argv = ["filter", str(tmp_path / "symmetric" / "graph.tsv"), str(filt),
-            str(signals[0]), "--out", str(tmp_path / "symmetric" / "plain")]
+
+
+def test_classify_above_the_direct_limit_runs_without_scipy(tmp_path):
+    g, truth = sbm_graph(2100, 0.01, 0.002, seed=3)
+    values = np.array(truth.labels)
+    values[np.random.default_rng(23).random(g.n) < 0.9] = 0.0
+    graph, labels = tmp_path / "g.tsv", tmp_path / "labels.csv"
+    write_edge_list(graph, g)
+    write_signal(labels, values)
+    commands = [["classify", str(graph), str(labels), "--form", form,
+                 "--out", str(tmp_path / form)] for form in ("shift", "laplacian")]
     code = (f"import sys\nfrom graphdsp.cli import main\n"
-            f"sys.exit(main({argv!r}) != 0 or 'scipy' not in sys.modules)")
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            f"sys.exit(codes != [0, 0] or 'scipy' in sys.modules)")
     assert run_python(code) == 0
 
 

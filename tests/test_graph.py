@@ -18,7 +18,8 @@ from graphdsp import (
     path_graph,
     sbm_graph,
 )
-from graphdsp.graph import ARPACK_MAX_RESTARTS, SYMMETRY_TOL
+from graphdsp import graph as graph_module
+from graphdsp.graph import BRACKET_RTOL, KRYLOV_MAX_RESTARTS, SYMMETRY_TOL, _components
 
 
 def test_adjacency_must_be_square():
@@ -113,26 +114,34 @@ def _undirected_fixtures():
     return {"knn": knn, "sbm": sbm, "bipartite": bipartite}
 
 
-@pytest.fixture
-def eigsh_calls(monkeypatch):
-    import scipy.sparse.linalg
-    calls = []
-    real = scipy.sparse.linalg.eigsh
+def radius_records(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("spectral_radius:")]
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
-    return calls
+def record_fields(record):
+    """The key=value fields of a spectral_radius record, the bracket as a
+    pair of floats."""
+    head, bracket = record.split(" bracket=[")
+    lo, rest = bracket.split(", ")
+    hi, rho = rest.split("] rho=")
+    fields = dict(f.split("=") for f in head.split()[1:])
+    return {**fields, "bracket": (float(lo), float(hi)), "rho": float(rho)}
 
 
 @pytest.mark.parametrize("name", ["knn", "sbm", "bipartite"])
-def test_undirected_spectral_radius_from_lanczos_matches_dense(name, eigsh_calls):
+def test_undirected_spectral_radius_from_lanczos_matches_dense(name, caplog):
+    # the Arnoldi process on a symmetric matrix is Lanczos with full
+    # reorthogonalization; its rho is certified by the bracket
     g = _undirected_fixtures()[name]
     dense = np.linalg.eigvalsh(g.adjacency)
-    rho = g.spectral_radius
-    assert eigsh_calls == [(g.n, g.n)]
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        rho = g.spectral_radius
+    [record] = radius_records(caplog)
+    fields = record_fields(record)
+    assert (fields["path"], fields["blocks"], fields["certified"]) == ("krylov", "1", "1")
+    lo, hi = fields["bracket"]
+    assert rho == hi == fields["rho"] and hi - lo <= BRACKET_RTOL * hi
     assert abs(rho - np.abs(dense).max()) <= 1e-12 * rho
     if name == "bipartite":
         assert dense[0] == pytest.approx(-dense[-1], rel=1e-12)
@@ -141,97 +150,130 @@ def test_undirected_spectral_radius_from_lanczos_matches_dense(name, eigsh_calls
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_tiny_undirected_spectral_radius_is_dense(n, eigsh_calls):
+def test_tiny_undirected_spectral_radius_is_dense(n, caplog):
     a = np.ones((n, n)) - np.eye(n)
-    assert Graph(a).spectral_radius == float(np.abs(np.linalg.eigvalsh(a)).max())
-    assert Graph(np.zeros((n, n))).spectral_radius == 0.0
-    assert Graph(np.zeros((40, 40))).spectral_radius == 0.0
-    assert eigsh_calls == []
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        assert Graph(a).spectral_radius == float(np.abs(np.linalg.eigvalsh(a)).max())
+        assert Graph(np.zeros((n, n))).spectral_radius == 0.0
+        assert Graph(np.zeros((40, 40))).spectral_radius == 0.0
+    assert all(" path=dense " in r for r in radius_records(caplog))
 
 
-def test_spectral_radius_falls_back_to_dense_when_arpack_fails(monkeypatch):
-    import scipy.sparse.linalg
-
-    def fail(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+def test_spectral_radius_falls_back_to_dense_when_the_bracket_does_not_close(monkeypatch):
+    monkeypatch.setattr(graph_module, "_arnoldi_bracket",
+                        lambda *args: (None, KRYLOV_MAX_RESTARTS))
     g = _undirected_fixtures()["knn"]
     assert g.spectral_radius == float(np.abs(np.linalg.eigvalsh(g.adjacency)).max())
+    d = build_knn_graph(np.random.default_rng(1).random((200, 2)), 6)
+    assert d.spectral_radius == float(np.abs(np.linalg.eigvals(d.adjacency)).max())
 
 
-def test_directed_spectral_radius_is_dense(monkeypatch, caplog):
-    import scipy.sparse.linalg
-
-    def fail(*args, **kwargs):
-        raise AssertionError("ARPACK called")
-
-    for name in ("eigs", "eigsh"):
-        monkeypatch.setattr(scipy.sparse.linalg, name, fail)
-    # DAGs (strictly lower triangular), one of them a path: every eigenvalue
-    # is 0, yet Arnoldi can meet its residual test at a Ritz value far from 0
+def test_dags_and_directed_cycles_fall_back_to_dense(caplog):
+    # every DAG, a directed path among them, has a node without in-edges, so
+    # its bracket's lower end is pinned at 0 and Arnoldi is never run; a
+    # cycle's eigenvalues share one modulus, and its bracket stops narrowing
     rng = np.random.default_rng(0)
-    for a in (np.tril(rng.random((21, 21)), -1), np.eye(200, k=-1)):
-        assert Graph(a).spectral_radius == 0.0
-    # a cycle's eigenvalues share one modulus, on which Arnoldi never settles
-    for g in (Graph(np.roll(np.eye(200), 1, axis=0)), build_knn_graph(rng.random((200, 2)), 6)):
+    dags = [np.tril(rng.random((21, 21)), -1), np.eye(200, k=-1),
+            np.tril(rng.random((300, 300)), -1)]
+    for a in dags:
         with caplog.at_level(logging.DEBUG, logger="graphdsp"):
-            assert g.spectral_radius == float(np.abs(np.linalg.eigvals(g.adjacency)).max())
-        assert radius_records(caplog) == [
-            f"spectral_radius: n=200 path=dense max_restarts=0 rho={g.spectral_radius:.17g}"]
+            assert Graph(a).spectral_radius == 0.0
+        [record] = radius_records(caplog)
+        assert " blocks=1 certified=0 restarts=0 " in record
         caplog.clear()
+    g = Graph(np.roll(np.eye(200), 1, axis=0))
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        assert g.spectral_radius == float(np.abs(np.linalg.eigvals(g.adjacency)).max())
+    fields = record_fields(radius_records(caplog)[0])
+    assert (fields["certified"], fields["bracket"]) == ("0", (g.spectral_radius,) * 2)
+    assert int(fields["restarts"]) < KRYLOV_MAX_RESTARTS  # it stalls
 
 
-def test_lanczos_runs_under_the_restart_budget(monkeypatch):
-    import scipy.sparse.linalg
-    budgets = []
-    for name in ("eigs", "eigsh"):
-        real = getattr(scipy.sparse.linalg, name)
+def test_lanczos_runs_under_the_restart_budget(monkeypatch, caplog):
+    # directed and undirected graphs share the restart cap, and each cold
+    # call runs one Arnoldi per weak component
+    calls = []
+    real = graph_module._arnoldi_bracket
 
-        def spy(*args, _real=real, _name=name, **kwargs):
-            budgets.append((_name, kwargs["maxiter"]))
-            return _real(*args, **kwargs)
+    def spy(*args):
+        calls.append(args[3])
+        return real(*args)
 
-        monkeypatch.setattr(scipy.sparse.linalg, name, spy)
+    monkeypatch.setattr(graph_module, "_arnoldi_bracket", spy)
     points = np.random.default_rng(1).random((200, 2))
-    for symmetrize in (False, True):
-        assert build_knn_graph(points, 6, symmetrize=symmetrize).spectral_radius > 0
-    assert 0 < ARPACK_MAX_RESTARTS < np.inf
-    assert budgets == [("eigsh", ARPACK_MAX_RESTARTS)]
-
-
-def radius_records(caplog):
-    return [r.getMessage() for r in caplog.records
-            if r.getMessage().startswith("spectral_radius:")]
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        for symmetrize in (False, True):
+            g = build_knn_graph(points, 6, symmetrize=symmetrize)
+            assert abs(g.spectral_radius - 1.0) <= 1e-12
+    assert calls == [200, 200]
+    assert 0 < KRYLOV_MAX_RESTARTS < np.inf
+    for record in radius_records(caplog):
+        fields = record_fields(record)
+        assert fields["certified"] == "1"
+        assert 1 <= int(fields["restarts"]) <= KRYLOV_MAX_RESTARTS
 
 
 @pytest.mark.parametrize("kind", ["cycle", "path"])
 def test_undirected_cycles_and_paths_fall_back_to_dense(kind, caplog):
-    # Lanczos needs 175 (cycle) and 432 (path) restarts at 500 nodes (at 200
-    # nodes it converges in 37 and 99)
+    # the gap between rho and the next eigenvalue is about 1e-4 at 500
+    # nodes, so restarted Arnoldi stalls or runs out of restarts
     a = np.roll(np.eye(500), 1, axis=0) if kind == "cycle" else np.eye(500, k=-1)
     g = Graph(a + a.T)
     with caplog.at_level(logging.DEBUG, logger="graphdsp"):
         assert g.spectral_radius == float(np.abs(np.linalg.eigvalsh(g.adjacency)).max())
     [record] = radius_records(caplog)
-    assert "n=500 path=dense after=ArpackNoConvergence " in record
-    assert f"max_restarts={ARPACK_MAX_RESTARTS} " in record
+    fields = record_fields(record)
+    assert (fields["n"], fields["path"], fields["certified"]) == ("500", "krylov", "0")
+    assert int(fields["restarts"]) <= KRYLOV_MAX_RESTARTS
 
 
 def test_spectral_radius_logs_its_path_once(caplog):
     points = np.random.default_rng(1).random((200, 2))
-    graphs = [("dense", build_knn_graph(points, 6)),
-              ("lanczos", build_knn_graph(points, 6, symmetrize=True)),
+    graphs = [("krylov", build_knn_graph(points, 6)),
+              ("krylov", build_knn_graph(points, 6, symmetrize=True)),
               ("dense", cycle_graph(8))]
     with caplog.at_level(logging.DEBUG, logger="graphdsp"):
         for path, g in graphs:
             rho = g.spectral_radius
             assert g.spectral_radius == rho  # cached: no second record
-            restarts = ARPACK_MAX_RESTARTS if path == "lanczos" else 0
-            assert radius_records(caplog) == [
-                f"spectral_radius: n={g.n} path={path} max_restarts={restarts} "
-                f"rho={rho:.17g}"]
+            [record] = radius_records(caplog)
+            assert record.startswith(f"spectral_radius: n={g.n} path={path} ")
+            assert record.endswith(f" rho={rho:.17g}")
             caplog.clear()
+
+
+def test_spectral_radius_of_a_disconnected_graph_is_its_largest_block(caplog):
+    # two blocks, an isolated node with a self-loop, and isolated nodes: each
+    # block gets its own Arnoldi, and the dense solver sees no block
+    rng = np.random.default_rng(5)
+    a = np.zeros((300, 300))
+    a[:100, :100] = rng.random((100, 100))
+    a[150:, 150:] = rng.random((150, 150)) < 0.05
+    a[120, 120] = 7.0
+    p = rng.permutation(300)
+    g = Graph(a[np.ix_(p, p)])
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        rho = g.spectral_radius
+    fields = record_fields(radius_records(caplog)[0])
+    assert (fields["blocks"], fields["certified"]) == ("2", "2")
+    dense = np.abs(np.linalg.eigvals(a[:100, :100])).max()
+    assert abs(rho - dense) <= 1e-12 * dense
+    a[120, 120] = 60.0
+    assert Graph(a).spectral_radius == 60.0
+
+
+def test_components_match_scipy():
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(8)
+    for n, density in ((1, 0.0), (30, 0.02), (200, 0.005), (200, 0.02), (500, 0.003)):
+        a = np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0)
+        label = _components(Graph(a))
+        count, ref = connected_components(a, directed=True, connection="weak")
+        # one label per scipy component, and it is the lowest index in it
+        assert np.unique(label).size == count
+        for c in range(count):
+            nodes = np.flatnonzero(ref == c)
+            assert np.all(label[nodes] == nodes.min())
 
 
 def test_signal_binding_and_validation():

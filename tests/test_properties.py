@@ -9,12 +9,15 @@ hit.  Rounding in V and F = V^-1 grows with the basis condition, so the
 tolerances scale with it.  The refusal of a basis is checked against the
 SVD of its unit-column real form at random limits, and a relabeling of the
 nodes against the spectrum and basis condition of the original graph.
-Above 20 nodes the cold spectral radius of an undirected graph (Lanczos,
-or the dense fallback) is checked against the dense spectrum, and
-filtering a relabeled graph against the original.  The classifier's
-solution is checked to minimize its objective.
+Above 20 nodes the cold spectral radius is checked against the dense
+spectrum: a certified one by its logged bracket, a fallback and a signed or
+complex graph's bit for bit; filtering a relabeled graph is checked against
+the original.  The classifier's solution is checked to minimize its
+objective, and to be permuted with the nodes on the direct and the
+iterative path.
 """
 
+import logging
 from unittest import mock
 
 import numpy as np
@@ -41,6 +44,8 @@ from graphdsp import (
     order_frequencies,
     spectral,
 )
+from graphdsp import applications
+from graphdsp.graph import BRACKET_RTOL
 from graphdsp.spectral import _canonical_columns, _orthogonalize_repeated, _real_form
 
 EPS = np.finfo(float).eps
@@ -236,6 +241,97 @@ def test_cold_spectral_radius_is_the_dense_one(g):
     assert abs(g.spectral_radius - dense) <= 1e-12 * dense
 
 
+@st.composite
+def nonnegative_graphs(draw):
+    """A 21-150 node graph with no negative weight, on the certified path:
+    a random digraph or symmetric graph, a cycle, a path or a DAG, of one
+    or two weak components, maybe with isolated nodes, with shuffled
+    labels."""
+    n = draw(st.integers(21, 150))
+    kind = draw(st.sampled_from(["digraph", "symmetric", "cycle", "path", "dag"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.floats(0.0, 1.0))
+    if kind in ("digraph", "symmetric"):
+        a = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    elif kind == "dag":
+        a = np.tril(np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0), -1)
+    else:
+        a = np.diag(rng.uniform(0.1, 1.0, n - 1), -1)
+        if kind == "cycle":
+            a[0, -1] = rng.uniform(0.1, 1.0)
+    split = draw(st.integers(0, n - 1))
+    if split:  # cut the graph into two blocks
+        a[split:, :split] = a[:split, split:] = 0.0
+    isolated = rng.random(n) < draw(st.sampled_from([0.0, 0.1]))
+    a[isolated] = a[:, isolated] = 0.0
+    directed = kind == "dag" or (kind != "symmetric" and draw(st.booleans()))
+    if not directed:
+        a = np.tril(a) + np.tril(a, -1).T
+    assume(a.any())
+    p = rng.permutation(n)
+    return Graph(a[np.ix_(p, p)], directed=directed)
+
+
+def cold_radius(g):
+    """g's cold spectral radius and the fields of its debug record."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    log = logging.getLogger("graphdsp")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        rho = g.spectral_radius
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    [record] = [r.getMessage() for r in records
+                if r.getMessage().startswith("spectral_radius:")]
+    head, _, tail = record.partition(" bracket=[")
+    fields = dict(f.split("=") for f in head.split()[1:])
+    if tail:
+        lo, hi = tail.split("]")[0].split(", ")
+        fields["bracket"] = (float(lo), float(hi))
+    return rho, fields
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonnegative_graphs())
+def test_certified_spectral_radius_brackets_the_dense_one(g):
+    from scipy.sparse.csgraph import connected_components
+    rho, fields = cold_radius(g)
+    eigvals = np.linalg.eigvals if g.directed else np.linalg.eigvalsh
+    dense = float(np.abs(eigvals(g.adjacency)).max())
+    assert fields["path"] == "krylov" and rho == fields["bracket"][1]
+    lo, hi = fields["bracket"]
+    assert lo - 1e-12 * hi <= dense <= hi + 1e-12 * hi
+    if fields["certified"] == fields["blocks"]:
+        assert hi - lo <= BRACKET_RTOL * hi
+    elif connected_components(g.adjacency, connection="weak")[0] == 1:
+        assert rho == dense  # a connected graph's fallback is the dense solve
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_dags_signed_and_complex_graphs_take_the_dense_radius_bitwise(data):
+    kind = data.draw(st.sampled_from(["dag", "complex", "symmetric"]))
+    if kind == "dag":
+        # a path through every node keeps it one weak component
+        n = data.draw(st.integers(21, 150))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        a = np.tril(rng.random((n, n)) * (rng.random((n, n)) < 0.3), -1)
+        a += np.diag(rng.uniform(0.1, 1.0, n - 1), -1)
+        p = rng.permutation(n)
+        g = Graph(a[np.ix_(p, p)])
+    else:
+        g = data.draw(large_graphs(kinds=(kind,)))
+    if kind == "symmetric":
+        assume(g.adjacency.min() < 0)
+    eigvals = np.linalg.eigvals if g.directed else np.linalg.eigvalsh
+    assert g.spectral_radius == float(np.abs(eigvals(g.adjacency)).max())
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_relabeling_the_nodes_permutes_the_filtered_signal(data):
@@ -292,3 +388,38 @@ def test_classify_minimizes_its_objective(data):
         for x in (v + d, v - d):
             assert objective(x) > j - np.abs(grad).max() * np.sqrt(n) - rounding
         assert objective(v + d) + objective(v - d) > 2.0 * j
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relabeling_the_nodes_permutes_the_classification(data):
+    n = data.draw(st.integers(2, 16))
+    kind = data.draw(st.sampled_from(["nonnegative", "complex", "symmetric"]))
+    form = data.draw(st.sampled_from(["shift", "laplacian"] if kind == "symmetric"
+                                     else ["shift"]))
+    weights = arrays(float, (n, n), elements=st.just(0.0) | st.floats(0.1, 1.0))
+    a = data.draw(weights)
+    if kind == "complex":
+        a = a + 1j * data.draw(weights)
+    if kind == "symmetric":
+        a = np.triu(a) + np.triu(a, 1).T
+    g = Graph(a, directed=kind != "symmetric")
+    assume(g.spectral_radius > 0.0)
+    labels = data.draw(arrays(float, n, elements=st.sampled_from([-1.0, 0.0, 1.0])))
+    assume(labels.any())
+    cfg = ClassifierConfig(alpha=data.draw(st.floats(0.1, 10.0)), form=form)
+    p = np.array(data.draw(st.permutations(range(n))))
+    gp = Graph(g.adjacency[np.ix_(p, p)], directed=g.directed)
+    # the iterative path on these small graphs, by lowering the direct limit
+    limit = data.draw(st.sampled_from([applications.DIRECT_SOLVE_MAX_N, 1]))
+    with mock.patch.object(applications, "DIRECT_SOLVE_MAX_N", limit):
+        try:
+            out = classify(g, LabelSignal(labels), cfg)
+            outp = classify(gp, LabelSignal(labels[p]), cfg)
+        except SingularSystemError:
+            assume(False)
+    s, sp = out.predicted, outp.predicted
+    tol = 1e-10 * np.abs(s).max()
+    assert np.abs(sp - s[p]).max() <= tol
+    clear = np.abs(s[p]) > tol
+    assert np.array_equal(outp.classes[clear], out.classes[p][clear])
