@@ -6,10 +6,10 @@ frequencies, polynomials in the normalized shift A/|lambda_max| are the
 filters, and on top of that sit two pipelines: spectral anomaly detection
 and label regularization.
 
-Modules import numpy and the stdlib only; scipy and networkx are imported
-inside the functions that call them, so a command loads what it runs.
-Only the classifier's dense Cholesky imports scipy, and only
-``scipy.linalg``; a cold spectral radius is certified in numpy by a
+Modules import numpy and the stdlib only, and no module imports scipy;
+networkx is imported inside ``regular_graph``, its one caller, so a command
+loads what it runs.  The classifier's dense Cholesky and its refusal are
+numpy's, and a cold spectral radius is certified in numpy by a
 Collatz-Wielandt bracket around a restarted Arnoldi estimate, or falls back
 to the dense ``eigvals``/``eigvalsh`` (see ``Graph.spectral_radius``).
 """

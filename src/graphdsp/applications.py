@@ -8,17 +8,18 @@ symmetric positive-definite system built from one variation operator M.  A
 single fidelity weight is solved directly (a dense Cholesky of M formed by
 one GEMM) up to 2000 nodes and above by numpy conjugate gradients, which
 apply M as sparse products over the adjacency's nonzeros; the alpha sweep
-and the misfit-budget search factor the system once per label set.  Only
-the Cholesky imports scipy, and only ``scipy.linalg``: conjugate gradients
-import it just to factor the block of a component without a label.  Each
-solve logs its path (direct, cg with its iterations, or factored) and its
-relative residual at debug level.
+and the misfit-budget search factor the system once per label set.  The
+Cholesky is numpy's, and it refuses as ``scipy.linalg.solve`` with its
+ill-conditioning warning as an error would: a factorization that fails, or
+a 1-norm reciprocal condition below eps by LAPACK's estimator, ported; so
+no solve loads scipy.  Conjugate gradients factor only the block of a
+component without a label.  Each solve logs its path (direct, cg with its
+iterations, or factored) and its relative residual at debug level.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ SOLVER_TOLERANCE = 1e-8
 REGULARIZER_FORMS = ("shift", "laplacian")
 CALIBRATIONS = ("max", "median")
 BISECTION_STEPS = 60
+# the Cholesky solve: rows per substitution block, and the steps of the
+# reciprocal-condition estimate before its final vector (LAPACK dlacn2's ITMAX)
+SUBSTITUTION_BLOCK = 64
+ESTIMATE_STEPS = 5
 
 log = logging.getLogger("graphdsp")
 
@@ -201,9 +206,9 @@ def _raise_singular(g: Graph, labels: LabelSignal):
     """Diagnose a singular classifier system before giving up: name the
     unlabeled weak component that holds the lowest node index."""
     component = _components(g)
-    unlabeled = np.setdiff1d(component, component[labels.known_mask])
-    if unlabeled.size:
-        nodes = np.flatnonzero(component == unlabeled[0])
+    stray = np.flatnonzero(~np.isin(component, component[labels.known_mask]))
+    if stray.size:  # the lowest stray node is the lowest root of a stray component
+        nodes = np.flatnonzero(component == stray[0])
         head = ", ".join(str(i) for i in nodes[:8])
         more = "" if nodes.size <= 8 else f", ... ({nodes.size} nodes)"
         raise SingularSystemError(
@@ -214,19 +219,76 @@ def _raise_singular(g: Graph, labels: LabelSignal):
     raise SingularSystemError("regularization system is numerically singular")
 
 
-def _solve_pos(g: Graph, labels: LabelSignal, a, b):
-    """Cholesky solve of a @ x = b that refuses a singular classifier system."""
-    import scipy.linalg
+def _cholesky_solver(a):
+    """x -> a^-1 x for a symmetric positive-definite a, factored once as
+    L L^T by LAPACK ``potrf`` (numpy's Cholesky, which raises LinAlgError
+    where a is not positive definite).  It factors a.T, the view numpy
+    copies fastest, so it reads a's upper triangle, as
+    ``scipy.linalg.solve`` does.  numpy has no triangular solve, so forward
+    and back substitution run over ``SUBSTITUTION_BLOCK``-row blocks, each
+    multiplied by the inverse of its diagonal block of L."""
+    l = np.linalg.cholesky(a.T)
+    blocks = [slice(i, i + SUBSTITUTION_BLOCK)
+              for i in range(0, a.shape[0], SUBSTITUTION_BLOCK)]
+    inverses = [np.linalg.inv(l[k, k]) for k in blocks]
 
+    def solve(b):
+        x = np.array(b, dtype=float)
+        for k, inverse in zip(blocks, inverses):  # L y = b
+            x[k] = inverse @ (x[k] - l[k, :k.start] @ x[:k.start])
+        for k, inverse in zip(blocks[::-1], inverses[::-1]):  # L^T x = y
+            x[k] = inverse.T @ (x[k] - l[k.stop:, k].T @ x[k.stop:])
+        return x
+
+    return solve
+
+
+def _inverse_norm_estimate(solve, n):
+    """Hager's lower estimate of ||a^-1||_1 for a symmetric a, with ``solve``
+    applying a^-1: LAPACK ``dlacn2``'s iteration (Higham, ACM TOMS 14, 1988)
+    as ``pocon`` runs it, at most ``ESTIMATE_STEPS`` steps and then the
+    alternating-sign vector."""
+    x = solve(np.full(n, 1.0 / n))
+    if n == 1:
+        return abs(x[0])
+    estimate, sign = np.abs(x).sum(), np.where(x >= 0.0, 1.0, -1.0)
+    j = np.argmax(np.abs(solve(sign)))
+    for step in range(2, ESTIMATE_STEPS + 1):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        x = solve(unit)
+        previous, estimate = estimate, np.abs(x).sum()
+        old_sign, sign = sign, np.where(x >= 0.0, 1.0, -1.0)
+        if (np.array_equal(sign, old_sign) or estimate <= previous
+                or step == ESTIMATE_STEPS):
+            break
+        z = solve(sign)
+        last, j = j, np.argmax(np.abs(z))
+        if z[last] == abs(z[j]):  # the last index still holds the largest entry
+            break
+    alternating = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(estimate, 2.0 * (np.abs(solve(alternating)).sum() / (3 * n)))
+
+
+def _solve_pos(g: Graph, labels: LabelSignal, a, b):
+    """Cholesky solve of a @ x = b that refuses a singular classifier system:
+    a failed factorization, or a 1-norm reciprocal condition, estimated as
+    LAPACK ``pocon`` estimates it, below eps (or nan)."""
+    if not a.size:  # every node is known
+        return np.array(b, dtype=float)
     try:
-        # a singular-but-consistent system can pass the residual checks
-        # with an arbitrary nullspace component mixed in, so treat scipy's
-        # reciprocal-condition warning as a failure too
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            return scipy.linalg.solve(a, b, assume_a="pos")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+        solve = _cholesky_solver(a)
+    except np.linalg.LinAlgError:
         _raise_singular(g, labels)
+    # a singular-but-consistent system can pass the residual checks with an
+    # arbitrary nullspace component mixed in, so an ill-conditioned one is
+    # refused too; an overflow in the estimate reads as rcond 0 or nan
+    with np.errstate(all="ignore"):
+        rcond = (1.0 / _inverse_norm_estimate(solve, a.shape[0])
+                 / np.abs(a).sum(axis=0).max())
+    if not rcond >= np.finfo(float).eps:
+        _raise_singular(g, labels)
+    return solve(b)
 
 
 def _cg(apply, b, rtol, maxiter):

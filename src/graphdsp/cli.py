@@ -12,8 +12,9 @@ the spectral radius alone; it builds the eigenbasis only for
 ``--spectra``, which also writes the signal's spectrum before and after.
 Every run writes a ``manifest.json`` next to its outputs recording the
 command, input digests, seed, configuration, the files written in write
-order, and the Python, numpy and BLAS thread settings.  ``--out`` is made at
-the first write, so a command failing before it leaves no directory.
+order, and the Python and numpy versions, numpy's BLAS build and the BLAS
+thread settings.  ``--out`` is made at the first write, so a command
+failing before it leaves no directory.
 ``rerun`` refuses a manifest whose inputs no longer match their digests, and
 otherwise replays its argv, which reproduces the outputs bit for bit under
 the graphdsp version that wrote it.  A ``filter`` manifest written before
@@ -23,10 +24,8 @@ recorded command run with ``--spectra`` reproduces both files.
 ``graphdsp --verbose <command>`` prints the library's debug records to
 stderr: the solver and condition path of each ``decompose``, the path of
 each cold spectral radius (certified in numpy by its logged bracket, or the
-dense fallback) and the path and residual of each classifier solve.  Of the
-commands only ``classify`` loads scipy, and only ``scipy.linalg`` for its
-dense Cholesky (up to 2000 nodes, the sweep, or a component without a
-label).
+dense fallback) and the path and residual of each classifier solve.  No
+command loads scipy.
 
 Exit codes: 0 success, 1 bad input or arguments, 2 numerical refusal: a
 near-defective adjacency in a command that builds the eigenbasis
@@ -80,6 +79,14 @@ def _output(args, name):
     return os.path.join(args.out, name)
 
 
+def _blas():
+    """numpy's BLAS build, as numpy reports it (null where it reports none):
+    every LAPACK call of every command is numpy's."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "openblas_configuration": blas.get("openblas configuration")}
+
+
 def _finish(args, inputs, config, seed=None):
     """Write the run manifest next to the outputs."""
     fileio._write_json(os.path.join(args.out, "manifest.json"), {
@@ -88,10 +95,12 @@ def _finish(args, inputs, config, seed=None):
         "seed": seed,
         "config": config,
         "outputs": args.outputs,
-        # the bits of eig, and so of every basis, depend on the BLAS threads
+        # the bits of eig, and so of every basis, depend on the BLAS build and
+        # its threads
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "blas": _blas(),
             "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES},
         },
     })

@@ -47,10 +47,11 @@ def write_edge_list(path, g: Graph):
     the node count survives the round trip."""
     at = g.adjacency.T
     srcs, dsts = np.nonzero(at)
-    isolated = np.setdiff1d(np.arange(g.n), np.concatenate([srcs, dsts]))
+    isolated = np.ones(g.n, dtype=bool)
+    isolated[srcs] = isolated[dsts] = False
     edges = zip(srcs.tolist(), dsts.tolist(), at[srcs, dsts].tolist())
     lines = ["src\tdst\tweight"] + [f"{s}\t{d}\t{_fmt_weight(w)}" for s, d, w in edges]
-    lines += [f"{i}\t{i}\t0" for i in isolated]
+    lines += [f"{i}\t{i}\t0" for i in np.flatnonzero(isolated)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -8,6 +8,7 @@ real entries.  All objects are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -20,6 +21,11 @@ KRYLOV_SIZE = 30
 KRYLOV_MAX_RESTARTS = 30
 KRYLOV_STALL = 4
 BRACKET_RTOL = 1e-13
+# a product with the adjacency, or with a block of it, is a dense matrix-vector
+# product once its nonzeros fill more than this share of the matrix:
+# np.bincount over the nonzeros and the dense product cross near 5% at
+# N=1000 and N=2400 (one BLAS thread)
+DENSE_PRODUCT_FILL = 0.05
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -288,8 +294,12 @@ def _product(rows, cols, vals, x, n):
 
 
 def _shift(g: Graph, x, adjoint=False):
-    """A @ x, or A^H @ x, over the graph's sparse view."""
+    """A @ x, or A^H @ x, over the graph's sparse view, or as a dense product
+    once its nonzeros fill more than ``DENSE_PRODUCT_FILL`` of A."""
     rows, cols, vals = _nonzeros(g)
+    if vals.size > DENSE_PRODUCT_FILL * g.n ** 2:
+        a = g.adjacency
+        return (x.conj() @ a).conj() if adjoint else a @ x
     if adjoint:
         rows, cols, vals = cols, rows, vals.conj()
     return _product(rows, cols, vals, x, g.n)
@@ -322,7 +332,15 @@ def _dense_radius(a, directed):
 def _arnoldi_bracket(rows, cols, vals, n):
     """Collatz-Wielandt bracket [lo, hi] of rho for an n-node block with
     nonnegative nonzeros, narrower than ``BRACKET_RTOL`` relative, and the
-    restarts taken, or None for the bracket where it does not close."""
+    restarts taken, or None for the bracket where it does not close.  A block
+    whose nonzeros fill more than ``DENSE_PRODUCT_FILL`` of it is multiplied
+    as a dense matrix."""
+    if vals.size > DENSE_PRODUCT_FILL * n * n:
+        block = np.zeros((n, n))
+        block[rows, cols] = vals
+        product = block.__matmul__
+    else:
+        product = functools.partial(_product, rows, cols, vals, n=n)
     m = min(KRYLOV_SIZE, n)
     x = 1.0 + np.random.default_rng(0).random(n)
     best, stalled = np.inf, 0
@@ -331,7 +349,7 @@ def _arnoldi_bracket(rows, cols, vals, n):
         v[0] = x / np.linalg.norm(x)
         k = m
         for j in range(m):
-            w = _product(rows, cols, vals, v[j], n)
+            w = product(v[j])
             for _ in range(2):  # Gram-Schmidt, repeated for orthogonality
                 c = v[:j + 1] @ w
                 w -= c @ v[:j + 1]
@@ -345,7 +363,7 @@ def _arnoldi_bracket(rows, cols, vals, n):
         x = np.abs((z[:, np.argmax(theta.real)] @ v[:k]).real)
         if not x.all():
             break
-        ratio = _product(rows, cols, vals, x, n) / x
+        ratio = product(x) / x
         lo, hi = ratio.min(), ratio.max()
         if hi - lo <= BRACKET_RTOL * hi:
             return (float(lo), float(hi)), restart

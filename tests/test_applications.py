@@ -1,5 +1,6 @@
 import itertools
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from graphdsp import (
     sweep_alpha,
 )
 from graphdsp import applications
-from graphdsp.applications import DIRECT_SOLVE_MAX_N, _label_solver
+from graphdsp.applications import DIRECT_SOLVE_MAX_N, SUBSTITUTION_BLOCK, _label_solver
 
 
 def two_cliques(k=5, bridge=0.5):
@@ -484,6 +485,101 @@ def test_shift_operator_on_a_full_density_graph_is_one_gemm():
     b = np.eye(g.n) - g.adjacency / g.spectral_radius
     m = applications._variation_operator(g, "shift").dense()
     assert np.abs(m - b.T @ b).max() <= 1e-13 * np.abs(m).max()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, SUBSTITUTION_BLOCK, SUBSTITUTION_BLOCK + 1,
+                               3 * SUBSTITUTION_BLOCK - 5])
+def test_cholesky_solve_matches_numpy_solve(n):
+    # below, at and across the substitution blocks; n = 0 is the unknown
+    # block of a fully labeled system
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    a = x @ x.T + n * np.eye(n)
+    b = rng.standard_normal((n, 4))
+    ref = np.linalg.solve(a, b)
+    tol = 1e-13 * np.abs(ref).max(initial=1.0)
+    for rhs, expected in ((b, ref), (b[:, 0], ref[:, 0])):
+        before = rhs.copy()
+        s = applications._solve_pos(None, None, a, rhs)  # never refused here
+        assert s.shape == rhs.shape and np.array_equal(rhs, before)
+        assert np.abs(s - expected).max(initial=0.0) <= tol
+
+
+def test_condition_estimate_ends_with_the_alternating_sign_vector():
+    # Hager's iteration stops at about a fifth of the final estimate here;
+    # dlacn2's last vector, of alternating signs, gives what pocon returns
+    from scipy.linalg.lapack import dpocon, dpotrf
+
+    x = np.array([[2.0, -1.0, 0.0], [1.0, 2.0, 0.0], [1.0, 2.0, 0.0]])
+    a = x @ x.T + np.eye(3)
+    anorm = np.abs(a).sum(axis=0).max()
+    ref = dpocon(dpotrf(a)[0], anorm)[0]
+    rcond = 1.0 / applications._inverse_norm_estimate(applications._cholesky_solver(a), 3)
+    assert abs(rcond / anorm - ref) <= 12 * np.finfo(float).eps
+
+
+def refusal_corpus():
+    """Systems on either side of the refusal, each with the graph and labels
+    that name its cause: SPD matrices of prescribed spectra with conditions
+    from 1e10 to 1e19, and shift and Laplacian classifier systems with tiny
+    alphas, a third of them with a component without a label."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(2, 150))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.geomspace(10.0 ** -rng.uniform(10, 19), 1.0, n)) @ q.T
+        cases.append((Graph(np.ones((n, n))), LabelSignal(np.ones(n)), (a + a.T) / 2))
+    for i in range(90):
+        n = int(rng.integers(4, 150))
+        form = ("shift", "laplacian")[i % 2]
+        a = np.where(rng.random((n, n)) < rng.uniform(0.05, 0.4), rng.random((n, n)), 0.0)
+        if form == "laplacian" or i % 4 == 1:
+            a = np.triu(a, 1) + np.triu(a, 1).T
+        values = rng.choice([-1.0, 1.0], n) * (rng.random(n) < rng.uniform(0.05, 0.5))
+        values[0] = 1.0
+        if i % 3 == 0:  # the upper half becomes a component without a label
+            a[n // 2:, :n // 2] = a[:n // 2, n // 2:] = 0.0
+            values[n // 2:] = 0.0
+        g, labels = Graph(a), LabelSignal(values)
+        if g.spectral_radius == 0.0:
+            continue
+        m = np.array(applications._variation_operator(g, form).dense())
+        m[np.diag_indices(n)] += 2.0 * 10.0 ** rng.uniform(-16, 0) * labels.known_mask
+        cases.append((g, labels, m))
+    return cases
+
+
+def test_refusals_match_scipy_solve():
+    # scipy.linalg.solve(assume_a="pos") refuses by potrf failing or by its
+    # ill-conditioning warning (pocon's rcond below eps); where rcond lies
+    # within a factor 2 of eps, rounding in either factor decides
+    import scipy.linalg
+    from scipy.linalg.lapack import dpocon, dpotrf
+
+    eps = np.finfo(float).eps
+    decisions = []
+    for g, labels, a in refusal_corpus():
+        u, info = dpotrf(a)
+        if info == 0 and eps / 2 <= dpocon(u, np.abs(a).sum(axis=0).max())[0] <= 2 * eps:
+            continue
+        b = np.ones(g.n)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                scipy.linalg.solve(a, b, assume_a="pos")
+            accepted = True
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+            accepted = False
+        try:
+            applications._solve_pos(g, labels, a, b)
+        except SingularSystemError:
+            assert not accepted
+            decisions.append(False)
+        else:
+            assert accepted
+            decisions.append(True)
+    assert len(decisions) >= 140 and 40 <= sum(decisions) <= len(decisions) - 40
 
 
 def small_classifier_cases():

@@ -627,7 +627,10 @@ def test_cli_import_does_not_load(module):
     assert run_python(f"import sys, graphdsp.cli; sys.exit({module!r} in sys.modules)") == 0
 
 
-def test_spectrum_filter_and_detect_run_without_scipy(tmp_path):
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # with sys.modules["scipy"] = None any scipy import raises ImportError,
+    # which no command catches, so each command and the budget search show
+    # that they run on numpy alone
     rng = np.random.default_rng(4)
     points, filt = tmp_path / "points.csv", tmp_path / "filter.json"
     write_points(points, rng.random((30, 2)))
@@ -653,9 +656,42 @@ def test_spectrum_filter_and_detect_run_without_scipy(tmp_path):
         # plain filter certifies rho in numpy on either graph
         commands.append(["filter", g, str(filt), str(signals[0]),
                          "--out", str(d / "plain")])
-    code = (f"import sys\nfrom graphdsp.cli import main\n"
+    d = tmp_path / "sbm"
+    graph, truth, labels = d / "graph.tsv", d / "labels.csv", tmp_path / "known.csv"
+    commands += [["gen", "cycle", "8", "--out", str(tmp_path / "cycle")],
+                 ["gen", "path", "8", "--out", str(tmp_path / "path")],
+                 ["gen", "regular", "12", "3", "--out", str(tmp_path / "regular")],
+                 ["gen", "sbm", "120", "0.3", "0.05", "--seed", "5", "--out", str(d)]]
+    classify = [["classify", str(graph), str(labels), "--form", form,
+                 "--out", str(d / form)] for form in ("shift", "laplacian")]
+    classify.append(["classify", str(graph), str(labels), "--sweep", "standard",
+                     "--runs", "2", "--truth", str(truth), "--out", str(d / "sweep")])
+    code = (f"import sys\nsys.modules['scipy'] = None\n"
+            f"import numpy as np\n"
+            f"from graphdsp import classify_with_misfit_budget\n"
+            f"from graphdsp.cli import main\n"
+            f"from graphdsp.fileio import read_edge_list, read_labels, write_signal\n"
             f"codes = [main(argv) for argv in {commands!r}]\n"
-            f"sys.exit(codes != [0] * {len(commands)} or 'scipy' in sys.modules)")
+            f"known = np.array(read_labels({str(truth)!r}).labels)\n"
+            f"known[np.random.default_rng(6).random(known.size) < 0.8] = 0.0\n"
+            f"write_signal({str(labels)!r}, known)\n"
+            f"codes += [main(argv) for argv in {classify!r}]\n"
+            f"g, y = read_edge_list({str(graph)!r}), read_labels({str(labels)!r})\n"
+            f"for form in ('shift', 'laplacian'):\n"
+            f"    classify_with_misfit_budget(g, y, 0.5, form)\n"
+            f"sys.exit(codes != [0] * {len(commands) + len(classify)})")
+    assert run_python(code) == 0
+    for form in ("shift", "laplacian"):
+        assert (d / form / "predictions.csv").exists()
+    assert (d / "sweep" / "accuracy.csv").exists()
+
+
+def test_gen_knn_leaves_numpy_ma_unloaded(tmp_path):
+    points = tmp_path / "points.csv"
+    write_points(points, np.random.default_rng(8).random((30, 2)))
+    argv = ["gen", "knn", str(points), "4", "--out", str(tmp_path / "knn")]
+    code = (f"import sys\nfrom graphdsp.cli import main\n"
+            f"sys.exit(main({argv!r}) != 0 or 'numpy.ma' in sys.modules)")
     assert run_python(code) == 0
 
 
@@ -682,9 +718,26 @@ def test_manifest_records_the_environment(tmp_path):
     code = f"from graphdsp.cli import main; main(['gen', 'cycle', '4', '--out', {str(out)!r}])"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     manifest = json.loads((out / "manifest.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest["environment"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "openblas_configuration": blas.get("openblas configuration")},
         "threads": {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1",
                     "MKL_NUM_THREADS": None},
     }
+    assert isinstance(manifest["environment"]["blas"]["name"], str)
+
+
+def test_manifest_records_null_for_a_blas_field_numpy_does_not_report(tmp_path,
+                                                                      monkeypatch):
+    blas = {"name": "accelerate", "version": "1"}
+    for i, report in enumerate([{}, {"Build Dependencies": {}},
+                                {"Build Dependencies": {"blas": blas}}]):
+        monkeypatch.setattr(np, "show_config", lambda mode, report=report: report)
+        assert run("gen", "cycle", 4, "--out", tmp_path / str(i)) == 0
+        manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
+        expected = blas if i == 2 else {"name": None, "version": None}
+        assert manifest["environment"]["blas"] == {**expected,
+                                                   "openblas_configuration": None}

@@ -19,7 +19,8 @@ from graphdsp import (
     sbm_graph,
 )
 from graphdsp import graph as graph_module
-from graphdsp.graph import BRACKET_RTOL, KRYLOV_MAX_RESTARTS, SYMMETRY_TOL, _components
+from graphdsp.graph import (BRACKET_RTOL, DENSE_PRODUCT_FILL, KRYLOV_MAX_RESTARTS,
+                            SYMMETRY_TOL, _components, _shift)
 
 
 def test_adjacency_must_be_square():
@@ -260,6 +261,53 @@ def test_spectral_radius_of_a_disconnected_graph_is_its_largest_block(caplog):
     assert abs(rho - dense) <= 1e-12 * dense
     a[120, 120] = 60.0
     assert Graph(a).spectral_radius == 60.0
+
+
+def bincount_calls(monkeypatch):
+    """Count the products taken over the sparse view (``_product``)."""
+    calls = []
+    real = graph_module._product
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "_product", spy)
+    return calls
+
+
+def test_full_density_spectral_radius_takes_dense_products(monkeypatch, caplog):
+    a = np.random.default_rng(37).random((400, 400))
+    g = Graph(a + a.T)
+    calls = bincount_calls(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        rho = g.spectral_radius
+    fields = record_fields(radius_records(caplog)[0])
+    assert (fields["path"], fields["certified"]) == ("krylov", "1")
+    dense = np.abs(np.linalg.eigvalsh(g.adjacency)).max()
+    assert abs(rho - dense) <= 1e-12 * dense
+    assert calls == []  # every Arnoldi product was the dense one
+    sparse = build_knn_graph(np.random.default_rng(1).random((400, 2)), 6)
+    assert np.count_nonzero(sparse.adjacency) <= DENSE_PRODUCT_FILL * sparse.n ** 2
+    assert abs(sparse.spectral_radius - 1.0) <= 1e-12
+    assert calls
+
+
+@pytest.mark.parametrize("fill", [0.02, 1.0])
+def test_shift_products_match_the_adjacency_on_either_side_of_the_switch(fill,
+                                                                         monkeypatch):
+    rng = np.random.default_rng(11)
+    mask = rng.random((200, 200)) < fill
+    x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    calls = bincount_calls(monkeypatch)
+    for a in (mask * rng.random((200, 200)),
+              mask * (rng.random((200, 200)) + 1j * rng.random((200, 200)))):
+        g = Graph(a)
+        for v in (x.real, x):
+            bound = 1e-13 * np.abs(a).sum(axis=1).max() * np.abs(v).max()
+            assert np.abs(_shift(g, v) - a @ v).max() <= bound
+            assert np.abs(_shift(g, v, adjoint=True) - a.conj().T @ v).max() <= bound
+    assert bool(calls) == (fill < DENSE_PRODUCT_FILL)
 
 
 def test_components_match_scipy():

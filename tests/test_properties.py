@@ -14,7 +14,8 @@ spectrum: a certified one by its logged bracket, a fallback and a signed or
 complex graph's bit for bit; filtering a relabeled graph is checked against
 the original.  The classifier's solution is checked to minimize its
 objective, and to be permuted with the nodes on the direct and the
-iterative path.
+iterative path; its reciprocal condition estimate is checked against
+LAPACK's ``dpocon``.
 """
 
 import logging
@@ -423,3 +424,31 @@ def test_relabeling_the_nodes_permutes_the_classification(data):
     assert np.abs(sp - s[p]).max() <= tol
     clear = np.abs(s[p]) > tol
     assert np.array_equal(outp.classes[clear], out.classes[p][clear])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 150), seed=st.integers(0, 2 ** 32 - 1),
+       decades=st.floats(0.0, 14.0), kind=st.sampled_from(["spectrum", "laplacian"]))
+def test_reciprocal_condition_matches_lapack_pocon(n, seed, decades, kind):
+    from scipy.linalg.lapack import dpocon, dpotrf
+
+    rng = np.random.default_rng(seed)
+    if kind == "spectrum":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.geomspace(10.0 ** -decades, 1.0, n)) @ q.T
+        a = (a + a.T) / 2
+    else:  # a Laplacian system with a small fidelity weight on some nodes
+        w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.2), 1)
+        a = 2.0 * (np.diag((w + w.T).sum(axis=1)) - w - w.T)
+        a[np.diag_indices(n)] += 2.0 * 10.0 ** -decades * (rng.random(n) < 0.3)
+    u, info = dpotrf(a)
+    assume(info == 0)
+    anorm = np.abs(a).sum(axis=0).max()
+    ref = dpocon(u, anorm)[0]
+    assume(ref >= 1e-14)
+    solve = applications._cholesky_solver(a)
+    rcond = 1.0 / applications._inverse_norm_estimate(solve, n) / anorm
+    # each solve the estimate takes is off by about eps / rcond relative,
+    # whichever factor of a makes it, so rcond is off by a few eps at most
+    # (up to 1.5 eps at n = 1, from the divisions alone)
+    assert abs(rcond - ref) <= 4 * n * EPS
