@@ -34,10 +34,14 @@ SOLVER_TOLERANCE = 1e-8
 REGULARIZER_FORMS = ("shift", "laplacian")
 CALIBRATIONS = ("max", "median")
 BISECTION_STEPS = 60
-# the Cholesky solve: rows per substitution block, and the steps of the
-# reciprocal-condition estimate before its final vector (LAPACK dlacn2's ITMAX)
+# the Cholesky solve: rows per substitution block, the steps of the
+# reciprocal-condition estimate before its final vector (LAPACK dlacn2's
+# ITMAX), and the least reciprocal condition accepted: eps = 2^-52, below
+# which scipy.linalg.solve warns in scipy 1.17 (its batched solver); older
+# releases warn below LAPACK's unit roundoff dlamch('E') = eps/2 only
 SUBSTITUTION_BLOCK = 64
 ESTIMATE_STEPS = 5
+MIN_RCOND = np.finfo(float).eps
 
 log = logging.getLogger("graphdsp")
 
@@ -273,7 +277,7 @@ def _inverse_norm_estimate(solve, n):
 def _solve_pos(g: Graph, labels: LabelSignal, a, b):
     """Cholesky solve of a @ x = b that refuses a singular classifier system:
     a failed factorization, or a 1-norm reciprocal condition, estimated as
-    LAPACK ``pocon`` estimates it, below eps (or nan)."""
+    LAPACK ``pocon`` estimates it, below ``MIN_RCOND`` (or nan)."""
     if not a.size:  # every node is known
         return np.array(b, dtype=float)
     try:
@@ -286,7 +290,7 @@ def _solve_pos(g: Graph, labels: LabelSignal, a, b):
     with np.errstate(all="ignore"):
         rcond = (1.0 / _inverse_norm_estimate(solve, a.shape[0])
                  / np.abs(a).sum(axis=0).max())
-    if not rcond >= np.finfo(float).eps:
+    if not rcond >= MIN_RCOND:
         _raise_singular(g, labels)
     return solve(b)
 

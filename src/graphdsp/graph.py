@@ -22,10 +22,11 @@ KRYLOV_MAX_RESTARTS = 30
 KRYLOV_STALL = 4
 BRACKET_RTOL = 1e-13
 # a product with the adjacency, or with a block of it, is a dense matrix-vector
-# product once its nonzeros fill more than this share of the matrix:
-# np.bincount over the nonzeros and the dense product cross near 5% at
-# N=1000 and N=2400 (one BLAS thread)
-DENSE_PRODUCT_FILL = 0.05
+# product once its nonzeros fill more than this share of the matrix: from 10%
+# up the dense product was the faster at every size timed (N = 300 to 4000,
+# one BLAS thread), while np.bincount over the nonzeros stays the faster up
+# to about 5% fill at N <= 2400 and 7% at N = 3200 to 4000
+DENSE_PRODUCT_FILL = 0.10
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -293,16 +294,27 @@ def _product(rows, cols, vals, x, n):
     return np.bincount(rows, terms, n)
 
 
-def _shift(g: Graph, x, adjoint=False):
-    """A @ x, or A^H @ x, over the graph's sparse view, or as a dense product
-    once its nonzeros fill more than ``DENSE_PRODUCT_FILL`` of A."""
-    rows, cols, vals = _nonzeros(g)
-    if vals.size > DENSE_PRODUCT_FILL * g.n ** 2:
-        a = g.adjacency
-        return (x.conj() @ a).conj() if adjoint else a @ x
+def _matvec(rows, cols, vals, n, dense=None, adjoint=False):
+    """x -> M @ x, or M^H @ x, for the n x n matrix M with nonzeros ``vals``
+    at (``rows``, ``cols``): a dense product once they fill more than
+    ``DENSE_PRODUCT_FILL`` of M, with ``dense`` as M where given and M built
+    from the triplets otherwise, and ``_product`` over them below that."""
+    if vals.size > DENSE_PRODUCT_FILL * n * n:
+        if dense is None:
+            dense = np.zeros((n, n), dtype=vals.dtype)
+            dense[rows, cols] = vals
+        if adjoint:
+            return lambda x: (x.conj() @ dense).conj()
+        return dense.__matmul__
     if adjoint:
         rows, cols, vals = cols, rows, vals.conj()
-    return _product(rows, cols, vals, x, g.n)
+    return functools.partial(_product, rows, cols, vals, n=n)
+
+
+def _shift(g: Graph, x, adjoint=False):
+    """A @ x, or A^H @ x, over the graph's sparse view or the adjacency
+    (see ``_matvec``)."""
+    return _matvec(*_nonzeros(g), g.n, g.adjacency, adjoint)(x)
 
 
 def _components(g: Graph):
@@ -329,18 +341,12 @@ def _dense_radius(a, directed):
     return float(np.max(np.abs(eigvals(a)))) if a.any() else 0.0
 
 
-def _arnoldi_bracket(rows, cols, vals, n):
+def _arnoldi_bracket(rows, cols, vals, n, dense=None):
     """Collatz-Wielandt bracket [lo, hi] of rho for an n-node block with
     nonnegative nonzeros, narrower than ``BRACKET_RTOL`` relative, and the
-    restarts taken, or None for the bracket where it does not close.  A block
-    whose nonzeros fill more than ``DENSE_PRODUCT_FILL`` of it is multiplied
-    as a dense matrix."""
-    if vals.size > DENSE_PRODUCT_FILL * n * n:
-        block = np.zeros((n, n))
-        block[rows, cols] = vals
-        product = block.__matmul__
-    else:
-        product = functools.partial(_product, rows, cols, vals, n=n)
+    restarts taken, or None for the bracket where it does not close; its
+    products are ``_matvec``'s, with ``dense`` the block where it is at hand."""
+    product = _matvec(rows, cols, vals, n, dense)
     m = min(KRYLOV_SIZE, n)
     x = 1.0 + np.random.default_rng(0).random(n)
     best, stalled = np.inf, 0
@@ -392,12 +398,13 @@ def _certified_radius(g: Graph):
         local[nodes] = np.arange(nodes.size)
         edges = edge_label == root
         r, c, w = local[rows[edges]], local[cols[edges]], vals[edges]
+        whole = g.adjacency if nodes.size == g.n else None  # the block, at hand
         bracket = None
         if np.bincount(r, minlength=nodes.size).all():  # a node without in-edges pins lo at 0
-            bracket, taken = _arnoldi_bracket(r, c, w, nodes.size)
+            bracket, taken = _arnoldi_bracket(r, c, w, nodes.size, whole)
             restarts += taken
         if bracket is None:
-            block = g.adjacency if nodes.size == g.n else g.adjacency[np.ix_(nodes, nodes)]
+            block = g.adjacency[np.ix_(nodes, nodes)] if whole is None else whole
             bracket = (_dense_radius(block, g.directed),) * 2
         else:
             certified += 1

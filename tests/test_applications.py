@@ -550,36 +550,81 @@ def refusal_corpus():
     return cases
 
 
+def scipy_accepts(a, b):
+    """Whether ``scipy.linalg.solve(assume_a="pos")`` solves a @ x = b with
+    neither a LinAlgError nor its ill-conditioning warning."""
+    import scipy.linalg
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            scipy.linalg.solve(a, b, assume_a="pos")
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+        return False
+    return True
+
+
+def scipy_min_rcond():
+    """The least reciprocal condition that ``scipy.linalg.solve`` accepts:
+    eps in the batched solver of scipy 1.17, LAPACK's unit roundoff eps/2
+    in the older one (its ``_solve_check``), told apart on diag(1, 3 eps/4)."""
+    eps = np.finfo(float).eps
+    return eps / 2 if scipy_accepts(np.diag([1.0, 0.75 * eps]), np.ones(2)) else eps
+
+
+def solve_pos_accepts(g, labels, a, b):
+    try:
+        applications._solve_pos(g, labels, a, b)
+    except SingularSystemError:
+        return False
+    return True
+
+
 def test_refusals_match_scipy_solve():
     # scipy.linalg.solve(assume_a="pos") refuses by potrf failing or by its
-    # ill-conditioning warning (pocon's rcond below eps); where rcond lies
-    # within a factor 2 of eps, rounding in either factor decides
-    import scipy.linalg
+    # ill-conditioning warning (pocon's rcond below eps, or below eps/2 before
+    # scipy 1.17, where the numpy solve still refuses below eps).  Where rcond
+    # lies within rounding of either threshold, either factor decides: on
+    # this corpus the two estimates differ by up to 9% relative above
+    # 0.1 eps, and the case at 0.981 eps by dpocon reads 1.006 eps by numpy's
     from scipy.linalg.lapack import dpocon, dpotrf
 
-    eps = np.finfo(float).eps
+    eps, scipy_rcond = np.finfo(float).eps, scipy_min_rcond()
     decisions = []
     for g, labels, a in refusal_corpus():
         u, info = dpotrf(a)
-        if info == 0 and eps / 2 <= dpocon(u, np.abs(a).sum(axis=0).max())[0] <= 2 * eps:
+        rcond = dpocon(u, np.abs(a).sum(axis=0).max())[0] if info == 0 else 0.0
+        if min(abs(rcond / eps - 1.0), abs(rcond / scipy_rcond - 1.0)) <= 0.1:
             continue
         b = np.ones(g.n)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                scipy.linalg.solve(a, b, assume_a="pos")
-            accepted = True
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-            accepted = False
-        try:
-            applications._solve_pos(g, labels, a, b)
-        except SingularSystemError:
-            assert not accepted
-            decisions.append(False)
-        else:
-            assert accepted
-            decisions.append(True)
+        accepted = scipy_accepts(a, b) and rcond >= eps
+        assert solve_pos_accepts(g, labels, a, b) == accepted
+        decisions.append(accepted)
     assert len(decisions) >= 140 and 40 <= sum(decisions) <= len(decisions) - 40
+
+
+@pytest.mark.parametrize("ratio", [0.45, 0.7, 0.999, 1.001, 1.5])
+def test_refusal_threshold_is_eps_as_in_scipy_solve(ratio):
+    # rcond is ratio * eps to rounding here, for both factors: A is the
+    # tridiagonal L L^T, L unit lower bidiagonal with -1/2 below the diagonal
+    # (potrf recovers it exactly, and A^-1 >= 0, so no estimate cancels), and
+    # one node that only a tiny diagonal entry delta holds, so that rcond =
+    # delta / ||A||_1 with ||A||_1 = 9/4.  The numpy solve refuses below eps,
+    # as scipy.linalg.solve does from scipy 1.17 (see ``scipy_min_rcond``)
+    from scipy.linalg.lapack import dpocon, dpotrf
+
+    n, eps = 150, np.finfo(float).eps
+    a = 1.25 * np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    a[0, 0] = 1.0
+    a[70, :] = a[:, 70] = 0.0
+    a[70, 70] = 2.25 * ratio * eps
+    anorm = np.abs(a).sum(axis=0).max()
+    rcond = 1.0 / applications._inverse_norm_estimate(applications._cholesky_solver(a), n)
+    for value in (dpocon(dpotrf(a)[0], anorm)[0], rcond / anorm):
+        assert abs(value - ratio * eps) <= 1e-13 * ratio * eps
+    g, labels, b = Graph(np.ones((n, n))), LabelSignal(np.ones(n)), np.ones(n)
+    assert scipy_accepts(a, b) == (ratio * eps >= scipy_min_rcond())
+    assert solve_pos_accepts(g, labels, a, b) == (ratio >= 1.0)
 
 
 def small_classifier_cases():

@@ -280,6 +280,14 @@ def test_full_density_spectral_radius_takes_dense_products(monkeypatch, caplog):
     a = np.random.default_rng(37).random((400, 400))
     g = Graph(a + a.T)
     calls = bincount_calls(monkeypatch)
+    blocks = []
+    real = graph_module._matvec
+
+    def spy(rows, cols, vals, n, dense=None, adjoint=False):
+        blocks.append(dense)
+        return real(rows, cols, vals, n, dense, adjoint)
+
+    monkeypatch.setattr(graph_module, "_matvec", spy)
     with caplog.at_level(logging.DEBUG, logger="graphdsp"):
         rho = g.spectral_radius
     fields = record_fields(radius_records(caplog)[0])
@@ -287,6 +295,12 @@ def test_full_density_spectral_radius_takes_dense_products(monkeypatch, caplog):
     dense = np.abs(np.linalg.eigvalsh(g.adjacency)).max()
     assert abs(rho - dense) <= 1e-12 * dense
     assert calls == []  # every Arnoldi product was the dense one
+    assert len(blocks) == 1 and blocks[0] is g.adjacency  # not a copy
+    # two dense components, half the graph's entries: each block is built
+    # from its triplets and multiplied densely
+    two = Graph(np.kron(np.eye(2), a + a.T))
+    assert two.spectral_radius == rho
+    assert calls == [] and blocks[1:] == [None, None]
     sparse = build_knn_graph(np.random.default_rng(1).random((400, 2)), 6)
     assert np.count_nonzero(sparse.adjacency) <= DENSE_PRODUCT_FILL * sparse.n ** 2
     assert abs(sparse.spectral_radius - 1.0) <= 1e-12
