@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .filtering import FilterDesign, GraphFilter
-from .graph import Graph, LabelSignal
+from .graph import Graph, LabelSignal, _nonzeros
 from .spectral import FrequencyOrdering, Spectrum
 
 
@@ -45,11 +45,11 @@ def write_edge_list(path, g: Graph):
     """Write `src<TAB>dst<TAB>weight` rows; an edge src -> dst contributes
     A[dst][src].  Isolated nodes are pinned with a zero-weight self row so
     the node count survives the round trip."""
-    at = g.adjacency.T
-    srcs, dsts = np.nonzero(at)
+    dsts, srcs, weights = _nonzeros(g)
+    order = np.lexsort((dsts, srcs))
     isolated = np.ones(g.n, dtype=bool)
     isolated[srcs] = isolated[dsts] = False
-    edges = zip(srcs.tolist(), dsts.tolist(), at[srcs, dsts].tolist())
+    edges = zip(srcs[order].tolist(), dsts[order].tolist(), weights[order].tolist())
     lines = ["src\tdst\tweight"] + [f"{s}\t{d}\t{_fmt_weight(w)}" for s, d, w in edges]
     lines += [f"{i}\t{i}\t0" for i in np.flatnonzero(isolated)]
     with open(path, "w") as fh:
@@ -111,7 +111,9 @@ def read_edge_list(path, *, directed=None) -> Graph:
         text = fh.read()
     rows = _real_rows(text)
     src, dst, weights = rows if rows is not None else _parse_rows(path, text)
-    n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
+    if not src.size:
+        raise ValueError(f"{path}: edge list has no edges")
+    n = int(max(src.max(), dst.max())) + 1
     a = np.zeros((n, n), dtype=weights.dtype)
     first = np.unique(dst * n + src, return_index=True)[1]
     if first.size < src.size:
@@ -193,6 +195,8 @@ def read_signal(path) -> np.ndarray:
                 im = float(row[2]) if has_im else 0.0
             except ValueError:
                 raise ValueError(f"{path}: non-numeric signal row {row!r}") from None
+            if node < 0:
+                raise ValueError(f"{path}: node ids must be non-negative, got {row!r}")
             if node in entries:
                 raise ValueError(f"{path}: duplicate node {node}")
             entries[node] = re + 1j * im if has_im else re

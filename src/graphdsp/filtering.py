@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphSignal, _check_bound, _freeze, _nonzero_radius
+from .graph import Graph, GraphSignal, _check_bound, _freeze, _nonzero_radius, _shift
 from .spectral import FrequencyOrdering, Spectrum, order_frequencies
 
 DISTINCT_FREQ_TOL = 1e-12
@@ -117,11 +117,10 @@ def apply_filter(g: Graph, f: GraphFilter, s: GraphSignal) -> GraphSignal:
     """Filter a signal: h(A/|lambda_max|)s through iterated shifts, Horner
     style."""
     _check_bound(g, s)
-    a = g.adjacency / _nonzero_radius(g)
-    taps = f.taps
-    out = taps[-1] * s.values
-    for h in taps[-2::-1]:
-        out = a @ out + h * s.values
+    rho = _nonzero_radius(g)
+    out = f.taps[-1] * s.values
+    for h in f.taps[-2::-1]:
+        out = _shift(g, out) / rho + h * s.values
     return GraphSignal(out, g)
 
 

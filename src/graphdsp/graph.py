@@ -4,6 +4,10 @@ A graph is a dense weighted adjacency matrix: entry ``A[n, m]`` is the weight
 of the directed edge from node ``m`` to node ``n``, so shifting a signal is
 the matrix-vector product ``A @ s``.  Undirected graphs are symmetric with
 real entries.  All objects are immutable after construction.
+
+Every product with a graph goes through ``_shift`` and every edge listing
+through its edge view ``_nonzeros``; the dense matrix serves the
+eigensolvers, the classifier's dense operator and ``laplacian``.
 """
 
 from __future__ import annotations
@@ -388,23 +392,26 @@ def _certified_radius(g: Graph):
     rows, cols, vals = _nonzeros(g)
     label = _components(g)
     roots, sizes = np.unique(label, return_counts=True)
-    edge_label, local = label[rows], np.empty(g.n, dtype=np.intp)
+    local = np.empty(g.n, dtype=np.intp)
+    edge_label = label[rows] if roots.size > 1 else None
     # an isolated node's only eigenvalue is its self-loop weight
     lo = hi = float(np.diagonal(g.adjacency)[np.isin(label, roots[sizes == 1])]
                     .max(initial=0.0))
     certified = restarts = 0
     for root in roots[sizes > 1]:
         nodes = np.flatnonzero(label == root)
-        local[nodes] = np.arange(nodes.size)
-        edges = edge_label == root
-        r, c, w = local[rows[edges]], local[cols[edges]], vals[edges]
-        whole = g.adjacency if nodes.size == g.n else None  # the block, at hand
+        if nodes.size == g.n:  # its block is the graph: no edge selection, no copy
+            r, c, w, block = rows, cols, vals, g.adjacency
+        else:
+            local[nodes] = np.arange(nodes.size)
+            edges = edge_label == root
+            r, c, w, block = local[rows[edges]], local[cols[edges]], vals[edges], None
         bracket = None
         if np.bincount(r, minlength=nodes.size).all():  # a node without in-edges pins lo at 0
-            bracket, taken = _arnoldi_bracket(r, c, w, nodes.size, whole)
+            bracket, taken = _arnoldi_bracket(r, c, w, nodes.size, block)
             restarts += taken
         if bracket is None:
-            block = g.adjacency[np.ix_(nodes, nodes)] if whole is None else whole
+            block = g.adjacency[np.ix_(nodes, nodes)] if block is None else block
             bracket = (_dense_radius(block, g.directed),) * 2
         else:
             certified += 1
@@ -431,14 +438,14 @@ def normalize_shift(g: Graph) -> Graph:
 def graph_shift(g: Graph, s: GraphSignal) -> GraphSignal:
     """Elementary filter: replace each sample by the weighted sum A @ s."""
     _check_bound(g, s)
-    return GraphSignal(g.adjacency @ s.values, g)
+    return GraphSignal(_shift(g, s.values), g)
 
 
 def _check_laplacian(g: Graph):
     """Refuse a graph whose Laplacian D - A is not defined."""
     if g.directed:
         raise ValueError("Laplacian is defined only for undirected graphs")
-    if g.adjacency.min() < 0:
+    if (_nonzeros(g)[2] < 0).any():
         raise ValueError("Laplacian requires non-negative edge weights")
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (Graph, GraphSignal, _check_bound, _check_laplacian, _freeze,
-                    _nonzero_radius, laplacian)
+                    _nonzero_radius, _nonzeros, _shift, laplacian)
 
 DEFECTIVE_COND_LIMIT = 1e8
 EIGENVALUE_GROUP_TOL = 1e-12
@@ -359,14 +359,10 @@ def igft(b: SpectralBasis, shat) -> GraphSignal:
     return GraphSignal(values, b.graph)
 
 
-def _normalized_shift_of(g: Graph, s_values):
-    return (g.adjacency @ s_values) / _nonzero_radius(g)
-
-
 def gradient(g: Graph, s: GraphSignal) -> np.ndarray:
     """Per-node difference between a sample and its normalized-shift value."""
     _check_bound(g, s)
-    return s.values - _normalized_shift_of(g, s.values)
+    return s.values - _shift(g, s.values) / _nonzero_radius(g)
 
 
 def total_variation(g: Graph, s: GraphSignal) -> float:
@@ -403,14 +399,13 @@ def seminorm(g: Graph, s: GraphSignal) -> float:
 
 def validate_chain(g: Graph, chain: JordanChain, tol=1e-8):
     """Check the chain relations against the graph's adjacency."""
-    a = g.adjacency
     lam = chain.eigenvalue
-    scale = max(1.0, float(np.abs(a).max()))
+    scale = max(1.0, float(np.abs(_nonzeros(g)[2]).max(initial=0.0)))
     for r, v in enumerate(chain.vectors):
         if v.shape[0] != g.n:
             raise ValueError("chain vector length does not match graph")
         expect = chain.vectors[r - 1] if r > 0 else np.zeros(g.n, dtype=complex)
-        resid = a @ v - lam * v - expect
+        resid = _shift(g, v) - lam * v - expect
         bound = tol * scale * max(1.0, float(np.abs(v).max()))
         if np.abs(resid).max() > bound:
             raise ValueError(
@@ -466,10 +461,9 @@ def laplacian_total_variation(g: Graph, s: GraphSignal) -> float:
     neighbor differences, summed over nodes."""
     _check_bound(g, s)
     _check_laplacian(g)
-    a = g.adjacency
+    rows, cols, w = _nonzeros(g)
     v = s.values
-    diff2 = np.abs(v[:, None] - v[None, :]) ** 2
-    return float(np.sqrt((a * diff2).sum(axis=1)).sum())
+    return float(np.sqrt(np.bincount(rows, w * np.abs(v[rows] - v[cols]) ** 2, g.n)).sum())
 
 
 def laplacian_quadratic_form(g: Graph, s: GraphSignal) -> float:

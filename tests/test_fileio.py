@@ -129,6 +129,14 @@ def test_edge_list_rejects_bad_input(tmp_path):
             read_edge_list(p)
 
 
+@pytest.mark.parametrize("header", ["src\tdst\tweight\n", "src\tdst\n"])
+def test_edge_list_without_edges_names_the_file(tmp_path, header):
+    p = tmp_path / "header_only.tsv"
+    p.write_text(header)
+    with pytest.raises(ValueError, match="header_only.tsv: edge list has no edges"):
+        read_edge_list(p)
+
+
 def read_edge_list_reference(path):
     """Per-row fill with a set of seen pairs, which read_edge_list replaces."""
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
@@ -316,6 +324,14 @@ def test_signal_rejects_gaps_and_duplicates(tmp_path):
     r.write_text("n,value\n0,1.0\n")
     with pytest.raises(ValueError):
         read_signal(r)
+
+
+def test_signal_rejects_a_negative_node_id(tmp_path):
+    p = tmp_path / "negative.csv"
+    p.write_text("node,re\n-1,1.0\n0,2.0\n")
+    with pytest.raises(ValueError, match="negative.csv: node ids must be non-negative, "
+                                         r"got \['-1', '1.0'\]"):
+        read_signal(p)
 
 
 def test_read_labels(tmp_path):

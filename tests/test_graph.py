@@ -307,6 +307,26 @@ def test_full_density_spectral_radius_takes_dense_products(monkeypatch, caplog):
     assert calls
 
 
+def test_a_spanning_component_takes_the_graphs_own_edge_view(monkeypatch):
+    # a component that spans the graph is the graph: its triplets and its
+    # adjacency reach the Arnoldi as they are, with no edge selection
+    seen = []
+    real = graph_module._arnoldi_bracket
+
+    def spy(rows, cols, vals, n, dense=None):
+        seen.append((rows, cols, vals, n, dense))
+        return real(rows, cols, vals, n, dense)
+
+    monkeypatch.setattr(graph_module, "_arnoldi_bracket", spy)
+    g = build_knn_graph(np.random.default_rng(1).random((200, 2)), 6, symmetrize=True)
+    assert np.unique(_components(g)).size == 1
+    assert abs(g.spectral_radius - 1.0) <= 1e-12
+    [(rows, cols, vals, n, dense)] = seen
+    own = graph_module._nonzeros(g)
+    assert rows is own[0] and cols is own[1] and vals is own[2]
+    assert n == g.n and dense is g.adjacency
+
+
 @pytest.mark.parametrize("fill", [0.02, 1.0])
 def test_shift_products_match_the_adjacency_on_either_side_of_the_switch(fill,
                                                                          monkeypatch):

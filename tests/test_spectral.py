@@ -3,19 +3,23 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphdsp import (
     Graph,
+    GraphFilter,
     JordanChain,
     NearDefectiveError,
+    apply_filter,
     build_knn_graph,
     cycle_graph,
     decompose,
     dirichlet_form,
     gft,
+    graph_shift,
     igft,
     laplacian_quadratic_form,
     laplacian_total_variation,
@@ -30,6 +34,7 @@ from graphdsp import (
     validate_chain,
 )
 from graphdsp import spectral
+from graphdsp.graph import DENSE_PRODUCT_FILL, _nonzeros
 from graphdsp.spectral import SpectralBasis, _canonical_columns, _real_form
 
 
@@ -799,6 +804,43 @@ def test_laplacian_total_variation_absolute_homogeneity():
     s = rng.standard_normal(6)
     base = laplacian_total_variation(g, g.signal(s))
     assert laplacian_total_variation(g, g.signal(-3 * s)) == pytest.approx(3 * base)
+
+
+@pytest.mark.parametrize("fill", [0.03, 0.5])
+def test_laplacian_total_variation_matches_its_dense_formula(fill):
+    rng = np.random.default_rng(113)
+    for n in (30, 200):
+        w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < fill))
+        a = w + np.triu(w, 1).T
+        g = Graph(a)
+        assert not g.directed
+        assert (np.count_nonzero(a) > DENSE_PRODUCT_FILL * n * n) == (fill > 0.1)
+        for v in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            dense = np.sqrt((a * np.abs(v[:, None] - v[None, :]) ** 2).sum(axis=1)).sum()
+            assert abs(laplacian_total_variation(g, g.signal(v)) - dense) <= 1e-12 * dense
+
+
+def test_products_with_a_sparse_graph_allocate_no_dense_matrix():
+    # once rho and the edge view are cached, filtering, shifting and the
+    # variations are O(nnz) products: no N x N temporary, and no complex
+    # copy of the real adjacency for a complex signal
+    n = 1500
+    g = build_knn_graph(np.random.default_rng(5).random((n, 2)), 8, symmetrize=True)
+    assert np.count_nonzero(g.adjacency) <= DENSE_PRODUCT_FILL * n * n
+    rng = np.random.default_rng(6)
+    s = g.signal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    f = GraphFilter(np.array([0.5, -0.25, 0.125, 1.0]))
+    assert g.spectral_radius > 0.0  # rho and the edge view are cached before tracing
+    _nonzeros(g)
+    for measure in (lambda: apply_filter(g, f, s), lambda: graph_shift(g, s),
+                    lambda: total_variation(g, s), lambda: laplacian_total_variation(g, s)):
+        tracemalloc.start()
+        try:
+            measure()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 def test_laplacian_quadratic_form_values():
