@@ -7,7 +7,8 @@ variation plus a fidelity penalty on the known labels, which reduces to a
 symmetric positive-definite system built from one variation operator M.  A
 single fidelity weight is solved directly (a dense Cholesky of M formed by
 one GEMM) up to 2000 nodes and above by numpy conjugate gradients, which
-apply M as sparse products over the adjacency's nonzeros; the alpha sweep
+apply M as sparse products over the adjacency's nonzeros and iterate to a
+relative residual of ``CG_TOLERANCE``, near the Cholesky's; the alpha sweep
 and the misfit-budget search factor the system once per label set.  The
 Cholesky is numpy's, and it refuses as ``scipy.linalg.solve`` with its
 ill-conditioning warning as an error would: a factorization that fails, or
@@ -31,6 +32,11 @@ from .spectral import SpectralBasis, gft
 
 DIRECT_SOLVE_MAX_N = 2000
 SOLVER_TOLERANCE = 1e-8
+# conjugate gradients iterate well past SOLVER_TOLERANCE, to about the
+# residual the Cholesky leaves: its answer then differs from the direct one,
+# or from its own on the graph with its nodes relabeled, by about cond(M) times
+# this, not cond(M) times SOLVER_TOLERANCE
+CG_TOLERANCE = 1e-14
 REGULARIZER_FORMS = ("shift", "laplacian")
 CALIBRATIONS = ("max", "median")
 BISECTION_STEPS = 60
@@ -330,8 +336,8 @@ def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
         stray = np.flatnonzero(~np.isin(component, component[labels.known_mask]))
         if stray.size:
             _solve_pos(g, labels, m.dense(stray), np.zeros(stray.size))
-        s, iterations = _cg(lambda x: m @ x + fidelity * x, rhs,
-                            0.5 * SOLVER_TOLERANCE, 20 * g.n)
+        s, iterations = _cg(lambda x: m @ x + fidelity * x, rhs, CG_TOLERANCE,
+                            20 * g.n)
         if s is None:
             _raise_singular(g, labels)
         path = f"cg iterations={iterations}"
