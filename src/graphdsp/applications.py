@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import GraphFilter, apply_filter
-from .graph import (Graph, GraphSignal, LabelSignal, _check_laplacian, _components,
-                    _freeze, _nonzero_radius, _shift)
+from .graph import (Graph, GraphSignal, LabelSignal, _block, _check_laplacian,
+                    _components, _freeze, _nonzero_radius, _nonzeros, _shift,
+                    _to_dense)
 from .spectral import SpectralBasis, gft
 
 DIRECT_SOLVE_MAX_N = 2000
@@ -165,7 +166,8 @@ class _VariationOperator:
         self.graph, self.form = g, form
         if form == "laplacian":
             _check_laplacian(g)
-            self.degree = g.adjacency.sum(axis=1)
+            rows, _, vals = _nonzeros(g)
+            self.degree = np.bincount(rows, vals, g.n)
         else:
             self.rho = _nonzero_radius(g)
 
@@ -178,10 +180,10 @@ class _VariationOperator:
 
     def dense(self, nodes=None):
         """M as a dense array: the whole of it, formed once and read-only, or
-        a new array of its block over ``nodes``, a union of weak components
-        (on which B's block is B restricted to them)."""
+        a new array of its block over ``nodes``, a sorted union of weak
+        components (on which B's block is B restricted to them)."""
         if nodes is not None:
-            return self._form(self.graph.adjacency[np.ix_(nodes, nodes)], nodes)
+            return self._form(_to_dense(*_block(self.graph, nodes), nodes.size), nodes)
         if "_dense" not in self.__dict__:
             self._dense = self._form(self.graph.adjacency, slice(None))
             self._dense.setflags(write=False)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -79,6 +80,14 @@ def _real_rows(text):
     return src, dst, weights
 
 
+def _check_id(path, node):
+    """Refuse a node id whose graph's keys dst*n + src would wrap in int64."""
+    limit = math.isqrt(2 ** 63 - 1)
+    if node >= limit:
+        raise ValueError(f"{path}: node id {node} too large; node ids must be "
+                         f"below {limit}")
+
+
 def _parse_rows(path, text):
     """Row by row: two or three fields, complex weights, and every error."""
     lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
@@ -99,6 +108,7 @@ def _parse_rows(path, text):
             raise ValueError(f"{path}: non-integer node id in row {ln!r}") from None
         if s < 0 or d < 0:
             raise ValueError(f"{path}: node ids must be non-negative, got {ln!r}")
+        _check_id(path, max(s, d))
         src.append(s)
         dst.append(d)
         weights.append(_parse_weight(parts[2]) if len(parts) == 3 else 1.0)
@@ -107,6 +117,9 @@ def _parse_rows(path, text):
 
 
 def read_edge_list(path, *, directed=None) -> Graph:
+    """The graph of an edge list, with no N x N array: the sort of the keys
+    dst*n + src that finds a repeated edge gives the row-major order.  A zero
+    weight is no edge, but counts its nodes."""
     with open(path) as fh:
         text = fh.read()
     rows = _real_rows(text)
@@ -114,15 +127,14 @@ def read_edge_list(path, *, directed=None) -> Graph:
     if not src.size:
         raise ValueError(f"{path}: edge list has no edges")
     n = int(max(src.max(), dst.max())) + 1
-    a = np.zeros((n, n), dtype=weights.dtype)
+    _check_id(path, n - 1)
     first = np.unique(dst * n + src, return_index=True)[1]
     if first.size < src.size:
         dup = np.ones(src.size, dtype=bool)
         dup[first] = False
         r = int(np.argmax(dup))  # the first row that repeats an earlier pair
         raise ValueError(f"{path}: duplicate edge {src[r]} -> {dst[r]}")
-    a[dst, src] = weights
-    return Graph(a, directed=directed)
+    return Graph._from_entries(n, dst[first], src[first], weights[first], directed)
 
 
 def write_points(path, points):

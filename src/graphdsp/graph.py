@@ -1,13 +1,14 @@
 """Graph and signal data model, k-NN graph construction, shift normalization.
 
-A graph is a dense weighted adjacency matrix: entry ``A[n, m]`` is the weight
-of the directed edge from node ``m`` to node ``n``, so shifting a signal is
-the matrix-vector product ``A @ s``.  Undirected graphs are symmetric with
-real entries.  All objects are immutable after construction.
+Entry ``A[n, m]`` of a graph's adjacency is the weight of the directed edge
+from node ``m`` to node ``n``, so shifting a signal is the matrix-vector
+product ``A @ s``.  Undirected graphs are symmetric with real entries.  All
+objects are immutable after construction.
 
-Every product with a graph goes through ``_shift`` and every edge listing
-through its edge view ``_nonzeros``; the dense matrix serves the
-eigensolvers, the classifier's dense operator and ``laplacian``.
+A graph stores the nonzeros of A in row-major order, ``_nonzeros``, which
+every product (``_shift``) and edge listing reads.  The dense ``adjacency``
+is built from them on first read, for the eigensolvers, the dense spectral
+radius, the classifier's dense operator, ``laplacian`` and dense products.
 """
 
 from __future__ import annotations
@@ -61,56 +62,87 @@ def _freeze(a):
     return a
 
 
-def _is_symmetric(a):
-    """max |a - a^T| <= SYMMETRY_TOL, taken over the pairs on and above the
-    diagonal, 256 rows at a time: half the reads of a - a.T, no N x N
-    temporary, and a stop at the first asymmetric panel."""
-    return all(np.abs(a[i:i + 256, i:] - a[i:, i:i + 256].T).max() <= SYMMETRY_TOL
-               for i in range(0, a.shape[0], 256))
+def _to_dense(rows, cols, vals, n):
+    """The n x n matrix with nonzeros ``vals`` at (``rows``, ``cols``)."""
+    a = np.zeros((n, n), dtype=vals.dtype)
+    a[rows, cols] = vals
+    return a
 
 
-def _as_adjacency(values):
-    """Coerce to a square float64/complex128 matrix, real when possible."""
-    a = np.asarray(values)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("graph needs at least one node")
-    real = a.dtype.kind in "biuf"
-    a = a.astype(float if real else complex, copy=False)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("adjacency entries must be finite")
-    if real or a.imag.any():
-        return a
-    return a.real.astype(float)
+def _is_symmetric(rows, cols, vals, n):
+    """max |a - a^T| <= SYMMETRY_TOL for the real n x n matrix a with these
+    row-major nonzeros: the transpose's, sorted, pair with a's at the same
+    place, found by a merge where the two patterns differ, and one without a
+    partner is compared against 0."""
+    key = rows * n + cols
+    mirror = cols * n + rows
+    order = np.argsort(mirror)  # the keys are distinct, so the order is unique
+    mirror, partner = mirror[order], vals
+    if not np.array_equal(mirror, key):
+        at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+        partner = np.where(key[at] == mirror, vals[at], 0.0)
+    return bool(np.abs(vals[order] - partner).max(initial=0.0) <= SYMMETRY_TOL)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Weighted graph over nodes 0..N-1 with dense adjacency storage.
+    """Weighted graph over nodes 0..N-1, stored as its adjacency's nonzeros;
+    the dense ``adjacency`` is a view built on first read.
 
-    ``directed`` defaults to a structural test: the graph is undirected only
-    if the adjacency is real and symmetric (within 1e-12).  Pass the flag
+    The adjacency is coerced to float64, or complex128 where an imaginary
+    part is nonzero; an entry equal to zero is no edge.  ``directed``
+    defaults to a structural test: the graph is undirected only if the
+    adjacency is real and symmetric (within 1e-12).  Pass the flag
     explicitly to force a directed interpretation of a symmetric matrix.
     """
 
-    adjacency: np.ndarray
-    directed: bool = None  # type: ignore[assignment]
+    n: int
+    directed: bool
 
-    def __post_init__(self):
-        a = _as_adjacency(self.adjacency)
-        directed = self.directed
-        symmetric = not np.iscomplexobj(a) and _is_symmetric(a)
+    def __init__(self, adjacency, directed=None):
+        a = np.asarray(adjacency)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {a.shape}")
+        rows, cols = np.nonzero(a)
+        self._store(a.shape[0], rows, cols, a[rows, cols], directed)
+
+    @classmethod
+    def _from_entries(cls, n, rows, cols, vals, directed):
+        """The graph over n nodes with adjacency entries ``vals`` at (``rows``,
+        ``cols``) in row-major order, without repeats, checked as by ``Graph``."""
+        g = cls.__new__(cls)
+        g._store(n, rows, cols, vals, directed)
+        return g
+
+    def _store(self, n, rows, cols, vals, directed):
+        if n < 1:
+            raise ValueError("graph needs at least one node")
+        vals = vals.astype(float if vals.dtype.kind in "biuf" else complex, copy=False)
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("adjacency entries must be finite")
+        if np.iscomplexobj(vals) and not vals.imag.any():
+            vals = vals.real.astype(float)
+        symmetric = not np.iscomplexobj(vals) and _is_symmetric(rows, cols, vals, n)
         if directed is None:
             directed = not symmetric
         elif not directed and not symmetric:
             raise ValueError("undirected graph requires a real symmetric adjacency")
-        object.__setattr__(self, "adjacency", _freeze(a))
+        for x in (rows, cols, vals):
+            x.setflags(write=False)
+        object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "directed", bool(directed))
+        self.__dict__["_nonzeros"] = (rows, cols, vals)
 
     @property
-    def n(self):
-        return self.adjacency.shape[0]
+    def adjacency(self):
+        """The dense adjacency, read-only, built on first read and cached."""
+        if "_adjacency" not in self.__dict__:
+            a = _to_dense(*_nonzeros(self), self.n)
+            a.setflags(write=False)
+            self.__dict__["_adjacency"] = a
+        return self.__dict__["_adjacency"]
 
     @property
     def spectral_radius(self):
@@ -136,9 +168,9 @@ class Graph:
         restarts and bracket at debug level.
         """
         if "_rho" not in self.__dict__:
-            a = self.adjacency
-            if self.n <= 20 or np.iscomplexobj(a) or not a.any() or a.min() < 0:
-                rho = _dense_radius(a, self.directed)
+            vals = _nonzeros(self)[2]
+            if self.n <= 20 or not vals.size or np.iscomplexobj(vals) or vals.min() < 0:
+                rho = _dense_radius(self.adjacency, self.directed) if vals.size else 0.0
                 log.debug("spectral_radius: n=%d path=dense rho=%.17g", self.n, rho)
             else:
                 rho = _certified_radius(self)
@@ -280,11 +312,18 @@ def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
 
 def _nonzeros(g: Graph):
     """Row, column and value arrays of the adjacency's nonzeros in row-major
-    order, built on first use and cached: the graph's sparse view."""
-    if "_nonzeros" not in g.__dict__:
-        rows, cols = np.nonzero(g.adjacency)
-        g.__dict__["_nonzeros"] = (rows, cols, g.adjacency[rows, cols])
+    order, read-only: the graph's storage and its sparse view."""
     return g.__dict__["_nonzeros"]
+
+
+def _block(g: Graph, nodes):
+    """``_nonzeros`` of the block over ``nodes``, a sorted union of weak
+    components, in the block's own node indices."""
+    rows, cols, vals = _nonzeros(g)
+    local = np.full(g.n, -1)
+    local[nodes] = np.arange(nodes.size)
+    edges = local[rows] >= 0
+    return local[rows[edges]], local[cols[edges]], vals[edges]
 
 
 def _product(rows, cols, vals, x, n):
@@ -305,8 +344,7 @@ def _matvec(rows, cols, vals, n, dense=None, adjoint=False):
     from the triplets otherwise, and ``_product`` over them below that."""
     if vals.size > DENSE_PRODUCT_FILL * n * n:
         if dense is None:
-            dense = np.zeros((n, n), dtype=vals.dtype)
-            dense[rows, cols] = vals
+            dense = _to_dense(rows, cols, vals, n)
         if adjoint:
             return lambda x: (x.conj() @ dense).conj()
         return dense.__matmul__
@@ -316,9 +354,14 @@ def _matvec(rows, cols, vals, n, dense=None, adjoint=False):
 
 
 def _shift(g: Graph, x, adjoint=False):
-    """A @ x, or A^H @ x, over the graph's sparse view or the adjacency
-    (see ``_matvec``)."""
-    return _matvec(*_nonzeros(g), g.n, g.adjacency, adjoint)(x)
+    """A @ x, or A^H @ x, over the graph's nonzeros (see ``_matvec``)."""
+    return _matvec(*_nonzeros(g), g.n, _dense_operand(g), adjoint)(x)
+
+
+def _dense_operand(g: Graph):
+    """The adjacency where products with it are dense ones (see ``_matvec``),
+    so that a sparse graph's products never build it; None elsewhere."""
+    return g.adjacency if _nonzeros(g)[2].size > DENSE_PRODUCT_FILL * g.n ** 2 else None
 
 
 def _components(g: Graph):
@@ -342,7 +385,7 @@ def _components(g: Graph):
 
 def _dense_radius(a, directed):
     eigvals = np.linalg.eigvals if directed else np.linalg.eigvalsh
-    return float(np.max(np.abs(eigvals(a)))) if a.any() else 0.0
+    return float(np.max(np.abs(eigvals(a))))
 
 
 def _arnoldi_bracket(rows, cols, vals, n, dense=None):
@@ -388,30 +431,26 @@ def _arnoldi_bracket(rows, cols, vals, n, dense=None):
 
 def _certified_radius(g: Graph):
     """rho of a nonnegative real graph, the largest over its weak components
-    (see ``Graph.spectral_radius``), with its debug record."""
+    (see ``Graph.spectral_radius``), with its debug record; a component that
+    spans the graph takes its nonzeros and adjacency as they are."""
     rows, cols, vals = _nonzeros(g)
     label = _components(g)
     roots, sizes = np.unique(label, return_counts=True)
-    local = np.empty(g.n, dtype=np.intp)
-    edge_label = label[rows] if roots.size > 1 else None
     # an isolated node's only eigenvalue is its self-loop weight
-    lo = hi = float(np.diagonal(g.adjacency)[np.isin(label, roots[sizes == 1])]
-                    .max(initial=0.0))
+    loops = (rows == cols) & np.isin(label[rows], roots[sizes == 1])
+    lo = hi = float(vals[loops].max(initial=0.0))
     certified = restarts = 0
     for root in roots[sizes > 1]:
         nodes = np.flatnonzero(label == root)
-        if nodes.size == g.n:  # its block is the graph: no edge selection, no copy
-            r, c, w, block = rows, cols, vals, g.adjacency
-        else:
-            local[nodes] = np.arange(nodes.size)
-            edges = edge_label == root
-            r, c, w, block = local[rows[edges]], local[cols[edges]], vals[edges], None
+        spans = nodes.size == g.n
+        r, c, w = (rows, cols, vals) if spans else _block(g, nodes)
         bracket = None
         if np.bincount(r, minlength=nodes.size).all():  # a node without in-edges pins lo at 0
-            bracket, taken = _arnoldi_bracket(r, c, w, nodes.size, block)
+            dense = _dense_operand(g) if spans else None
+            bracket, taken = _arnoldi_bracket(r, c, w, nodes.size, dense)
             restarts += taken
         if bracket is None:
-            block = g.adjacency[np.ix_(nodes, nodes)] if block is None else block
+            block = g.adjacency if spans else _to_dense(r, c, w, nodes.size)
             bracket = (_dense_radius(block, g.directed),) * 2
         else:
             certified += 1
@@ -432,7 +471,8 @@ def _nonzero_radius(g: Graph) -> float:
 
 def normalize_shift(g: Graph) -> Graph:
     """Scale the adjacency by 1/|lambda_max| so the spectral radius is 1."""
-    return Graph(g.adjacency / _nonzero_radius(g), directed=g.directed)
+    rows, cols, vals = _nonzeros(g)
+    return Graph._from_entries(g.n, rows, cols, vals / _nonzero_radius(g), g.directed)
 
 
 def graph_shift(g: Graph, s: GraphSignal) -> GraphSignal:
@@ -450,7 +490,8 @@ def _check_laplacian(g: Graph):
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian D - A of an undirected graph with non-negative real weights."""
+    """Laplacian D - A of an undirected graph with non-negative real weights;
+    the degrees D sum each row's nonzeros, as the classifier's form does."""
     _check_laplacian(g)
-    a = g.adjacency
-    return np.diag(a.sum(axis=1)) - a
+    rows, _, vals = _nonzeros(g)
+    return np.diag(np.bincount(rows, vals, g.n)) - g.adjacency

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (Graph, GraphSignal, _check_bound, _check_laplacian, _freeze,
-                    _nonzero_radius, _nonzeros, _shift, laplacian)
+                    _nonzero_radius, _nonzeros, _shift)
 
 DEFECTIVE_COND_LIMIT = 1e8
 EIGENVALUE_GROUP_TOL = 1e-12
@@ -241,7 +241,7 @@ def _real_form(w, V):
 
 
 def _nonzero_adjacency(g: Graph):
-    if not g.adjacency.any():
+    if not _nonzeros(g)[2].size:
         raise ValueError("cannot decompose a zero adjacency")
     return g.adjacency
 
@@ -467,10 +467,12 @@ def laplacian_total_variation(g: Graph, s: GraphSignal) -> float:
 
 
 def laplacian_quadratic_form(g: Graph, s: GraphSignal) -> float:
-    """Quadratic form s^T L s of the graph Laplacian, for real signals."""
+    """Quadratic form s^T L s of the graph Laplacian, for real signals, as
+    half the weighted squared differences over the edges: never below 0."""
     _check_bound(g, s)
     if np.iscomplexobj(s.values) and np.any(s.values.imag != 0.0):
         raise ValueError("Laplacian quadratic form expects a real signal")
-    L = laplacian(g)
+    _check_laplacian(g)
+    rows, cols, w = _nonzeros(g)
     v = s.values.real
-    return float(v @ L @ v)
+    return float(0.5 * (w * (v[rows] - v[cols]) ** 2).sum())

@@ -471,8 +471,13 @@ def test_operator_products_match_its_dense_form(kind):
         nodes = np.arange(g.n)
         assert np.array_equal(op.dense(nodes), m)
     if kind == "symmetric":
+        # the degree sums each row's nonzeros in column order, which the dense
+        # row sum (pairwise, over every entry) matches within rounding
         a = g.adjacency
-        lap = 2.0 * (np.diag(a.sum(axis=1)) - a)
+        degree = np.array([np.cumsum(np.append(0.0, row[row != 0]))[-1] for row in a])
+        assert np.all(np.abs(degree - a.sum(axis=1))
+                      <= 2 * g.n * np.finfo(float).eps * a.sum(axis=1))
+        lap = 2.0 * (np.diag(degree) - a)
         assert np.array_equal(applications._variation_operator(g, "laplacian").dense(), lap)
 
 

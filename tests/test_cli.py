@@ -546,6 +546,15 @@ def test_rerun_out_is_appended_to_a_command_recorded_without_it(tmp_path):
                           cycle_graph(4).adjacency)
 
 
+def test_a_node_id_whose_keys_would_wrap_is_an_error(tmp_path, capsys):
+    graph, labels = tmp_path / "huge.tsv", tmp_path / "labels.csv"
+    graph.write_text("src\tdst\tweight\n0\t3037000499\t1\n")
+    labels.write_text("node,re\n0,1\n")
+    assert run("classify", graph, labels, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{graph}: node id 3037000499 too large" in err
+
+
 def test_rerun_refuses_a_changed_input_and_writes_nothing(tmp_path, capsys):
     gdir, first = tmp_path / "g", tmp_path / "first"
     assert run("gen", "cycle", 4, "--out", gdir) == 0

@@ -137,6 +137,22 @@ def test_edge_list_without_edges_names_the_file(tmp_path, header):
         read_edge_list(p)
 
 
+@pytest.mark.parametrize("row, node", [("0\t3037000499\t1", "3037000499"),
+                                       ("3037000499\t0\t1+0i", "3037000499"),
+                                       ("0\t9223372036854775808", "9223372036854775808")])
+def test_node_ids_whose_keys_would_wrap_are_refused(tmp_path, row, node):
+    # n * n must stay below 2^63 for the int64 keys dst*n + src: on the
+    # one-pass parse, the row parser, and an id beyond int64 itself
+    p = tmp_path / "huge.tsv"
+    p.write_text(f"src\tdst\tweight\n{row}\n")
+    with pytest.raises(ValueError, match=f"huge.tsv: node id {node} too large; node ids "
+                                         f"must be below 3037000499"):
+        read_edge_list(p)
+    # the largest id allowed; its zero weight is no edge, so nothing is N x N
+    p.write_text("src\tdst\tweight\n0\t3037000498\t0\n")
+    assert read_edge_list(p).n == 3037000499
+
+
 def read_edge_list_reference(path):
     """Per-row fill with a set of seen pairs, which read_edge_list replaces."""
     lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
@@ -151,7 +167,8 @@ def read_edge_list_reference(path):
         if (s, d) in seen:
             raise ValueError(f"{path}: duplicate edge {s} -> {d}")
         seen.add((s, d))
-        a[d, s] = w
+        if w != 0:  # a zero weight, -0.0 too, is no edge
+            a[d, s] = w
     return a
 
 

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ def test_adjacency_coercion_matches_the_complex_round_trip():
     for values in inputs:
         c = np.asarray(values).astype(complex)
         ref = c.real.astype(float) if np.all(c.imag == 0.0) else c
+        ref[ref == 0] = 0  # an entry equal to zero, -0.0 too, is no edge: +0
         got = Graph(values).adjacency
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
@@ -308,8 +310,9 @@ def test_full_density_spectral_radius_takes_dense_products(monkeypatch, caplog):
 
 
 def test_a_spanning_component_takes_the_graphs_own_edge_view(monkeypatch):
-    # a component that spans the graph is the graph: its triplets and its
-    # adjacency reach the Arnoldi as they are, with no edge selection
+    # a component that spans the graph is the graph: its triplets reach the
+    # Arnoldi as they are, with no edge selection, and a sparse graph's dense
+    # adjacency is never built
     seen = []
     real = graph_module._arnoldi_bracket
 
@@ -324,7 +327,7 @@ def test_a_spanning_component_takes_the_graphs_own_edge_view(monkeypatch):
     [(rows, cols, vals, n, dense)] = seen
     own = graph_module._nonzeros(g)
     assert rows is own[0] and cols is own[1] and vals is own[2]
-    assert n == g.n and dense is g.adjacency
+    assert n == g.n and dense is None and "_adjacency" not in g.__dict__
 
 
 @pytest.mark.parametrize("fill", [0.02, 1.0])
@@ -689,3 +692,73 @@ def test_knn_haversine_at_tens_of_km_has_finite_positive_weights():
         w = g.adjacency[g.adjacency != 0]
         assert w.size == 2 * len(pts)
         assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+
+
+def test_read_rho_classify_filter_and_write_build_no_dense_adjacency(tmp_path, monkeypatch):
+    # an SBM just above DIRECT_SOLVE_MAX_N: reading it, its spectral radius,
+    # both classifier forms (conjugate gradients), filtering, writing, both
+    # Laplacian variations and normalization run on the stored nonzeros.  The
+    # dense builder refuses any N x N array, and no step peaks at the size of one
+    from graphdsp import (ClassifierConfig, GraphFilter, apply_filter, applications,
+                          classify, laplacian_quadratic_form, laplacian_total_variation)
+    from graphdsp.fileio import read_edge_list, write_edge_list
+
+    n = applications.DIRECT_SOLVE_MAX_N + 50
+    g, truth = sbm_graph(n, 0.015, 0.0015, seed=5)
+    path = tmp_path / "sbm.tsv"
+    write_edge_list(path, g)
+    rng = np.random.default_rng(6)
+    known = LabelSignal(np.where(rng.random(n) < 0.1, truth.labels, 0.0))
+    x = rng.standard_normal(n)
+    real = graph_module._to_dense
+
+    def refuse(rows, cols, vals, size):
+        assert size < n, "a dense N x N adjacency was built"
+        return real(rows, cols, vals, size)
+
+    for module in (graph_module, applications):
+        monkeypatch.setattr(module, "_to_dense", refuse)
+    steps = [
+        ("read", lambda: read_edge_list(path)),
+        ("rho", lambda: g.spectral_radius),
+        ("classify shift", lambda: classify(g, known, ClassifierConfig(1.0, "shift"))),
+        ("classify laplacian", lambda: classify(g, known, ClassifierConfig(1.0, "laplacian"))),
+        ("filter", lambda: apply_filter(g, GraphFilter(np.array([1.0, -0.5, 0.25])),
+                                        g.signal(x))),
+        ("write", lambda: write_edge_list(tmp_path / "out.tsv", g)),
+        ("laplacian variation", lambda: laplacian_total_variation(g, g.signal(x))),
+        ("laplacian form", lambda: laplacian_quadratic_form(g, g.signal(x))),
+        ("normalize", lambda: normalize_shift(g)),
+    ]
+    for name, step in steps:
+        tracemalloc.start()
+        try:
+            out = step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, name
+        if name == "read":
+            g = out
+    assert "_adjacency" not in g.__dict__
+    assert (tmp_path / "out.tsv").read_bytes() == path.read_bytes()
+
+
+def test_decompose_builds_the_dense_adjacency_once(monkeypatch):
+    from graphdsp import decompose, spectrum
+
+    sizes = []
+    real = graph_module._to_dense
+
+    def count(rows, cols, vals, size):
+        sizes.append(size)
+        return real(rows, cols, vals, size)
+
+    monkeypatch.setattr(graph_module, "_to_dense", count)
+    pts = np.random.default_rng(2).random((60, 2))
+    for g in (build_knn_graph(pts, 4), build_knn_graph(pts, 4, symmetrize=True)):
+        sizes.clear()
+        decompose(g)
+        spectrum(g)
+        decompose(g)
+        assert sizes == [g.n]

@@ -15,10 +15,13 @@ complex graph's bit for bit; filtering a relabeled graph is checked against
 the original.  The classifier's solution is checked to minimize its
 objective, and to be permuted with the nodes on the direct and the
 iterative path; its reciprocal condition estimate is checked against
-LAPACK's ``dpocon``.
+LAPACK's ``dpocon``.  An edge list is read into the graph of its dense
+adjacency, bit for bit, and written back byte for byte.
 """
 
 import logging
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -46,7 +49,8 @@ from graphdsp import (
     spectral,
 )
 from graphdsp import applications
-from graphdsp.graph import BRACKET_RTOL
+from graphdsp.fileio import read_edge_list, write_edge_list
+from graphdsp.graph import BRACKET_RTOL, SYMMETRY_TOL, _nonzeros
 from graphdsp.spectral import _canonical_columns, _orthogonalize_repeated, _real_form
 
 EPS = np.finfo(float).eps
@@ -452,3 +456,58 @@ def test_reciprocal_condition_matches_lapack_pocon(n, seed, decades, kind):
     # whichever factor of a makes it, so rcond is off by a few eps at most
     # (up to 1.5 eps at n = 1, from the divisions alone)
     assert abs(rcond - ref) <= 4 * n * EPS
+
+
+@st.composite
+def edge_lists(draw):
+    """A real adjacency and the text of an edge list of it: its nonzeros in
+    random row order; explicit zero rows, +0, -0 or 0+0i, at some of its
+    zeros; every node no row names pinned by a zero self row; some weights
+    written as complex numbers with a zero imaginary part; and pairs whose
+    asymmetry is at, within or just above SYMMETRY_TOL, some of them an
+    unmatched entry of at most that magnitude."""
+    n = draw(st.integers(1, 8))
+    a = draw(arrays(float, (n, n), elements=WEIGHTS)) * draw(st.sampled_from([1.0, 1e3]))
+    if draw(st.booleans()):
+        a = np.triu(a) + np.triu(a, 1).T
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        gap = draw(st.sampled_from([0.5, 1.0, 1.01, 2.0])) * SYMMETRY_TOL
+        a[i, j] = a[j, i] + gap if draw(st.booleans()) else gap
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=2)):  # isolated nodes
+        a[k], a[:, k] = 0.0, 0.0
+    a = a + 0.0  # no -0.0: an entry equal to zero is no edge
+    complex_rows = draw(st.booleans())
+    rows = []
+    for d, s in zip(*np.nonzero(a)):
+        w = format(a[d, s], ".17g")
+        rows.append(f"{s}\t{d}\t{w}+0i" if complex_rows and draw(st.booleans()) else
+                    f"{s}\t{d}\t{w}")
+    for d, s in zip(*np.nonzero(a == 0)):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append(f"{s}\t{d}\t{draw(st.sampled_from(['0', '-0', '0+0i']))}")
+    named = {int(x) for row in rows for x in row.split("\t")[:2]}
+    rows += [f"{k}\t{k}\t0" for k in range(n) if k not in named]
+    return a, "src\tdst\tweight\n" + "\n".join(draw(st.permutations(rows))) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists())
+def test_an_edge_list_reads_as_its_dense_adjacency_and_round_trips(case):
+    a, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "g.tsv", Path(tmp) / "again.tsv"
+        path.write_text(text)
+        got, ref = read_edge_list(path), Graph(a)
+        assert got.n == ref.n == a.shape[0]
+        assert got.directed == ref.directed == (np.abs(a - a.T).max() > SYMMETRY_TOL)
+        for x, y in [(got.adjacency, ref.adjacency), (ref.adjacency, a),
+                     *zip(_nonzeros(got), _nonzeros(ref))]:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert all(np.array_equal(x, y) for x, y in zip(_nonzeros(ref), np.nonzero(a)))
+        write_edge_list(path, got)
+        back = read_edge_list(path)
+        write_edge_list(again, back)
+        assert again.read_bytes() == path.read_bytes()
+        assert back.directed == got.directed
+        assert back.adjacency.tobytes() == got.adjacency.tobytes()

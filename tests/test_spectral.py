@@ -865,6 +865,26 @@ def test_laplacian_quadratic_form_nonnegative():
         assert laplacian_quadratic_form(g, s) >= -1e-10
 
 
+@pytest.mark.parametrize("kind", ["knn", "sbm"])
+def test_laplacian_quadratic_form_is_the_dense_form_over_the_edges(kind):
+    # half the weighted squared differences over the nonzeros: the dense
+    # v L v within rounding, never below 0, and exactly 0 on a constant
+    from graphdsp import laplacian, sbm_graph
+
+    if kind == "knn":
+        g = build_knn_graph(np.random.default_rng(8).random((300, 2)), 6, symmetrize=True)
+    else:
+        g = sbm_graph(300, 0.1, 0.01, seed=8)[0]
+    rows, cols, w = _nonzeros(g)
+    rng = np.random.default_rng(9)
+    for v in (rng.standard_normal(g.n), 5.0 + 1e-3 * rng.random(g.n)):
+        got = laplacian_quadratic_form(g, g.signal(v))
+        scale = np.abs(w) @ v[rows] ** 2
+        assert got >= 0.0
+        assert abs(got - v @ laplacian(g) @ v) <= 1e-12 * scale
+    assert laplacian_quadratic_form(g, g.signal(np.full(g.n, 0.3))) == 0.0
+
+
 def test_laplacian_measures_reject_directed_graphs():
     g = cycle_graph(4)
     s = g.signal(np.ones(4))
