@@ -11,18 +11,29 @@ be refused.  ``filter`` applies h(A/rho) by repeated shifts, which needs
 the spectral radius alone; it builds the eigenbasis only for
 ``--spectra``, which also writes the signal's spectrum before and after.
 Every run writes a ``manifest.json`` next to its outputs recording the
-command, input digests, seed, configuration, the files written in write
-order, and the Python and numpy versions, numpy's BLAS build and the BLAS
-thread settings.  ``--out`` is made at the first write, so a command
-failing before it leaves no directory.
-``rerun`` refuses a manifest whose inputs no longer match their digests, and
+command, input digests, seed, configuration, the sha256 of each file
+written (``outputs``, in write order), and the Python and numpy versions,
+numpy's BLAS build and the BLAS thread settings.  ``--out`` is made at the
+first write, so a command failing before it leaves no directory.
+The commands that build a spectrum (``spectrum``, ``design``, ``detect`` and
+``filter --spectra``) read it through the per-user basis cache in
+``$XDG_CACHE_HOME/graphdsp``, or ``~/.cache/graphdsp`` (``basis_cache``),
+and record ``basis: {"cache": "hit" | "miss" | "unavailable", "key": ...}``:
+a hit is served, a miss computed and stored, and an unavailable cache (no
+absolute home directory, a directory that cannot be written) computed
+alone; the key is null where none was looked up.  A hit writes the bytes a
+miss writes.
+``rerun`` refuses a manifest whose inputs no longer match their digests,
 otherwise replays its argv, which reproduces the outputs bit for bit under
-the graphdsp version that wrote it.  A ``filter`` manifest written before
+the graphdsp version that wrote it, and exits 1 naming every output whose
+sha256 differs from the recorded one; a manifest written before outputs had
+digests is replayed unchecked.  A ``filter`` manifest written before
 ``--spectra`` existed replays without ``spectra.csv`` and with the cold
 spectral radius, so its ``filtered.csv`` moves at rounding level; the
 recorded command run with ``--spectra`` reproduces both files.
 ``graphdsp --verbose <command>`` prints the library's debug records to
-stderr: the solver and condition path of each ``decompose``, the path of
+stderr: the basis cache's outcome and key, the solver and condition path of
+each computed ``decompose``, the path of
 each cold spectral radius (certified in numpy by its logged bracket, or the
 dense fallback) and the path and residual of each classifier solve.  No
 command loads scipy.
@@ -44,7 +55,7 @@ import sys
 
 import numpy as np
 
-from . import fileio
+from . import basis_cache, fileio
 from .applications import (
     ClassifierConfig,
     DetectorConfig,
@@ -59,8 +70,8 @@ from .generators import cycle_graph, path_graph, regular_graph, sbm_graph
 from .graph import build_knn_graph, euclidean, haversine_km
 from .spectral import NearDefectiveError, decompose, gft, order_frequencies, spectrum
 
+log = logging.getLogger("graphdsp")
 METRICS = {"euclidean": euclidean, "haversine": haversine_km}
-THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path):
@@ -79,31 +90,36 @@ def _output(args, name):
     return os.path.join(args.out, name)
 
 
-def _blas():
-    """numpy's BLAS build, as numpy reports it (null where it reports none):
-    every LAPACK call of every command is numpy's."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"name": blas.get("name"), "version": blas.get("version"),
-            "openblas_configuration": blas.get("openblas configuration")}
+def _spectrum(args, g, basis=False):
+    """The graph's ``spectrum``, or with ``basis`` its ``decompose``, through
+    the per-user basis cache; the outcome goes to the manifest."""
+    if args.cache is None:
+        log.debug("basis_cache: unavailable, the home directory is not an absolute path")
+    sp = (decompose if basis else spectrum)(g, cache=args.cache)
+    args.basis = sp.__dict__.get("_cache", {"cache": "unavailable", "key": None})
+    return sp
 
 
 def _finish(args, inputs, config, seed=None):
     """Write the run manifest next to the outputs."""
-    fileio._write_json(os.path.join(args.out, "manifest.json"), {
+    doc = {
         "command": list(args.argv),
         "inputs": {p: _sha256(p) for p in inputs},
         "seed": seed,
         "config": config,
-        "outputs": args.outputs,
+        "outputs": {name: _sha256(os.path.join(args.out, name)) for name in args.outputs},
         # the bits of eig, and so of every basis, depend on the BLAS build and
         # its threads
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "blas": _blas(),
-            "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES},
+            "blas": basis_cache.blas(),
+            "threads": {v: os.environ.get(v) for v in basis_cache.THREAD_VARIABLES},
         },
-    })
+    }
+    if args.basis is not None:
+        doc["basis"] = args.basis
+    fileio._write_json(os.path.join(args.out, "manifest.json"), doc)
     return 0
 
 
@@ -157,7 +173,7 @@ def _cmd_gen(args):
 
 def _cmd_spectrum(args):
     g = fileio.read_edge_list(args.graph)
-    sp = spectrum(g)
+    sp = _spectrum(args, g)
     fileio.write_spectrum(_output(args, "spectrum.json"), sp, order_frequencies(sp))
     return _finish(args, [args.graph], {})
 
@@ -165,7 +181,7 @@ def _cmd_spectrum(args):
 def _cmd_design(args):
     g = fileio.read_edge_list(args.graph)
     kind, band = _parse_kind(args.kind)
-    design = design_ideal_filter(spectrum(g), kind, args.degree, band)
+    design = design_ideal_filter(_spectrum(args, g), kind, args.degree, band)
     fileio.write_filter(_output(args, "filter.json"), design.filter)
     fileio.write_design_report(_output(args, "design.json"), design)
     return _finish(args, [args.graph], {"kind": args.kind, "degree": args.degree})
@@ -178,7 +194,7 @@ def _cmd_filter(args):
     inputs, config = [args.graph, args.filter, args.signal], {"spectra": args.spectra}
     # h(A/rho) s needs rho alone, so only the spectra build a basis: first,
     # so a defective graph is refused before anything is written
-    b = decompose(g) if args.spectra else None
+    b = _spectrum(args, g, basis=True) if args.spectra else None
     result = apply_filter(g, filt, s)
     fileio.write_signal(_output(args, "filtered.csv"), result.values)
     if b is not None:
@@ -189,7 +205,7 @@ def _cmd_filter(args):
 
 def _cmd_detect(args):
     g = fileio.read_edge_list(args.graph)
-    b = decompose(g)
+    b = _spectrum(args, g, basis=True)
     if args.filter:
         filt = fileio.read_filter(args.filter)
         filter_config = {"filter": args.filter}
@@ -268,7 +284,19 @@ def _cmd_rerun(args):
             argv[i] = args.out
         else:
             argv += ["--out", args.out]
-    return main(argv)
+    code = main(argv)
+    outputs = doc.get("outputs")
+    if code or not isinstance(outputs, dict):  # written before outputs had digests
+        return code
+    out = _build_parser().parse_args(argv).out
+    differ = [name for name, digest in outputs.items()
+              if not os.path.isfile(os.path.join(out, name))
+              or _sha256(os.path.join(out, name)) != digest]
+    if differ:
+        print(f"error: {args.manifest}: replayed output differs from the recorded "
+              f"run: {', '.join(differ)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _build_parser():
@@ -368,8 +396,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 1
         return 0 if code == 0 else 1
-    args.argv, args.outputs = argv, []
-    log = logging.getLogger("graphdsp")
+    args.argv, args.outputs, args.basis = argv, [], None
+    args.cache = basis_cache.default_directory()
     handler, level = logging.StreamHandler(sys.stderr), log.level
     if args.verbose:
         log.addHandler(handler)

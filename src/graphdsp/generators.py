@@ -6,6 +6,9 @@ import numpy as np
 
 from .graph import Graph, LabelSignal
 
+# uniforms drawn at once by ``sbm_graph``: 8 MB of float64
+SBM_BLOCK = 2 ** 20
+
 
 def cycle_graph(n: int) -> Graph:
     """Directed cycle 0 -> 1 -> ... -> n-1 -> 0; the adjacency is the cyclic
@@ -45,6 +48,11 @@ def sbm_graph(n: int, p: float, q: float, seed: int = 0):
     Nodes split into blocks of n//2 and n - n//2; an undirected unit edge
     appears with probability ``p`` inside a block and ``q`` across.  Returns
     the graph and the +1/-1 block membership.
+
+    Edge (i, j), i < j, is drawn as ``u[i, j] < prob`` with u the n x n
+    uniforms of ``default_rng(seed).random((n, n))``.  That matrix is the
+    stream's rows in order, so it is drawn ``SBM_BLOCK`` entries of rows at a
+    time and only the upper triangle's hits are kept: no N x N array.
     """
     if n < 2:
         raise ValueError("block model needs at least two nodes")
@@ -54,8 +62,17 @@ def sbm_graph(n: int, p: float, q: float, seed: int = 0):
     rng = np.random.default_rng(int(seed))
     half = n // 2
     member = np.where(np.arange(n) < half, 1.0, -1.0)
-    same = member[:, None] == member[None, :]
-    prob = np.where(same, p, q)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    a = (upper | upper.T).astype(float)
-    return Graph(a), LabelSignal(member)
+    step = max(1, SBM_BLOCK // n)
+    hits = []
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        prob = np.where(member[rows, None] == member[None, :], p, q)
+        edge = rng.random((rows.size, n)) < prob
+        edge &= np.arange(n) > rows[:, None]
+        i, j = np.nonzero(edge)
+        hits.append((i + start) * n + j)
+    upper = np.concatenate(hits)
+    keys = np.sort(np.concatenate([upper, upper % n * n + upper // n]))
+    rows, cols = np.divmod(keys, n)
+    return (Graph._from_entries(n, rows, cols, np.ones(keys.size), None),
+            LabelSignal(member))

@@ -33,6 +33,13 @@ and a bound at most half the limit accepts the basis.  Only a bound above that,
 a non-finite one or a failed inverse costs the exact cond2 before
 deciding.  An accepted basis computes its exact condition when it is first
 read.
+
+``decompose`` and ``spectrum`` take ``cache=DIR``, a ``basis_cache``
+directory: a graph whose decomposition is stored there is served from it,
+bit for bit as computed and without its dense adjacency, and one that is
+not is computed and stored, unless refused.  The result records the
+outcome, ``hit``, ``miss`` or ``unavailable`` (computed, not stored), and
+the key; each call logs them at debug level.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import basis_cache
 from .graph import (Graph, GraphSignal, _check_bound, _check_laplacian, _freeze,
                     _nonzero_radius, _nonzeros, _shift)
 
@@ -240,10 +248,9 @@ def _real_form(w, V):
     return M, j, np.linalg.norm(V, axis=0)
 
 
-def _nonzero_adjacency(g: Graph):
+def _check_nonzero(g: Graph):
     if not _nonzeros(g)[2].size:
         raise ValueError("cannot decompose a zero adjacency")
-    return g.adjacency
 
 
 def _descending(w):
@@ -259,24 +266,57 @@ def _seed_radius(g: Graph, w):
     return g.__dict__.setdefault("_rho", float(np.max(np.abs(w))))
 
 
-def spectrum(g: Graph) -> Spectrum:
+def _cached(g: Graph, solver, cache, compute):
+    """``compute()``, or the entry ``cache`` holds for the graph's
+    decomposition by ``solver``; a computed result is stored there."""
+    _check_nonzero(g)
+    if cache is None:
+        return compute()
+    key = basis_cache.key(g, solver)
+    entry = basis_cache.load(cache, key, g.n, solver != "eigvalsh")
+    if entry is None:
+        sp = compute()
+        condition = [sp.__dict__["_condition"]] if "_condition" in sp.__dict__ else []
+        arrays = [np.array(condition, dtype=float), sp.eigenvalues]
+        if isinstance(sp, SpectralBasis):
+            arrays += [sp.vectors, sp.fourier]
+        outcome = "miss" if basis_cache.store(cache, key, arrays) else "unavailable"
+    else:
+        condition, w, *vf = entry
+        fields = dict(graph=g, eigenvalues=w, lambda_max_abs=_seed_radius(g, w))
+        sp = SpectralBasis(**fields, vectors=vf[0], fourier=vf[1]) if vf else Spectrum(**fields)
+        if condition.size:
+            sp.__dict__["_condition"] = float(condition[0])
+        outcome = "hit"
+    log.debug("basis_cache: %s solver=%s key=%s", outcome, solver, key)
+    sp.__dict__["_cache"] = {"cache": outcome, "key": key}
+    return sp
+
+
+def spectrum(g: Graph, *, cache=None) -> Spectrum:
     """Eigenvalues, spectral radius and basis condition of the adjacency.
 
     An undirected graph's basis condition is exactly 1, so its eigenvalues
     come from ``eigvalsh`` alone, sorted as ``decompose`` sorts them; the
     spectral radius is cached or seeded as there.  A directed graph's basis
     may be refused, which needs its eigenvectors, so it is decomposed and
-    the ``SpectralBasis`` returned.
+    the ``SpectralBasis`` returned.  ``cache`` is a directory of stored
+    decompositions, as for ``decompose``; the eigenvalues of ``eigvalsh``
+    are stored apart from ``eigh``'s, whose bits differ.
     """
     if g.directed:
-        return decompose(g)
-    w, _ = _descending(np.linalg.eigvalsh(_nonzero_adjacency(g)))
+        return decompose(g, cache=cache)
+    return _cached(g, "eigvalsh", cache, lambda: _eigenvalues(g))
+
+
+def _eigenvalues(g: Graph) -> Spectrum:
+    w, _ = _descending(np.linalg.eigvalsh(g.adjacency))
     log.debug("spectrum: n=%d solver=eigvalsh condition=1", g.n)
     w.setflags(write=False)
     return Spectrum(graph=g, eigenvalues=w, lambda_max_abs=_seed_radius(g, w))
 
 
-def decompose(g: Graph) -> SpectralBasis:
+def decompose(g: Graph, *, cache=None) -> SpectralBasis:
     """Eigendecompose the adjacency into a canonical Fourier basis.
 
     Eigenvalues are sorted by descending real part, then ascending imaginary
@@ -287,8 +327,17 @@ def decompose(g: Graph) -> SpectralBasis:
     most half the limit is accepted without an SVD.  ``lambda_max_abs``
     reuses the graph's cached spectral radius, or else seeds that cache with
     the largest eigenvalue magnitude.
+
+    With ``cache=DIR`` the basis is read from the ``basis_cache`` entry of
+    this graph in that directory, where one checks, and is otherwise
+    computed and stored there; a refusal is never stored.  Without it
+    nothing is read or written.
     """
-    a = _nonzero_adjacency(g)
+    return _cached(g, "eig" if g.directed else "eigh", cache, lambda: _decompose(g))
+
+
+def _decompose(g: Graph) -> SpectralBasis:
+    a = g.adjacency
     w, V = np.linalg.eig(a) if g.directed else np.linalg.eigh(a)
     w, idx = _descending(w)
     V = V[:, idx]

@@ -364,9 +364,13 @@ def test_cli_outputs_are_bitwise_reproducible(tmp_path):
         return main([str(a) for a in argv])
 
     def snapshot(root):
+        # the second run of a command that builds a spectrum is served by the
+        # basis cache, so its manifest records a hit where the first missed
         out = {}
         for p in sorted(root.iterdir()):
             out[p.name] = p.read_bytes().replace(str(root).encode(), b"OUT")
+            if p.name == "manifest.json":
+                out[p.name] = out[p.name].replace(b'"cache": "hit"', b'"cache": "miss"')
         return out
 
     inputs = tmp_path / "in"

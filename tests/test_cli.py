@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -86,6 +87,27 @@ def test_gen_sbm_writes_truth_and_is_seeded(tmp_path):
     assert tree_bytes(a) != tree_bytes(c)
 
 
+@pytest.mark.parametrize("n, p, q, seed", [(2, 1.0, 1.0, 0), (7, 0.5, 0.5, 1),
+                                           (30, 0.5, 0.05, 3), (301, 0.2, 0.01, 8),
+                                           (2100, 0.01, 0.001, 5), (40, 0.0, 0.0, 2)])
+def test_gen_sbm_writes_the_dense_draws_bytes(n, p, q, seed, tmp_path, monkeypatch):
+    # the row-block draw against the N x N one it replaces; a small block
+    # splits even the small graphs' rows over several draws
+    import graphdsp.generators
+    rng = np.random.default_rng(seed)
+    member = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    prob = np.where(member[:, None] == member[None, :], p, q)
+    upper = np.triu(rng.random((n, n)) < prob, k=1)
+    write_edge_list(tmp_path / "graph.tsv", Graph((upper | upper.T).astype(float)))
+    write_signal(tmp_path / "labels.csv", member)
+    for block in (graphdsp.generators.SBM_BLOCK, 3 * n + 1):
+        monkeypatch.setattr(graphdsp.generators, "SBM_BLOCK", block)
+        out = tmp_path / str(block)
+        assert run("gen", "sbm", n, p, q, "--seed", seed, "--out", out) == 0
+        for name in ("graph.tsv", "labels.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -105,11 +127,14 @@ def test_verbose_prints_the_decompose_record(tmp_path, capsys):
     gdir = tmp_path / "g"
     run("gen", "cycle", 6, "--out", gdir)
     capsys.readouterr()
-    for _ in range(2):  # once per run: the handler leaves with the command
+    # once per run: the handler leaves with the command; the second run is
+    # served by the basis cache, and logs its hit instead
+    for outcome, decomposed in (("miss", 1), ("hit", 0)):
         assert run("--verbose", "spectrum", gdir / "graph.tsv", "--out", tmp_path / "v") == 0
         err = capsys.readouterr().err
-        assert err.count("decompose: n=6 solver=eig folded_pairs=2") == 1
-        assert "condition_path=bound" in err
+        assert err.count("decompose: n=6 solver=eig folded_pairs=2") == decomposed
+        assert err.count("condition_path=bound") == decomposed
+        assert err.count(f"basis_cache: {outcome} solver=eig key=") == 1
         assert run("spectrum", gdir / "graph.tsv", "--out", tmp_path / "q") == 0
         assert capsys.readouterr().err == ""
     assert tree_bytes(tmp_path / "v") == tree_bytes(tmp_path / "q")
@@ -585,7 +610,9 @@ def test_manifest_outputs_are_the_files_written_in_order(tmp_path):
         out = tmp_path / name
         assert run(*argv, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["outputs"] == outputs
+        assert manifest["outputs"] == {name: hashlib.sha256((out / name).read_bytes())
+                                       .hexdigest() for name in outputs}
+        assert list(manifest["outputs"]) == outputs
         assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
 
 
@@ -606,7 +633,6 @@ def test_manifest_hashes_inputs(tmp_path):
     run("spectrum", gdir / "graph.tsv", "--out", out)
     manifest = json.loads((out / "manifest.json").read_text())
     digest = manifest["inputs"][str(gdir / "graph.tsv")]
-    import hashlib
     assert digest == hashlib.sha256((gdir / "graph.tsv").read_bytes()).hexdigest()
 
 

@@ -8,7 +8,9 @@ both the real form of a conjugate-paired basis and a complex one are
 hit.  Rounding in V and F = V^-1 grows with the basis condition, so the
 tolerances scale with it.  The refusal of a basis is checked against the
 SVD of its unit-column real form at random limits, and a relabeling of the
-nodes against the spectrum and basis condition of the original graph.
+nodes against the spectrum and basis condition of the original graph, and,
+where the spectrum is simple, against its variations, the total variation
+of each signal and the moduli of its Fourier coefficients.
 Above 20 nodes the cold spectral radius is checked against the dense
 spectrum: a certified one by its logged bracket, a fallback and a signed or
 complex graph's bit for bit; filtering a relabeled graph is checked against
@@ -47,6 +49,7 @@ from graphdsp import (
     igft,
     order_frequencies,
     spectral,
+    total_variation,
 )
 from graphdsp import applications
 from graphdsp.fileio import read_edge_list, write_edge_list
@@ -189,6 +192,51 @@ def test_relabeling_the_nodes_keeps_the_spectrum(data):
     groups = repeated_groups(b)
     if rel <= 1e-3 and groups is not None and groups == repeated_groups(bp):
         assert abs(bp.basis_condition - b.basis_condition) <= rel * b.basis_condition
+
+
+@st.composite
+def simple_spectra(draw):
+    """A 2-8 node graph, directed or symmetric, whose accepted basis has
+    eigenvalues at least 1e-2 of the adjacency's norm apart, so each
+    eigenvector is fixed up to a scale, and its spectral radius."""
+    g, b = draw(bases())
+    assume(g.n >= 2)
+    dist = np.abs(np.subtract.outer(b.eigenvalues, b.eigenvalues))[~np.eye(g.n, dtype=bool)]
+    assume(dist.min() >= 1e-2 * np.linalg.norm(g.adjacency, 2))
+    return g, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_relabeling_the_nodes_permutes_variations_and_fourier_magnitudes(data):
+    # node i of the relabeled graph is node p[i]; a simple spectrum's
+    # eigenvectors move with the nodes up to a unit factor, so the Fourier
+    # coefficients keep their moduli, and each total variation is kept
+    g, b = data.draw(simple_spectra())
+    p = np.array(data.draw(st.permutations(range(g.n))))
+    a = g.adjacency
+    gp = Graph(a[np.ix_(p, p)], directed=g.directed)
+    try:
+        bp = decompose(gp)
+    except NearDefectiveError:  # rounding may tip a basis near the limit over it
+        assume(False)
+    match = np.abs(b.eigenvalues[:, None] - bp.eigenvalues).argmin(axis=1)
+    assert np.array_equal(np.sort(match), np.arange(g.n))
+    norm = np.linalg.norm(a, 2)
+    gap = np.abs(np.subtract.outer(b.eigenvalues, b.eigenvalues))[~np.eye(g.n, dtype=bool)].min()
+    cond = np.linalg.cond(b.vectors)
+    # an eigenvector moves by about eps ||A|| cond / gap under rounding
+    rel = 100 * g.n * EPS * cond * norm / gap
+    v, vp = order_frequencies(b).variations, order_frequencies(bp).variations
+    assert np.abs(vp[match] - v).max() <= rel
+    s = data.draw(signals(g.n))
+    for x in [s, *b.vectors.T]:
+        tv, tvp = total_variation(g, g.signal(x)), total_variation(gp, gp.signal(x[p]))
+        assert abs(tvp - tv) <= rel * np.abs(x).sum() * (1.0 + np.abs(a).sum(axis=0).max()
+                                                         / b.lambda_max_abs)
+    c, cp = np.abs(gft(b, g.signal(s))), np.abs(gft(bp, gp.signal(s[p])))
+    scale = cond * np.abs(b.fourier).sum(axis=1) * np.abs(s).max()
+    assert np.all(np.abs(cp[match] - c) <= rel * scale)
 
 
 def residual(b):
