@@ -4,16 +4,19 @@
 command line passes ``default_directory()``.  An entry's key is the sha256
 of the solver (``eig``, ``eigh`` or ``eigvalsh``), the graph's size,
 direction and stored nonzeros, and everything the solver's bits depend on:
-numpy's version, its BLAS build, the BLAS thread variables, the CPU
-features numpy dispatches on, the machine and host, and the package's own
-sources, so that any change of code misses.  An entry holds the eigenvalues,
-for a basis ``vectors`` and ``fourier`` in their own memory order (a change
-of layout changes BLAS rounding downstream), the exact condition where
-``decompose`` computed one, and a sha256 of all of these that every read
-checks.  A missing, unreadable, truncated or mismatching entry is a miss; a
-directory that cannot be made or written, or a full disk, leaves the entry
-unstored.  After each write the store keeps the ``MAX_ENTRIES`` entries
-used last, by modification time, which a hit renews.
+numpy's version, its BLAS build, the BLAS thread variables and the number
+of CPUs the process may use (from which OpenBLAS takes its thread count
+where no variable sets it), the CPU features numpy dispatches on, the
+machine and host, and the package's own sources, so that any change of
+code misses.  An entry holds the eigenvalues, for a basis ``vectors`` and
+``fourier`` in their own memory order (a change of layout changes BLAS
+rounding downstream), the exact condition where ``decompose`` computed
+one, and a sha256 of all of these that every read checks.  A missing,
+unreadable, truncated or mismatching entry is a miss; a directory that
+cannot be made or written, or a full disk, leaves the entry unstored.  The
+entries together hold at most ``MAX_BYTES``: an entry larger than that is
+not stored, and after each write the entries used longest ago, by
+modification time, which a hit renews, are dropped until the rest fit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .graph import _nonzeros
 
 FORMAT = "graphdsp-basis-1"
-MAX_ENTRIES = 8
+MAX_BYTES = 1 << 30
 SUFFIX = ".npy"
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 DTYPES = (np.dtype(float), np.dtype(complex))
@@ -77,11 +80,20 @@ def _update(h, x):
     h.update(x.ravel(order="K").view(np.uint8))
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count()
+
+
 def key(g, solver):
     """The entry key of the graph's decomposition by ``solver``."""
     uname = os.uname()
     env = {"numpy": np.__version__, "blas": blas(),
            "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES},
+           "cpus": _cpus(),
            "simd": np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found"),
            "machine": uname.machine, "node": uname.nodename, "sources": _sources()}
     h = hashlib.sha256(FORMAT.encode())
@@ -131,8 +143,11 @@ def load(directory, key, n, basis):
 def store(directory, key, arrays):
     """Store ``arrays`` as the entry of ``key``: one file of ``np.save``
     records, their digest first, written under a name of this process and
-    renamed into place.  Then drop all but the ``MAX_ENTRIES`` entries used
-    last.  False where the entry could not be stored."""
+    renamed into place.  Then drop the entries used longest ago until all
+    fit in ``MAX_BYTES``.  False where the entry is larger than that or
+    could not be stored."""
+    if sum(x.nbytes for x in arrays) > MAX_BYTES:
+        return False
     path = os.path.join(directory, key + SUFFIX)
     tmp = os.path.join(directory, f"{key}.{os.getpid()}.tmp")
     try:
@@ -148,25 +163,37 @@ def store(directory, key, arrays):
             except OSError:
                 pass
             raise
-        _prune(directory, key + SUFFIX)
+        return _prune(directory, key + SUFFIX)
     except OSError:
         return False
-    return True
 
 
 def _prune(directory, written):
-    """Drop the entries used longest ago, all but ``MAX_ENTRIES`` with the
-    one just ``written``, which a coarse clock can date no later than the
-    others."""
-    entries = []
+    """Drop the entries used longest ago, never the one just ``written``
+    (a coarse clock can date it no later than the others), until all hold
+    at most ``MAX_BYTES``; but drop ``written`` alone, and return False,
+    where its file by itself is larger than that."""
+    entries, total, own = [], 0, 0
     for entry in os.scandir(directory):
-        if entry.name.endswith(SUFFIX) and entry.name != written:
+        if entry.name.endswith(SUFFIX):
             try:
-                entries.append((entry.stat().st_mtime_ns, entry.name))
+                st = entry.stat()
             except OSError:  # removed meanwhile
-                pass
-    for _, name in sorted(entries)[:max(0, len(entries) - MAX_ENTRIES + 1)]:
+                continue
+            total += st.st_size
+            if entry.name == written:
+                own = st.st_size
+            else:
+                entries.append((st.st_mtime_ns, st.st_size, entry.name))
+    if own > MAX_BYTES:  # its arrays fit, but not with their headers
+        os.remove(os.path.join(directory, written))
+        return False
+    for _, size, name in sorted(entries):
+        if total <= MAX_BYTES:
+            break
         try:
             os.remove(os.path.join(directory, name))
         except OSError:
             pass
+        total -= size
+    return True

@@ -20,8 +20,8 @@ The commands that build a spectrum (``spectrum``, ``design``, ``detect`` and
 ``$XDG_CACHE_HOME/graphdsp``, or ``~/.cache/graphdsp`` (``basis_cache``),
 and record ``basis: {"cache": "hit" | "miss" | "unavailable", "key": ...}``:
 a hit is served, a miss computed and stored, and an unavailable cache (no
-absolute home directory, a directory that cannot be written) computed
-alone; the key is null where none was looked up.  A hit writes the bytes a
+absolute home directory, a directory that cannot be written, an entry
+larger than its bound) computed alone; the key is null where none was looked up.  A hit writes the bytes a
 miss writes.
 ``rerun`` refuses a manifest whose inputs no longer match their digests,
 otherwise replays its argv, which reproduces the outputs bit for bit under

@@ -166,23 +166,51 @@ def test_without_a_cache_nothing_is_read_or_written(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_the_entries_stay_within_their_bound(tmp_path):
-    graphs = [cycle_graph(n) for n in range(3, 3 + basis_cache.MAX_ENTRIES + 3)]
+def test_another_cpu_count_misses(tmp_path, monkeypatch):
+    # with no thread variable set, OpenBLAS runs on as many threads as the
+    # process may use CPUs
+    for v in basis_cache.THREAD_VARIABLES:
+        monkeypatch.delenv(v, raising=False)
+    cpus = basis_cache._cpus()
+    assert outcome(decompose(knn(), cache=tmp_path)) == "miss"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus + 1)),
+                        raising=False)
+    assert outcome(decompose(knn(), cache=tmp_path)) == "miss"
+    assert len(entries(tmp_path)) == 2
+
+
+def test_the_entries_stay_within_their_bytes(tmp_path, monkeypatch):
+    # six directed 6-node graphs, each entry the same size; room for three
+    cycle = cycle_graph(6).adjacency
+    graphs = [Graph((i + 1) * cycle) for i in range(6)]
+
+    def name(g):
+        return f"{basis_cache.key(g, 'eig')}.npy"
+
+    decompose(graphs[0], cache=tmp_path)
+    size = (tmp_path / name(graphs[0])).stat().st_size
+    monkeypatch.setattr(basis_cache, "MAX_BYTES", 3 * size)
     for i, g in enumerate(graphs):
         decompose(g, cache=tmp_path)
-        key = basis_cache.key(g, "eig")
-        os.utime(tmp_path / f"{key}.npy", (1e9 + i, 1e9 + i))  # a clock that ticks
-        assert len(entries(tmp_path)) == min(i + 1, basis_cache.MAX_ENTRIES)
-    kept = {f"{basis_cache.key(g, 'eig')}.npy" for g in graphs[-basis_cache.MAX_ENTRIES:]}
-    assert set(entries(tmp_path)) == kept
+        os.utime(tmp_path / name(g), (1e9 + i, 1e9 + i))  # a clock that ticks
+        assert len(entries(tmp_path)) == min(i + 1, 3)
+    assert set(entries(tmp_path)) == {name(g) for g in graphs[-3:]}
     # a hit renews its entry: the next write drops the one used longest ago
-    oldest, second = graphs[-basis_cache.MAX_ENTRIES:][:2]
-    assert outcome(decompose(cycle_graph(oldest.n), cache=tmp_path)) == "hit"
-    decompose(cycle_graph(40), cache=tmp_path)
+    oldest, second = graphs[-3:][:2]
+    assert outcome(decompose(Graph(oldest.adjacency), cache=tmp_path)) == "hit"
+    decompose(Graph(7 * cycle), cache=tmp_path)
     names = entries(tmp_path)
-    assert f"{basis_cache.key(oldest, 'eig')}.npy" in names
-    assert f"{basis_cache.key(second, 'eig')}.npy" not in names
-    assert len(names) == basis_cache.MAX_ENTRIES
+    assert name(oldest) in names and name(second) not in names and len(names) == 3
+    assert sum((tmp_path / n).stat().st_size for n in names) <= basis_cache.MAX_BYTES
+    # an entry larger than the whole bound is not stored, and drops nothing
+    big = decompose(cycle_graph(20), cache=tmp_path)
+    assert outcome(big) == "unavailable"
+    assert entries(tmp_path) == names
+    same_result(decompose(cycle_graph(20)), big)
+    # nor is one whose arrays fit but whose file, headers included, does not
+    monkeypatch.setattr(basis_cache, "MAX_BYTES", size - 1)
+    assert outcome(decompose(Graph(8 * cycle), cache=tmp_path)) == "unavailable"
+    assert entries(tmp_path) == names
 
 
 def test_a_directory_that_cannot_be_made_leaves_the_result_unstored(tmp_path):
