@@ -14,7 +14,10 @@ Cholesky is numpy's, and it refuses as ``scipy.linalg.solve`` with its
 ill-conditioning warning as an error would: a factorization that fails, or
 a 1-norm reciprocal condition below eps by LAPACK's estimator, ported; so
 no solve loads scipy.  Conjugate gradients factor only the block of a
-component without a label.  Each solve logs its path (direct, cg with its
+component without a label, so the singular systems they refuse are those
+with an unlabeled component: a null vector inside a labeled component, which
+the Cholesky refuses, passes above ``DIRECT_SOLVE_MAX_N``, and the solution
+orthogonal to it is returned.  Each solve logs its path (direct, cg with its
 iterations, or factored) and its relative residual at debug level.
 """
 
@@ -28,7 +31,7 @@ import numpy as np
 from .filtering import GraphFilter, apply_filter
 from .graph import (Graph, GraphSignal, LabelSignal, _block, _check_laplacian,
                     _components, _freeze, _nonzero_radius, _nonzeros, _shift,
-                    _to_dense)
+                    laplacian)
 from .spectral import SpectralBasis, gft
 
 DIRECT_SOLVE_MAX_N = 2000
@@ -183,20 +186,19 @@ class _VariationOperator:
         a new array of its block over ``nodes``, a sorted union of weak
         components (on which B's block is B restricted to them)."""
         if nodes is not None:
-            return self._form(_to_dense(*_block(self.graph, nodes), nodes.size), nodes)
+            return self._form(_block(self.graph, nodes))
         if "_dense" not in self.__dict__:
-            self._dense = self._form(self.graph.adjacency, slice(None))
+            self._dense = self._form(self.graph)
             self._dense.setflags(write=False)
         return self._dense
 
-    def _form(self, a, nodes):
-        diagonal = np.diag_indices_from(a)
+    def _form(self, graph):  # the graph or a block of it (see ``_block``)
         if self.form == "laplacian":
-            m = -2.0 * a
-            m[diagonal] = 2.0 * (self.degree[nodes] - a[diagonal])
+            m = laplacian(graph)
+            m *= 2.0
             return m
-        b = a / -self.rho
-        b[diagonal] += 1.0
+        b = graph.adjacency / -self.rho
+        b[np.diag_indices(graph.n)] += 1.0
         if np.iscomplexobj(b):  # Re(B^H B) = Re(B)^T Re(B) + Im(B)^T Im(B)
             b = np.concatenate([b.real, b.imag])
         return b.T @ b
@@ -214,11 +216,17 @@ def _variation_operator(g: Graph, form: str) -> _VariationOperator:
     return g.__dict__[key]
 
 
+def _unlabeled(g: Graph, labels: LabelSignal):
+    """The weak-component label of each node (see ``_components``), and the
+    nodes, ascending, of the components that hold no known label."""
+    component = _components(g)
+    return component, np.flatnonzero(~np.isin(component, component[labels.known_mask]))
+
+
 def _raise_singular(g: Graph, labels: LabelSignal):
     """Diagnose a singular classifier system before giving up: name the
     unlabeled weak component that holds the lowest node index."""
-    component = _components(g)
-    stray = np.flatnonzero(~np.isin(component, component[labels.known_mask]))
+    component, stray = _unlabeled(g, labels)
     if stray.size:  # the lowest stray node is the lowest root of a stray component
         nodes = np.flatnonzero(component == stray[0])
         head = ", ".join(str(i) for i in nodes[:8])
@@ -334,8 +342,7 @@ def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
         # rhs is zero on every component without a label, so CG converges
         # even where the system is singular: factor those components' block,
         # as the direct solve factors it within the whole system
-        component = _components(g)
-        stray = np.flatnonzero(~np.isin(component, component[labels.known_mask]))
+        stray = _unlabeled(g, labels)[1]
         if stray.size:
             _solve_pos(g, labels, m.dense(stray), np.zeros(stray.size))
         s, iterations = _cg(lambda x: m @ x + fidelity * x, rhs, CG_TOLERANCE,

@@ -15,20 +15,17 @@ def cycle_graph(n: int) -> Graph:
     permutation matrix, the graph analogue of a unit time delay."""
     if n < 1:
         raise ValueError("cycle needs at least one node")
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[(i + 1) % n, i] = 1.0
-    return Graph(a)
+    rows = np.arange(n)
+    return Graph._from_entries(n, rows, (rows - 1) % n, np.ones(n), None)
 
 
 def path_graph(n: int) -> Graph:
     """Undirected unit-weight path 0 - 1 - ... - n-1."""
     if n < 1:
         raise ValueError("path needs at least one node")
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = a[i + 1, i] = 1.0
-    return Graph(a)
+    i = np.arange(n - 1)
+    rows, cols = np.divmod(np.sort(np.concatenate([i * n + i + 1, i * n + i + n])), n)
+    return Graph._from_entries(n, rows, cols, np.ones(rows.size), None)
 
 
 def regular_graph(n: int, d: int, seed: int = 0) -> Graph:

@@ -9,11 +9,11 @@ A graph stores the nonzeros of A in row-major order, ``_nonzeros``, which
 every product (``_shift``) and edge listing reads.  The dense ``adjacency``
 is built from them on first read, for the eigensolvers, the dense spectral
 radius, the classifier's dense operator, ``laplacian`` and dense products.
+A block of weak components (``_block``) is a graph over the same nonzeros.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 
@@ -110,9 +110,7 @@ class Graph:
     def _from_entries(cls, n, rows, cols, vals, directed):
         """The graph over n nodes with adjacency entries ``vals`` at (``rows``,
         ``cols``) in row-major order, without repeats, checked as by ``Graph``."""
-        g = cls.__new__(cls)
-        g._store(n, rows, cols, vals, directed)
-        return g
+        return cls.__new__(cls)._store(n, rows, cols, vals, directed)
 
     def _store(self, n, rows, cols, vals, directed):
         if n < 1:
@@ -129,11 +127,16 @@ class Graph:
             directed = not symmetric
         elif not directed and not symmetric:
             raise ValueError("undirected graph requires a real symmetric adjacency")
+        return self._assign(n, rows, cols, vals, directed)
+
+    def _assign(self, n, rows, cols, vals, directed):
+        """Keep checked nonzeros as the graph's storage, read-only; the graph."""
         for x in (rows, cols, vals):
             x.setflags(write=False)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "directed", bool(directed))
         self.__dict__["_nonzeros"] = (rows, cols, vals)
+        return self
 
     @property
     def adjacency(self):
@@ -317,13 +320,17 @@ def _nonzeros(g: Graph):
 
 
 def _block(g: Graph, nodes):
-    """``_nonzeros`` of the block over ``nodes``, a sorted union of weak
-    components, in the block's own node indices."""
+    """The graph over ``nodes``, a sorted union of weak components, in its own
+    node indices: g itself where they span it, and otherwise g's nonzeros
+    among them with g's ``directed``, kept without checking them again."""
+    if nodes.size == g.n:
+        return g
     rows, cols, vals = _nonzeros(g)
     local = np.full(g.n, -1)
     local[nodes] = np.arange(nodes.size)
     edges = local[rows] >= 0
-    return local[rows[edges]], local[cols[edges]], vals[edges]
+    return Graph.__new__(Graph)._assign(nodes.size, local[rows[edges]],
+                                        local[cols[edges]], vals[edges], g.directed)
 
 
 def _product(rows, cols, vals, x, n):
@@ -337,31 +344,17 @@ def _product(rows, cols, vals, x, n):
     return np.bincount(rows, terms, n)
 
 
-def _matvec(rows, cols, vals, n, dense=None, adjoint=False):
-    """x -> M @ x, or M^H @ x, for the n x n matrix M with nonzeros ``vals``
-    at (``rows``, ``cols``): a dense product once they fill more than
-    ``DENSE_PRODUCT_FILL`` of M, with ``dense`` as M where given and M built
-    from the triplets otherwise, and ``_product`` over them below that."""
-    if vals.size > DENSE_PRODUCT_FILL * n * n:
-        if dense is None:
-            dense = _to_dense(rows, cols, vals, n)
-        if adjoint:
-            return lambda x: (x.conj() @ dense).conj()
-        return dense.__matmul__
+def _shift(g: Graph, x, adjoint=False):
+    """A @ x, or A^H @ x: a dense product with ``g.adjacency`` once the
+    nonzeros fill more than ``DENSE_PRODUCT_FILL`` of A, and ``_product``
+    over them below that, so a sparse graph's products never build it."""
+    rows, cols, vals = _nonzeros(g)
+    if vals.size > DENSE_PRODUCT_FILL * g.n ** 2:
+        a = g.adjacency
+        return (x.conj() @ a).conj() if adjoint else a @ x
     if adjoint:
         rows, cols, vals = cols, rows, vals.conj()
-    return functools.partial(_product, rows, cols, vals, n=n)
-
-
-def _shift(g: Graph, x, adjoint=False):
-    """A @ x, or A^H @ x, over the graph's nonzeros (see ``_matvec``)."""
-    return _matvec(*_nonzeros(g), g.n, _dense_operand(g), adjoint)(x)
-
-
-def _dense_operand(g: Graph):
-    """The adjacency where products with it are dense ones (see ``_matvec``),
-    so that a sparse graph's products never build it; None elsewhere."""
-    return g.adjacency if _nonzeros(g)[2].size > DENSE_PRODUCT_FILL * g.n ** 2 else None
+    return _product(rows, cols, vals, x, g.n)
 
 
 def _components(g: Graph):
@@ -388,12 +381,12 @@ def _dense_radius(a, directed):
     return float(np.max(np.abs(eigvals(a))))
 
 
-def _arnoldi_bracket(rows, cols, vals, n, dense=None):
-    """Collatz-Wielandt bracket [lo, hi] of rho for an n-node block with
-    nonnegative nonzeros, narrower than ``BRACKET_RTOL`` relative, and the
-    restarts taken, or None for the bracket where it does not close; its
-    products are ``_matvec``'s, with ``dense`` the block where it is at hand."""
-    product = _matvec(rows, cols, vals, n, dense)
+def _arnoldi_bracket(block: Graph):
+    """Collatz-Wielandt bracket [lo, hi] of rho for a block with nonnegative
+    nonzeros, narrower than ``BRACKET_RTOL`` relative, and the restarts
+    taken, or None for the bracket where it does not close; its products are
+    ``_shift``'s."""
+    n = block.n
     m = min(KRYLOV_SIZE, n)
     x = 1.0 + np.random.default_rng(0).random(n)
     best, stalled = np.inf, 0
@@ -402,7 +395,7 @@ def _arnoldi_bracket(rows, cols, vals, n, dense=None):
         v[0] = x / np.linalg.norm(x)
         k = m
         for j in range(m):
-            w = product(v[j])
+            w = _shift(block, v[j])
             for _ in range(2):  # Gram-Schmidt, repeated for orthogonality
                 c = v[:j + 1] @ w
                 w -= c @ v[:j + 1]
@@ -416,7 +409,7 @@ def _arnoldi_bracket(rows, cols, vals, n, dense=None):
         x = np.abs((z[:, np.argmax(theta.real)] @ v[:k]).real)
         if not x.all():
             break
-        ratio = product(x) / x
+        ratio = _shift(block, x) / x
         lo, hi = ratio.min(), ratio.max()
         if hi - lo <= BRACKET_RTOL * hi:
             return (float(lo), float(hi)), restart
@@ -431,8 +424,8 @@ def _arnoldi_bracket(rows, cols, vals, n, dense=None):
 
 def _certified_radius(g: Graph):
     """rho of a nonnegative real graph, the largest over its weak components
-    (see ``Graph.spectral_radius``), with its debug record; a component that
-    spans the graph takes its nonzeros and adjacency as they are."""
+    (see ``Graph.spectral_radius``), with its debug record; each is a
+    ``_block``, whose dense fallback reads the block's ``adjacency``."""
     rows, cols, vals = _nonzeros(g)
     label = _components(g)
     roots, sizes = np.unique(label, return_counts=True)
@@ -441,17 +434,14 @@ def _certified_radius(g: Graph):
     lo = hi = float(vals[loops].max(initial=0.0))
     certified = restarts = 0
     for root in roots[sizes > 1]:
-        nodes = np.flatnonzero(label == root)
-        spans = nodes.size == g.n
-        r, c, w = (rows, cols, vals) if spans else _block(g, nodes)
+        block = _block(g, np.flatnonzero(label == root))
         bracket = None
-        if np.bincount(r, minlength=nodes.size).all():  # a node without in-edges pins lo at 0
-            dense = _dense_operand(g) if spans else None
-            bracket, taken = _arnoldi_bracket(r, c, w, nodes.size, dense)
+        # a node without in-edges pins lo at 0
+        if np.bincount(_nonzeros(block)[0], minlength=block.n).all():
+            bracket, taken = _arnoldi_bracket(block)
             restarts += taken
         if bracket is None:
-            block = g.adjacency if spans else _to_dense(r, c, w, nodes.size)
-            bracket = (_dense_radius(block, g.directed),) * 2
+            bracket = (_dense_radius(block.adjacency, g.directed),) * 2
         else:
             certified += 1
         lo, hi = max(lo, bracket[0]), max(hi, bracket[1])
@@ -490,8 +480,11 @@ def _check_laplacian(g: Graph):
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian D - A of an undirected graph with non-negative real weights;
-    the degrees D sum each row's nonzeros, as the classifier's form does."""
+    """Laplacian D - A of an undirected graph with non-negative real weights:
+    -A with the degrees D, each row's nonzeros summed, added on its diagonal;
+    the classifier's Laplacian form doubles it in place."""
     _check_laplacian(g)
     rows, _, vals = _nonzeros(g)
-    return np.diag(np.bincount(rows, vals, g.n)) - g.adjacency
+    lap = np.negative(g.adjacency)
+    lap[np.diag_indices(g.n)] += np.bincount(rows, vals, g.n)
+    return lap

@@ -280,6 +280,17 @@ def test_unlabeled_component_is_reported_singular():
         assert "component" in str(e.value)
 
 
+def test_direct_path_refuses_a_null_vector_inside_a_labeled_component():
+    # node 0 has a self-loop and an edge from node 1, and node 2 an edge from
+    # node 1: rho = 1 and B = I - A has e_0 in its null space, and node 0 is
+    # unlabeled, so the system is singular though its one component holds
+    # both labels; the Cholesky refuses it, naming no component
+    g = Graph(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(SingularSystemError) as e:
+        classify(g, LabelSignal([0.0, 1.0, -1.0]), ClassifierConfig(alpha=1.0))
+    assert e.value.component is None
+
+
 def test_prediction_satisfies_stationarity():
     rng = np.random.default_rng(13)
     g, truth = sbm_graph(60, 0.3, 0.05, seed=1)

@@ -198,9 +198,9 @@ def test_lanczos_runs_under_the_restart_budget(monkeypatch, caplog):
     calls = []
     real = graph_module._arnoldi_bracket
 
-    def spy(*args):
-        calls.append(args[3])
-        return real(*args)
+    def spy(block):
+        calls.append(block.n)
+        return real(block)
 
     monkeypatch.setattr(graph_module, "_arnoldi_bracket", spy)
     points = np.random.default_rng(1).random((200, 2))
@@ -283,13 +283,13 @@ def test_full_density_spectral_radius_takes_dense_products(monkeypatch, caplog):
     g = Graph(a + a.T)
     calls = bincount_calls(monkeypatch)
     blocks = []
-    real = graph_module._matvec
+    real = graph_module._arnoldi_bracket
 
-    def spy(rows, cols, vals, n, dense=None, adjoint=False):
-        blocks.append(dense)
-        return real(rows, cols, vals, n, dense, adjoint)
+    def spy(block):
+        blocks.append(block)
+        return real(block)
 
-    monkeypatch.setattr(graph_module, "_matvec", spy)
+    monkeypatch.setattr(graph_module, "_arnoldi_bracket", spy)
     with caplog.at_level(logging.DEBUG, logger="graphdsp"):
         rho = g.spectral_radius
     fields = record_fields(radius_records(caplog)[0])
@@ -297,12 +297,13 @@ def test_full_density_spectral_radius_takes_dense_products(monkeypatch, caplog):
     dense = np.abs(np.linalg.eigvalsh(g.adjacency)).max()
     assert abs(rho - dense) <= 1e-12 * dense
     assert calls == []  # every Arnoldi product was the dense one
-    assert len(blocks) == 1 and blocks[0] is g.adjacency  # not a copy
-    # two dense components, half the graph's entries: each block is built
-    # from its triplets and multiplied densely
+    assert len(blocks) == 1 and blocks[0] is g  # the graph itself, not a copy
+    # two dense components, half the graph's entries: each block is a graph
+    # of its own over the parent's triplets, and is multiplied densely
     two = Graph(np.kron(np.eye(2), a + a.T))
     assert two.spectral_radius == rho
-    assert calls == [] and blocks[1:] == [None, None]
+    assert calls == [] and [b.n for b in blocks[1:]] == [400, 400]
+    assert all(b is not two for b in blocks[1:])
     sparse = build_knn_graph(np.random.default_rng(1).random((400, 2)), 6)
     assert np.count_nonzero(sparse.adjacency) <= DENSE_PRODUCT_FILL * sparse.n ** 2
     assert abs(sparse.spectral_radius - 1.0) <= 1e-12
@@ -316,18 +317,16 @@ def test_a_spanning_component_takes_the_graphs_own_edge_view(monkeypatch):
     seen = []
     real = graph_module._arnoldi_bracket
 
-    def spy(rows, cols, vals, n, dense=None):
-        seen.append((rows, cols, vals, n, dense))
-        return real(rows, cols, vals, n, dense)
+    def spy(block):
+        seen.append(block)
+        return real(block)
 
     monkeypatch.setattr(graph_module, "_arnoldi_bracket", spy)
     g = build_knn_graph(np.random.default_rng(1).random((200, 2)), 6, symmetrize=True)
     assert np.unique(_components(g)).size == 1
     assert abs(g.spectral_radius - 1.0) <= 1e-12
-    [(rows, cols, vals, n, dense)] = seen
-    own = graph_module._nonzeros(g)
-    assert rows is own[0] and cols is own[1] and vals is own[2]
-    assert n == g.n and dense is None and "_adjacency" not in g.__dict__
+    [block] = seen
+    assert block is g and "_adjacency" not in g.__dict__
 
 
 @pytest.mark.parametrize("fill", [0.02, 1.0])
@@ -411,6 +410,24 @@ def test_shift_on_path_moves_delta():
     g = path_graph(3)
     out = graph_shift(g, g.signal([1.0, 0.0, 0.0]))
     assert np.allclose(out.values, [0.0, 1.0, 0.0])
+
+
+def test_cycle_and_path_are_built_without_a_dense_array():
+    # each generator gives the graph of its dense adjacency, and at N = 5000
+    # neither peaks near the size of an N x N float64 matrix
+    for n in (1, 2, 3, 7):
+        cycle, path = np.roll(np.eye(n), 1, axis=0), np.eye(n, k=1) + np.eye(n, k=-1)
+        for g, a in ((cycle_graph(n), cycle), (path_graph(n), path)):
+            assert np.array_equal(g.adjacency, a) and g.directed == Graph(a).directed
+    n = 5000
+    for make in (cycle_graph, path_graph):
+        tracemalloc.start()
+        try:
+            make(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, make.__name__
 
 
 def test_shift_is_linear():
@@ -716,8 +733,7 @@ def test_read_rho_classify_filter_and_write_build_no_dense_adjacency(tmp_path, m
         assert size < n, "a dense N x N adjacency was built"
         return real(rows, cols, vals, size)
 
-    for module in (graph_module, applications):
-        monkeypatch.setattr(module, "_to_dense", refuse)
+    monkeypatch.setattr(graph_module, "_to_dense", refuse)
     steps = [
         ("read", lambda: read_edge_list(path)),
         ("rho", lambda: g.spectral_radius),

@@ -239,6 +239,48 @@ def test_relabeling_the_nodes_permutes_variations_and_fourier_magnitudes(data):
     assert np.all(np.abs(cp[match] - c) <= rel * scale)
 
 
+@st.composite
+def cycle_unions(draw):
+    """The adjacency of a disjoint union of directed unit cycles of 1-6 nodes
+    with at least one length repeated, and the lengths: its eigenvalues are
+    the lengths' roots of unity, so 1 repeats, and so may complex ones."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    lengths.append(draw(st.sampled_from(lengths)))
+    a = np.zeros((sum(lengths), sum(lengths)))
+    start = 0
+    for k in lengths:
+        nodes = start + np.arange(k)
+        a[np.roll(nodes, -1), nodes] = 1.0
+        start += k
+    return a, lengths
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabeling_a_union_of_cycles_keeps_each_eigenspaces_energy(data):
+    # A is a permutation matrix, so it is normal: each eigenspace's projector
+    # V_E F_E is the orthogonal one, whatever basis decompose picks inside a
+    # repeated eigenvalue, and a relabeling permutes it with the nodes
+    a, lengths = data.draw(cycle_unions())
+    n = a.shape[0]
+    p = np.array(data.draw(st.permutations(range(n))))
+    b, bp = decompose(Graph(a)), decompose(Graph(a[np.ix_(p, p)]))
+    roots = np.concatenate([np.exp(2j * np.pi * np.arange(k) / k) for k in lengths])
+    tol = 100 * n * EPS * max(np.linalg.cond(b.vectors), np.linalg.cond(bp.vectors))
+    for basis in (b, bp):
+        rows, cols = linear_sum_assignment(np.abs(roots[:, None] - basis.eigenvalues))
+        assert np.abs(roots[rows] - basis.eigenvalues[cols]).max() <= tol
+    v, vp = order_frequencies(b).variations, order_frequencies(bp).variations
+    assert np.abs(np.sort(v) - np.sort(vp)).max() <= tol
+    s = data.draw(signals(n))
+    for root in roots:
+        e, ep = (np.abs(basis.eigenvalues - root) <= 1e-6 for basis in (b, bp))
+        assert e.sum() == ep.sum() == np.count_nonzero(np.abs(roots - root) <= 1e-6)
+        energy = np.linalg.norm(b.vectors[:, e] @ (b.fourier[e] @ s))
+        energy_p = np.linalg.norm(bp.vectors[:, ep] @ (bp.fourier[ep] @ s[p]))
+        assert abs(energy - energy_p) <= tol * np.linalg.norm(s)
+
+
 def residual(b):
     """Largest ||A u - lam u||_2 over the unit-column eigenvectors u."""
     u = b.vectors / np.linalg.norm(b.vectors, axis=0)
