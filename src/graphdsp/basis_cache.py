@@ -3,20 +3,21 @@
 ``spectral.decompose`` and ``spectral.spectrum`` take ``cache=DIR``; the
 command line passes ``default_directory()``.  An entry's key is the sha256
 of the solver (``eig``, ``eigh`` or ``eigvalsh``), the graph's size,
-direction and stored nonzeros, and everything the solver's bits depend on:
-numpy's version, its BLAS build, the BLAS thread variables and the number
-of CPUs the process may use (from which OpenBLAS takes its thread count
-where no variable sets it), the CPU features numpy dispatches on, the
-machine and host, and the package's own sources, so that any change of
-code misses.  An entry holds the eigenvalues, for a basis ``vectors`` and
-``fourier`` in their own memory order (a change of layout changes BLAS
-rounding downstream), the exact condition where ``decompose`` computed
-one, and a sha256 of all of these that every read checks.  A missing,
-unreadable, truncated or mismatching entry is a miss; a directory that
-cannot be made or written, or a full disk, leaves the entry unstored.  The
-entries together hold at most ``MAX_BYTES``: an entry larger than that is
-not stored, and after each write the entries used longest ago, by
-modification time, which a hit renews, are dropped until the rest fit.
+direction and stored nonzeros, and ``environment()``, everything else the
+solver's bits depend on: Python and numpy, numpy's BLAS build, the BLAS
+thread variables and the number of CPUs the process may use, the CPU
+features numpy dispatches on, the machine and host, and the package's own
+sources, so that any change of code misses.  The command line's manifest
+records the same ``environment()``.  An entry holds the eigenvalues, for a
+basis ``vectors`` and ``fourier`` in their own memory order (a change of
+layout changes BLAS rounding downstream), the exact condition where
+``decompose`` computed one, and a sha256 of all of these that every read
+checks.  A missing, unreadable, truncated or mismatching entry is a miss;
+a directory that cannot be made or written, or a full disk, leaves the
+entry unstored.  The entries together hold at most ``MAX_BYTES``: an entry
+larger than that is not stored, and after each write the entries used
+longest ago, by modification time, which a hit renews, are dropped until
+the rest fit.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import functools
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -49,14 +51,6 @@ def default_directory(environ=os.environ):
             return None
         base = os.path.join(home, ".cache")
     return os.path.join(base, "graphdsp")
-
-
-def blas():
-    """numpy's BLAS build, as numpy reports it (null where it reports none):
-    every LAPACK call of every command is numpy's."""
-    build = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"name": build.get("name"), "version": build.get("version"),
-            "openblas_configuration": build.get("openblas configuration")}
 
 
 @functools.cache
@@ -88,16 +82,28 @@ def _cpus():
         return os.cpu_count()
 
 
+def environment():
+    """Everything besides the graph that the bits of a result depend on:
+    Python and numpy, numpy's BLAS build (null where numpy reports none),
+    the BLAS thread variables and the CPUs this process may use (from which
+    OpenBLAS takes its thread count where no variable sets it), the CPU
+    features numpy dispatches on, the machine and host, and a digest of the
+    package's sources.  Read at each call: the variables may change."""
+    config = np.show_config(mode="dicts")
+    build = config.get("Build Dependencies", {}).get("blas", {})
+    uname = os.uname()
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "blas": {"name": build.get("name"), "version": build.get("version"),
+                     "openblas_configuration": build.get("openblas configuration")},
+            "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES},
+            "cpus": _cpus(), "simd": config.get("SIMD Extensions", {}).get("found"),
+            "machine": uname.machine, "host": uname.nodename, "sources": _sources()}
+
+
 def key(g, solver):
     """The entry key of the graph's decomposition by ``solver``."""
-    uname = os.uname()
-    env = {"numpy": np.__version__, "blas": blas(),
-           "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES},
-           "cpus": _cpus(),
-           "simd": np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found"),
-           "machine": uname.machine, "node": uname.nodename, "sources": _sources()}
     h = hashlib.sha256(FORMAT.encode())
-    h.update(json.dumps([solver, g.n, g.directed, env], sort_keys=True).encode())
+    h.update(json.dumps([solver, g.n, g.directed, environment()], sort_keys=True).encode())
     for x in _nonzeros(g):
         _update(h, x)
     return h.hexdigest()

@@ -10,11 +10,13 @@ eigenvalues alone; on a directed graph they build the eigenbasis, which may
 be refused.  ``filter`` applies h(A/rho) by repeated shifts, which needs
 the spectral radius alone; it builds the eigenbasis only for
 ``--spectra``, which also writes the signal's spectrum before and after.
-Every run writes a ``manifest.json`` next to its outputs recording the
-command, input digests, seed, configuration, the sha256 of each file
-written (``outputs``, in write order), and the Python and numpy versions,
-numpy's BLAS build and the BLAS thread settings.  ``--out`` is made at the
-first write, so a command failing before it leaves no directory.
+Every run writes a ``manifest.json`` next to its outputs, derived from the
+parsed command line: the ``command`` (argv), the ``config`` (every parsed
+argument, defaults included), the sha256 of each file it read (``inputs``:
+the arguments named in ``INPUTS``), the sha256 of each file written
+(``outputs``, in write order), and the ``environment`` that the basis
+cache's key hashes (``basis_cache.environment()``).  ``--out`` is made at
+the first write, so a command failing before it leaves no directory.
 The commands that build a spectrum (``spectrum``, ``design``, ``detect`` and
 ``filter --spectra``) read it through the per-user basis cache in
 ``$XDG_CACHE_HOME/graphdsp``, or ``~/.cache/graphdsp`` (``basis_cache``),
@@ -23,14 +25,12 @@ a hit is served, a miss computed and stored, and an unavailable cache (no
 absolute home directory, a directory that cannot be written, an entry
 larger than its bound) computed alone; the key is null where none was looked up.  A hit writes the bytes a
 miss writes.
-``rerun`` refuses a manifest whose inputs no longer match their digests,
-otherwise replays its argv, which reproduces the outputs bit for bit under
-the graphdsp version that wrote it, and exits 1 naming every output whose
-sha256 differs from the recorded one; a manifest written before outputs had
-digests is replayed unchecked.  A ``filter`` manifest written before
-``--spectra`` existed replays without ``spectra.csv`` and with the cold
-spectral radius, so its ``filtered.csv`` moves at rounding level; the
-recorded command run with ``--spectra`` reproduces both files.
+``rerun`` refuses a manifest that records no output digests, or whose
+inputs no longer match theirs; otherwise it replays its argv, which
+reproduces the outputs bit for bit under the graphdsp version that wrote
+it, and exits 1 naming every output whose sha256 differs from the recorded
+one, and each field of the environment that differs from the recorded one
+(or that the environment matches).
 ``graphdsp --verbose <command>`` prints the library's debug records to
 stderr: the basis cache's outcome and key, the solver and condition path of
 each computed ``decompose``, the path of
@@ -53,8 +53,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import basis_cache, fileio
 from .applications import (
     ClassifierConfig,
@@ -72,6 +70,8 @@ from .spectral import NearDefectiveError, decompose, gft, order_frequencies, spe
 
 log = logging.getLogger("graphdsp")
 METRICS = {"euclidean": euclidean, "haversine": haversine_km}
+# the arguments that name a file a command reads
+INPUTS = ("points", "graph", "filter", "signal", "history", "current", "labels", "truth")
 
 
 def _sha256(path):
@@ -100,22 +100,18 @@ def _spectrum(args, g, basis=False):
     return sp
 
 
-def _finish(args, inputs, config, seed=None):
-    """Write the run manifest next to the outputs."""
+def _finish(args):
+    """Write the run manifest next to the outputs: the command line, the
+    parsed arguments, the digests of the files named by ``INPUTS`` and of
+    the outputs, and the environment that the basis cache's key hashes."""
+    named = (getattr(args, name, None) for name in INPUTS)
+    paths = [p for v in named if v for p in (v if isinstance(v, list) else [v])]
     doc = {
         "command": list(args.argv),
-        "inputs": {p: _sha256(p) for p in inputs},
-        "seed": seed,
-        "config": config,
+        "inputs": {p: _sha256(p) for p in paths},
+        "config": args.config,
         "outputs": {name: _sha256(os.path.join(args.out, name)) for name in args.outputs},
-        # the bits of eig, and so of every basis, depend on the BLAS build and
-        # its threads
-        "environment": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "blas": basis_cache.blas(),
-            "threads": {v: os.environ.get(v) for v in basis_cache.THREAD_VARIABLES},
-        },
+        "environment": basis_cache.environment(),
     }
     if args.basis is not None:
         doc["basis"] = args.basis
@@ -142,40 +138,31 @@ def _parse_kind(text):
 
 
 def _cmd_gen(args):
-    inputs, seed, labels = [], None, None
+    labels = None
     if args.kind == "cycle":
         g = cycle_graph(args.n)
-        config = {"kind": "cycle", "n": args.n}
     elif args.kind == "path":
         g = path_graph(args.n)
-        config = {"kind": "path", "n": args.n}
     elif args.kind == "regular":
-        seed = args.seed
-        g = regular_graph(args.n, args.d, seed=seed)
-        config = {"kind": "regular", "n": args.n, "d": args.d}
+        g = regular_graph(args.n, args.d, seed=args.seed)
     elif args.kind == "knn":
         points = fileio.read_points(args.points)
         g = build_knn_graph(points, args.k, metric=METRICS[args.metric],
                             unweighted=args.unweighted,
                             symmetrize=args.symmetrize)
-        inputs = [args.points]
-        config = {"kind": "knn", "k": args.k, "metric": args.metric,
-                  "unweighted": args.unweighted, "symmetrize": args.symmetrize}
     else:
-        seed = args.seed
-        g, labels = sbm_graph(args.n, args.p, args.q, seed=seed)
-        config = {"kind": "sbm", "n": args.n, "p": args.p, "q": args.q}
+        g, labels = sbm_graph(args.n, args.p, args.q, seed=args.seed)
     fileio.write_edge_list(_output(args, "graph.tsv"), g)
     if labels is not None:
         fileio.write_signal(_output(args, "labels.csv"), labels.labels)
-    return _finish(args, inputs, config, seed=seed)
+    return _finish(args)
 
 
 def _cmd_spectrum(args):
     g = fileio.read_edge_list(args.graph)
     sp = _spectrum(args, g)
     fileio.write_spectrum(_output(args, "spectrum.json"), sp, order_frequencies(sp))
-    return _finish(args, [args.graph], {})
+    return _finish(args)
 
 
 def _cmd_design(args):
@@ -184,14 +171,13 @@ def _cmd_design(args):
     design = design_ideal_filter(_spectrum(args, g), kind, args.degree, band)
     fileio.write_filter(_output(args, "filter.json"), design.filter)
     fileio.write_design_report(_output(args, "design.json"), design)
-    return _finish(args, [args.graph], {"kind": args.kind, "degree": args.degree})
+    return _finish(args)
 
 
 def _cmd_filter(args):
     g = fileio.read_edge_list(args.graph)
     filt = fileio.read_filter(args.filter)
     s = g.signal(fileio.read_signal(args.signal))
-    inputs, config = [args.graph, args.filter, args.signal], {"spectra": args.spectra}
     # h(A/rho) s needs rho alone, so only the spectra build a basis: first,
     # so a defective graph is refused before anything is written
     b = _spectrum(args, g, basis=True) if args.spectra else None
@@ -200,7 +186,7 @@ def _cmd_filter(args):
     if b is not None:
         fileio.write_spectra(_output(args, "spectra.csv"), gft(b, s), gft(b, result),
                              frequency_response(b, filt))
-    return _finish(args, inputs, config)
+    return _finish(args)
 
 
 def _cmd_detect(args):
@@ -208,10 +194,8 @@ def _cmd_detect(args):
     b = _spectrum(args, g, basis=True)
     if args.filter:
         filt = fileio.read_filter(args.filter)
-        filter_config = {"filter": args.filter}
     else:
         filt = design_ideal_filter(b, "highpass", args.degree).filter
-        filter_config = {"degree": args.degree}
     cfg = DetectorConfig(filter=filt, window=args.window,
                          threshold_scale=args.threshold_scale,
                          calibration=args.calibration)
@@ -219,12 +203,7 @@ def _cmd_detect(args):
     current = g.signal(fileio.read_signal(args.current))
     report = detect_malfunction(g, b, cfg, history, current)
     fileio.write_detection_report(_output(args, "detection.json"), report)
-    config = {"window": args.window, "threshold_scale": args.threshold_scale,
-              "calibration": args.calibration, **filter_config}
-    inputs = [args.graph, *args.history, args.current]
-    if args.filter:
-        inputs.append(args.filter)
-    return _finish(args, inputs, config)
+    return _finish(args)
 
 
 def _parse_grid(text):
@@ -240,26 +219,21 @@ def _parse_grid(text):
 
 
 def _cmd_classify(args):
+    if args.truth and not args.sweep:  # the manifest would record a file not read
+        raise ValueError("--truth is read only with --sweep")
     g = fileio.read_edge_list(args.graph)
     labels = fileio.read_labels(args.labels)
     if args.sweep:
         if not args.truth:
             raise ValueError("--sweep needs --truth with full ground-truth labels")
         truth = fileio.read_labels(args.truth)
-        ratio = float(labels.known_mask.mean())
-        grid = _parse_grid(args.sweep)
-        sweep = sweep_alpha(g, truth, args.form, grid, ratio, args.runs,
-                            seed=args.seed)
+        sweep = sweep_alpha(g, truth, args.form, _parse_grid(args.sweep),
+                            float(labels.known_mask.mean()), args.runs, seed=args.seed)
         fileio.write_accuracy_table(_output(args, "accuracy.csv"), sweep)
-        config = {"form": args.form, "sweep": args.sweep, "runs": args.runs,
-                  "ratio": ratio, "best_alpha": sweep.best_alpha}
-        return _finish(args, [args.graph, args.labels, args.truth], config,
-                       seed=args.seed)
-    cfg = ClassifierConfig(alpha=args.alpha, form=args.form)
-    result = classify(g, labels, cfg)
-    fileio.write_predictions(_output(args, "predictions.csv"), result)
-    return _finish(args, [args.graph, args.labels],
-                   {"alpha": args.alpha, "form": args.form})
+    else:
+        result = classify(g, labels, ClassifierConfig(alpha=args.alpha, form=args.form))
+        fileio.write_predictions(_output(args, "predictions.csv"), result)
+    return _finish(args)
 
 
 def _cmd_rerun(args):
@@ -268,9 +242,12 @@ def _cmd_rerun(args):
     command = doc.get("command") if isinstance(doc, dict) else None
     if not isinstance(command, list) or not command:
         raise ValueError(f"{args.manifest}: manifest has no recorded command")
-    inputs = doc.get("inputs", {})
+    inputs, outputs = doc.get("inputs", {}), doc.get("outputs")
     if not isinstance(inputs, dict):
         raise ValueError(f"{args.manifest}: recorded inputs are not a mapping")
+    if not isinstance(outputs, dict) or not outputs:
+        raise ValueError(f"{args.manifest}: manifest records no output digests, "
+                         f"so a replay could not be checked")
     for path, digest in inputs.items():
         if _sha256(path) != digest:
             raise ValueError(f"{args.manifest}: input {path} has changed since "
@@ -285,16 +262,20 @@ def _cmd_rerun(args):
         else:
             argv += ["--out", args.out]
     code = main(argv)
-    outputs = doc.get("outputs")
-    if code or not isinstance(outputs, dict):  # written before outputs had digests
+    if code:
         return code
     out = _build_parser().parse_args(argv).out
     differ = [name for name, digest in outputs.items()
               if not os.path.isfile(os.path.join(out, name))
               or _sha256(os.path.join(out, name)) != digest]
     if differ:
+        recorded = doc.get("environment")
+        recorded = recorded if isinstance(recorded, dict) else {}
+        fields = [k for k, v in basis_cache.environment().items()
+                  if k not in recorded or recorded[k] != v]
+        cause = f"differs in: {', '.join(fields)}" if fields else "matches"
         print(f"error: {args.manifest}: replayed output differs from the recorded "
-              f"run: {', '.join(differ)}", file=sys.stderr)
+              f"run (environment {cause}): {', '.join(differ)}", file=sys.stderr)
         return 1
     return 0
 
@@ -396,6 +377,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 1
         return 0 if code == 0 else 1
+    args.config = {k: v for k, v in vars(args).items() if k != "func"}
     args.argv, args.outputs, args.basis = argv, [], None
     args.cache = basis_cache.default_directory()
     handler, level = logging.StreamHandler(sys.stderr), log.level

@@ -367,6 +367,40 @@ def test_rerun_names_an_output_whose_digest_differs(tmp_path, capsys):
     assert "filtered.csv" not in err
 
 
+def test_rerun_names_each_environment_field_that_differs(tmp_path, capsys):
+    graph, filt, signals = sensor_inputs(tmp_path)
+    first = tmp_path / "first"
+    assert run(*commands(graph, filt, signals)["filter-spectra"], "--out", first) == 0
+    doc = manifest(first)
+    doc["outputs"]["spectra.csv"] = "0" * 64
+    recorded = doc["environment"]
+    for environment, cause in [
+            ({**recorded, "threads": {**recorded["threads"], "OMP_NUM_THREADS": "64"}},
+             "environment differs in: threads"),
+            ({k: v for k, v in recorded.items() if k != "sources"},
+             "environment differs in: sources"),
+            (recorded, "environment matches")]:
+        (first / "manifest.json").write_text(json.dumps({**doc, "environment": environment}))
+        capsys.readouterr()
+        assert run("rerun", first / "manifest.json", "--out", tmp_path / "second") == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {first / 'manifest.json'}: replayed output differs from "
+                       f"the recorded run ({cause}): spectra.csv\n")
+
+
+def test_the_manifest_records_the_cpu_count_that_the_key_hashes(tmp_path, monkeypatch):
+    graph = sensor_inputs(tmp_path)[0]
+    assert run("spectrum", graph, "--out", tmp_path / "a") == 0
+    cpus = basis_cache._cpus()
+    monkeypatch.setattr(basis_cache, "_cpus", lambda: cpus + 1)
+    assert run("spectrum", graph, "--out", tmp_path / "b") == 0
+    a, b = manifest(tmp_path / "a"), manifest(tmp_path / "b")
+    assert a["environment"]["cpus"] == cpus and b["environment"]["cpus"] == cpus + 1
+    assert {**a["environment"], "cpus": cpus + 1} == b["environment"]
+    assert b["basis"]["cache"] == "miss" and b["basis"]["key"] != a["basis"]["key"]
+    assert a["outputs"] == b["outputs"]
+
+
 def test_rerun_of_a_cold_manifest_on_a_warm_cache_passes(tmp_path):
     graph, filt, signals = sensor_inputs(tmp_path)
     cold = tmp_path / "cold"
@@ -376,11 +410,16 @@ def test_rerun_of_a_cold_manifest_on_a_warm_cache_passes(tmp_path):
     assert manifest(tmp_path / "warm")["basis"]["cache"] == "hit"
 
 
-def test_rerun_of_a_manifest_without_output_digests_replays_it(tmp_path):
+def test_rerun_refuses_a_manifest_without_output_digests(tmp_path, capsys):
+    # a replay that could not be checked is no reproduction: the outputs
+    # recorded as names only (before they had digests), none, or absent
     m = tmp_path / "manifest.json"
-    m.write_text(json.dumps({"command": ["gen", "cycle", "4"], "outputs": ["graph.tsv"]}))
-    assert run("rerun", m, "--out", tmp_path / "o") == 0
-    assert list(manifest(tmp_path / "o")["outputs"]) == ["graph.tsv"]
+    for doc in [{"outputs": ["graph.tsv"]}, {"outputs": {}}, {}]:
+        m.write_text(json.dumps({"command": ["gen", "cycle", "4"], **doc}))
+        assert run("rerun", m, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (f"error: {m}: manifest records no output "
+                                           f"digests, so a replay could not be checked\n")
+        assert not (tmp_path / "o").exists()
 
 
 def test_a_graph_of_one_node_round_trips(tmp_path):

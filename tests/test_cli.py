@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from graphdsp.cli import main
+from graphdsp import basis_cache
+from graphdsp.cli import _build_parser, main
 from graphdsp.fileio import (
     read_edge_list,
     read_signal,
@@ -535,6 +536,13 @@ def test_classify_sweep_requires_truth(tmp_path):
                "--out", tmp_path / "out") == 1
 
 
+def test_classify_truth_without_sweep_is_an_error(tmp_path, capsys):
+    gpath, lpath = make_two_clique_files(tmp_path)
+    assert run("classify", gpath, lpath, "--truth", lpath, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == "error: --truth is read only with --sweep\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # rerun and manifests
 
@@ -556,14 +564,18 @@ def test_rerun_rejects_a_manifest_that_is_not_an_object(tmp_path, capsys):
 
 def test_rerun_rejects_a_recorded_out_without_a_directory(tmp_path, capsys):
     m = tmp_path / "manifest.json"
-    m.write_text(json.dumps({"command": ["gen", "cycle", "4", "--out"]}))
+    m.write_text(json.dumps({"command": ["gen", "cycle", "4", "--out"],
+                             "outputs": {"graph.tsv": "0" * 64}}))
     assert run("rerun", m, "--out", tmp_path / "o") == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {m}: recorded --out has no directory\n"
 
 
 def test_rerun_out_is_appended_to_a_command_recorded_without_it(tmp_path):
-    m = tmp_path / "manifest.json"
-    m.write_text(json.dumps({"command": ["gen", "cycle", "4"]}))
+    m, expected = tmp_path / "manifest.json", tmp_path / "cycle.tsv"
+    write_edge_list(expected, cycle_graph(4))
+    digest = hashlib.sha256(expected.read_bytes()).hexdigest()
+    m.write_text(json.dumps({"command": ["gen", "cycle", "4"],
+                             "outputs": {"graph.tsv": digest}}))
     out = tmp_path / "o"
     assert run("rerun", m, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -635,6 +647,63 @@ def test_manifest_hashes_inputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     digest = manifest["inputs"][str(gdir / "graph.tsv")]
     assert digest == hashlib.sha256((gdir / "graph.tsv").read_bytes()).hexdigest()
+
+
+def record_cases(tmp_path):
+    """Each command's argv and the files it reads, in the order of
+    ``cli.INPUTS``: a directed 4-NN graph on 30 points with a filter and four
+    signals, and a two-block graph with partial labels and its truth."""
+    rng = np.random.default_rng(12)
+    points, filt = tmp_path / "points.csv", tmp_path / "f.json"
+    write_points(points, rng.random((30, 2)))
+    write_filter(filt, GraphFilter([0.5, -0.25, 0.125]))
+    s = [tmp_path / f"s{i}.csv" for i in range(4)]
+    for p in s:
+        write_signal(p, rng.standard_normal(30))
+    graph, sbm, known = tmp_path / "knn" / "graph.tsv", tmp_path / "sbm", tmp_path / "known.csv"
+    assert run("gen", "knn", points, 4, "--out", graph.parent) == 0
+    assert run("gen", "sbm", 40, 0.5, 0.1, "--seed", 3, "--out", sbm) == 0
+    truth = sbm / "labels.csv"
+    y = np.array(read_signal(truth))
+    y[rng.random(y.size) < 0.7] = 0.0
+    write_signal(known, y)
+    history = ["--history", *s[:3], "--current", s[3]]
+    return {
+        "gen-cycle": (["gen", "cycle", 5], []),
+        "gen-knn": (["gen", "knn", points, 4], [points]),
+        "gen-sbm": (["gen", "sbm", 20, 0.5, 0.1, "--seed", 3], []),
+        "spectrum": (["spectrum", graph], [graph]),
+        "design": (["design", graph, "--kind", "lowpass", "--degree", 3], [graph]),
+        "filter": (["filter", graph, filt, s[0]], [graph, filt, s[0]]),
+        "filter-spectra": (["filter", graph, filt, s[0], "--spectra"], [graph, filt, s[0]]),
+        "detect": (["detect", graph, *history], [graph, *s]),
+        "detect-filter": (["detect", graph, *history, "--filter", filt], [graph, filt, *s]),
+        "classify": (["classify", sbm / "graph.tsv", known], [sbm / "graph.tsv", known]),
+        "classify-sweep": (["classify", sbm / "graph.tsv", known, "--sweep", "1,2",
+                            "--truth", truth, "--runs", 2],
+                           [sbm / "graph.tsv", known, truth]),
+    }
+
+
+@pytest.mark.parametrize("case", ["gen-cycle", "gen-knn", "gen-sbm", "spectrum", "design",
+                                  "filter", "filter-spectra", "detect", "detect-filter",
+                                  "classify", "classify-sweep"])
+def test_the_manifest_is_derived_from_the_parsed_command_line(case, tmp_path):
+    argv, read = record_cases(tmp_path)[case]
+    argv = [str(a) for a in (*argv, "--out", tmp_path / "out")]
+    assert run(*argv) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    parsed = vars(_build_parser().parse_args(argv))
+    del parsed["func"]
+    assert manifest["config"] == parsed
+    assert "seed" not in manifest
+    if case.startswith("detect"):
+        assert manifest["config"]["window"] == 3
+        assert manifest["config"]["filter"] == (str(read[1]) if case == "detect-filter"
+                                                else None)
+    assert list(manifest["inputs"]) == [str(p) for p in read]
+    assert manifest["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                                  for p in read}
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +823,8 @@ def test_manifest_records_the_environment(tmp_path):
     code = f"from graphdsp.cli import main; main(['gen', 'cycle', '4', '--out', {str(out)!r}])"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     manifest = json.loads((out / "manifest.json").read_text())
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     assert manifest["environment"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -762,6 +832,11 @@ def test_manifest_records_the_environment(tmp_path):
                  "openblas_configuration": blas.get("openblas configuration")},
         "threads": {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1",
                     "MKL_NUM_THREADS": None},
+        "cpus": basis_cache._cpus(),
+        "simd": config["SIMD Extensions"]["found"],
+        "machine": platform.machine(),
+        "host": platform.node(),
+        "sources": basis_cache._sources(),
     }
     assert isinstance(manifest["environment"]["blas"]["name"], str)
 
