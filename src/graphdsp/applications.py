@@ -565,7 +565,7 @@ def sweep_alpha(g: Graph, truth: LabelSignal, form, alphas, ratio: float,
         accuracy[:, j] = np.mean((s > 0.0) == (truth.labels[:, None] > 0.0), axis=0)
     mean = accuracy.mean(axis=1)
     std = accuracy.std(axis=1)
-    best = int(np.argmax(mean))
+    best = int(np.lexsort((alphas, -mean))[0])  # best mean, then smallest alpha
     return SweepResult(alphas=_freeze(alphas), ratio=float(ratio),
                        mean_accuracy=_freeze(mean), std_accuracy=_freeze(std),
                        best_alpha=float(alphas[best]),

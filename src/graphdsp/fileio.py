@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 
 import numpy as np
 
@@ -31,7 +30,10 @@ def _fmt_weight(w) -> str:
 
 
 def _parse_weight(text: str):
+    """A weight field: a real, a complex ``a+bi``, or 1 where it is empty."""
     text = text.strip()
+    if not text:
+        return 1.0
     try:
         return float(text)
     except ValueError:
@@ -57,63 +59,59 @@ def write_edge_list(path, g: Graph):
         fh.write("\n".join(lines) + "\n")
 
 
-_REAL_ROWS = re.compile(r"(?:\S+\t\S+\t\S+(?:\n+|\Z))*")
+_ID_LIMIT = math.isqrt(2 ** 63 - 1)  # below it, the keys dst*n + src fit in int64
 
 
-def _real_rows(text):
-    """The common file in one pass: a 'src<TAB>dst<TAB>weight' header, then
-    three fields on every row, each read by ``int``/``float`` as the row
-    parser reads it.  None for any other file, and for any file the row
-    parser would refuse, so that it stays the one source of error messages."""
-    head, _, body = text.partition("\n")
-    if head != "src\tdst\tweight" or not _REAL_ROWS.fullmatch(body):
-        return None
-    fields = body.split()
-    try:
-        src = np.array(list(map(int, fields[0::3])), dtype=np.int64)
-        dst = np.array(list(map(int, fields[1::3])), dtype=np.int64)
-        weights = np.array(list(map(float, fields[2::3])))
-    except (ValueError, OverflowError):
-        return None
-    if (src < 0).any() or (dst < 0).any():
-        return None
-    return src, dst, weights
-
-
-def _check_id(path, node):
-    """Refuse a node id whose graph's keys dst*n + src would wrap in int64."""
-    limit = math.isqrt(2 ** 63 - 1)
-    if node >= limit:
-        raise ValueError(f"{path}: node id {node} too large; node ids must be "
-                         f"below {limit}")
+def _id_error(path, rows):
+    """The refusal of the first row whose node ids are not integers in
+    [0, ``_ID_LIMIT``)."""
+    for ln in rows:
+        try:
+            s, d = map(int, ln.split("\t")[:2])
+        except ValueError:
+            return ValueError(f"{path}: non-integer node id in row {ln!r}")
+        if s < 0 or d < 0:
+            return ValueError(f"{path}: node ids must be non-negative, got {ln!r}")
+        if max(s, d) >= _ID_LIMIT:
+            return ValueError(f"{path}: node id {max(s, d)} too large; node ids must "
+                              f"be below {_ID_LIMIT}")
 
 
 def _parse_rows(path, text):
-    """Row by row: two or three fields, complex weights, and every error."""
-    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
+    """src, dst and weights of an edge list, each column read in one pass.
+    A row is two or three tab-separated fields; a missing or empty weight is
+    1.  A refusal names the first malformed row, else the first row with a
+    bad node id, as the file has it."""
+    lines = list(filter(str.strip, text.split("\n")))
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
-    header = lines[0].split("\t")
+    header = lines[0].strip().split("\t")
     if header[:2] != ["src", "dst"] or len(header) > 3 or (
             len(header) == 3 and header[2] != "weight"):
         raise ValueError(f"{path}: expected header 'src<TAB>dst[<TAB>weight]'")
-    src, dst, weights = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"{path}: malformed edge row {ln!r}")
-        try:
-            s, d = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}: non-integer node id in row {ln!r}") from None
-        if s < 0 or d < 0:
-            raise ValueError(f"{path}: node ids must be non-negative, got {ln!r}")
-        _check_id(path, max(s, d))
-        src.append(s)
-        dst.append(d)
-        weights.append(_parse_weight(parts[2]) if len(parts) == 3 else 1.0)
-    weights = np.array(weights, dtype=complex if complex in map(type, weights) else float)
-    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), weights
+    rows = lines[1:]
+    if not rows:
+        raise ValueError(f"{path}: edge list has no edges")
+    tabs = {ln.count("\t") for ln in rows}
+    if not tabs <= {1, 2}:
+        bad = next(ln for ln in rows if ln.count("\t") not in (1, 2))
+        raise ValueError(f"{path}: malformed edge row {bad!r}")
+    # a two-field row gets an empty weight field, which reads as 1
+    full = [ln + "\t" * (2 - ln.count("\t")) for ln in rows] if 1 in tabs else rows
+    fields = "\t".join(full).split("\t")
+    weights = fields[2::3]
+    del fields[2::3]  # the ids, src and dst by turns
+    try:
+        ids = np.fromiter(map(int, fields), np.int64).reshape(-1, 2).T
+        if ids.min() < 0 or ids.max() >= _ID_LIMIT:
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise _id_error(path, rows) from None
+    try:
+        weights = np.fromiter(map(float, weights), float)
+    except ValueError:
+        weights = np.array(list(map(_parse_weight, weights)))
+    return ids[0], ids[1], weights
 
 
 def read_edge_list(path, *, directed=None) -> Graph:
@@ -122,12 +120,8 @@ def read_edge_list(path, *, directed=None) -> Graph:
     weight is no edge, but counts its nodes."""
     with open(path) as fh:
         text = fh.read()
-    rows = _real_rows(text)
-    src, dst, weights = rows if rows is not None else _parse_rows(path, text)
-    if not src.size:
-        raise ValueError(f"{path}: edge list has no edges")
+    src, dst, weights = _parse_rows(path, text)
     n = int(max(src.max(), dst.max())) + 1
-    _check_id(path, n - 1)
     first = np.unique(dst * n + src, return_index=True)[1]
     if first.size < src.size:
         dup = np.ones(src.size, dtype=bool)

@@ -154,7 +154,9 @@ class Graph:
         Above 20 nodes a cold call on a real adjacency with no negative entry,
         directed or not, is certified without scipy.  A is block-diagonal
         over its weak components, so rho is the largest rho of a block, and
-        an isolated node gives its self-loop weight.  On each block a
+        an isolated node gives its self-loop weight.  Each block first tries
+        x = 1, whose bracket [min row sum, max row sum] closes at once on
+        constant row sums (cycles, tori, regular graphs).  Otherwise a
         restarted Arnoldi (``KRYLOV_SIZE`` vectors, a fixed start vector, so
         reruns agree bitwise) estimates the Perron vector x, restarting from
         the modulus of the real part of the Ritz vector of the Ritz value of
@@ -165,7 +167,7 @@ class Graph:
         ``eigvalsh``: at once when a node has no in-edge within it (every
         DAG and directed path), and otherwise after ``KRYLOV_MAX_RESTARTS``
         restarts, after ``KRYLOV_STALL`` restarts that do not halve the
-        bracket (periodic cycles) or on an x with a zero entry.  A graph of
+        bracket (periodic graphs) or on an x with a zero entry.  A graph of
         up to 20 nodes, or with a negative or complex weight, takes the dense
         solver on the whole matrix.  Each cold call logs its path, blocks,
         restarts and bracket at debug level.
@@ -385,8 +387,11 @@ def _arnoldi_bracket(block: Graph):
     """Collatz-Wielandt bracket [lo, hi] of rho for a block with nonnegative
     nonzeros, narrower than ``BRACKET_RTOL`` relative, and the restarts
     taken, or None for the bracket where it does not close; its products are
-    ``_shift``'s."""
+    ``_shift``'s.  It tries x = 1 first: [min row sum, max row sum]."""
     n = block.n
+    sums = _shift(block, np.ones(n))
+    if sums.max() - sums.min() <= BRACKET_RTOL * sums.max():
+        return (float(sums.min()), float(sums.max())), 0
     m = min(KRYLOV_SIZE, n)
     x = 1.0 + np.random.default_rng(0).random(n)
     best, stalled = np.inf, 0

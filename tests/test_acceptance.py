@@ -46,7 +46,8 @@ from graphdsp import (
     total_variation,
 )
 from graphdsp.cli import main
-from graphdsp.fileio import write_signal
+from graphdsp.fileio import read_edge_list, read_signal, write_edge_list, write_signal
+from graphdsp.graph import _nonzeros
 
 
 def dft_matrix(n):
@@ -423,3 +424,91 @@ def test_cli_outputs_are_bitwise_reproducible(tmp_path, monkeypatch):
         assert snapshot(a) == snapshot(c), name
     print("PASS: every seeded command produced byte-identical outputs on "
           "a second run")
+
+
+def test_a_relabeled_cli_run_is_a_permuted_run(tmp_path):
+    """Every command on a directed kNN graph, and on the same graph with its
+    node ids permuted in every file and the rows of every file shuffled.
+
+    Left out until the refusal of a defective graph holds under every
+    labeling (ROADMAP item 3): defective and near-defective digraphs, whose
+    basis one labeling may refuse and another accept; and graphs with a
+    repeated eigenvalue, whose eigenbasis, and so the Fourier coefficients
+    that detection ranks, are not unique.
+    """
+    rng = np.random.default_rng(8)
+    n = 40
+    pts = rng.random((n, 2))
+    g = build_knn_graph(pts, 5)
+    field = np.sin(3 * pts[:, 0]) + np.cos(2 * pts[:, 1])
+    history = [field * (1 + 0.05 * t) + 0.01 * rng.standard_normal(n) for t in range(3)]
+    current = field * 1.15 + 0.01 * rng.standard_normal(n)
+    current[7] += 3.0
+    known = np.where(rng.random(n) < 0.3, np.sign(pts[:, 0] - 0.5), 0.0)
+    p = rng.permutation(n)  # node j of the relabeled files is node p[j]
+
+    def inputs(root, relabel):
+        root.mkdir()
+        write_edge_list(root / "graph.tsv", g)
+        take = slice(None) if relabel is None else relabel
+        for t, h in enumerate(history):
+            write_signal(root / f"h{t}.csv", h[take])
+        write_signal(root / "current.csv", current[take])
+        write_signal(root / "known.csv", known[take])
+        if relabel is not None:  # new ids in the edge list; every file's rows shuffled
+            new_id = np.argsort(relabel)
+            for path in sorted(root.iterdir()):
+                head, *rows = path.read_text().splitlines()
+                if path.name == "graph.tsv":
+                    rows = [f"{new_id[int(s)]}\t{new_id[int(d)]}\t{w}"
+                            for s, d, w in (r.split("\t") for r in rows)]
+                path.write_text("\n".join([head, *(rows[i] for i in
+                                                   rng.permutation(len(rows)))]) + "\n")
+        out = root / "out"
+        graph = root / "graph.tsv"
+        commands = [
+            ("spectrum", ["spectrum", graph]),
+            ("design", ["design", graph, "--kind", "highpass", "--degree", 4]),
+            ("filter", ["filter", graph, out / "design" / "filter.json", root / "h0.csv"]),
+            ("detect", ["detect", graph, "--history", *(root / f"h{t}.csv" for t in range(3)),
+                        "--current", root / "current.csv",
+                        "--filter", out / "design" / "filter.json"]),
+            ("classify", ["classify", graph, root / "known.csv"]),
+        ]
+        for name, argv in commands:
+            assert main([str(a) for a in argv + ["--out", out / name]]) == 0, name
+        return out
+
+    a, b = inputs(tmp_path / "a", None), inputs(tmp_path / "b", p)
+
+    def close(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        return x.shape == y.shape and np.abs(x - y).max() <= 1e-9 * np.abs(x).max()
+
+    def doc(out, name, file):
+        return json.loads((out / name / file).read_text())
+
+    relabeled = Graph(g.adjacency[np.ix_(p, p)])
+    for x, y in zip(_nonzeros(read_edge_list(tmp_path / "b" / "graph.tsv")),
+                    _nonzeros(relabeled)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    eig = [np.sort_complex([complex(*z) for z in doc(out, "spectrum", "spectrum.json")
+                            ["eigenvalues"]]) for out in (a, b)]
+    assert len(set(np.round(eig[0], 6))) == n  # a simple spectrum
+    assert close(*eig)
+    assert close(*([complex(*z) for z in doc(out, "design", "filter.json")["taps"]]
+                   for out in (a, b)))
+    filtered = [read_signal(out / "filter" / "filtered.csv") for out in (a, b)]
+    assert close(filtered[0][p], filtered[1])
+    det = [doc(out, "detect", "detection.json") for out in (a, b)]
+    assert det[0]["flagged"] and det[1]["flagged"]
+    assert close(det[0]["threshold"], det[1]["threshold"])
+    assert close(*(sorted(m for _, m in d["offending_coefficients"]) for d in det))
+    pred = [np.loadtxt(out / "classify" / "predictions.csv", delimiter=",", skiprows=1)
+            for out in (a, b)]
+    assert close(pred[0][p, 1], pred[1][:, 1])
+    assert np.array_equal(pred[0][p, 2], pred[1][:, 2])
+    assert np.array_equal(pred[1][:, 0], np.arange(n))
+    print("PASS: a relabeled spectrum, design, filter, detect and classify "
+          "run is the original run, permuted")

@@ -895,6 +895,14 @@ def test_sweep_recovers_easy_communities():
     assert float(result.best_alpha) in alphas.tolist()
 
 
+def test_sweep_breaks_ties_toward_the_smallest_alpha():
+    # every alpha of this unsorted grid classifies every node right
+    g, truth = sbm_graph(40, 0.5, 0.02, seed=5)
+    result = sweep_alpha(g, truth, "shift", np.array([10.0, 1.0, 0.1]), 0.25, 8, seed=11)
+    assert result.mean_accuracy.tolist() == [1.0, 1.0, 1.0]
+    assert (result.best_alpha, result.best_accuracy) == (0.1, 1.0)
+
+
 def test_sweep_validates_inputs():
     g, truth = sbm_graph(20, 0.5, 0.1, seed=6)
     with pytest.raises(ValueError):

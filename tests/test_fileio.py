@@ -15,9 +15,7 @@ from graphdsp import (
 )
 from graphdsp.fileio import (
     _fmt_weight,
-    _parse_rows,
     _parse_weight,
-    _real_rows,
     read_edge_list,
     read_filter,
     read_labels,
@@ -141,8 +139,8 @@ def test_edge_list_without_edges_names_the_file(tmp_path, header):
                                        ("3037000499\t0\t1+0i", "3037000499"),
                                        ("0\t9223372036854775808", "9223372036854775808")])
 def test_node_ids_whose_keys_would_wrap_are_refused(tmp_path, row, node):
-    # n * n must stay below 2^63 for the int64 keys dst*n + src: on the
-    # one-pass parse, the row parser, and an id beyond int64 itself
+    # n * n must stay below 2^63 for the int64 keys dst*n + src: for a
+    # three-field row, a complex weight, and an id beyond int64 itself
     p = tmp_path / "huge.tsv"
     p.write_text(f"src\tdst\tweight\n{row}\n")
     with pytest.raises(ValueError, match=f"huge.tsv: node id {node} too large; node ids "
@@ -172,17 +170,41 @@ def read_edge_list_reference(path):
     return a
 
 
-def test_read_edge_list_matches_per_row_fill(tmp_path):
+def written_edge_lists(tmp_path):
+    """Edge lists as the writer makes them: real and complex weights, and
+    an isolated node's zero self row."""
+    def written(a):
+        p = tmp_path / "written.tsv"
+        write_edge_list(p, Graph(a))
+        return p.read_text()
+
     rng = np.random.default_rng(11)
-    texts = ["src\tdst\tweight\n2\t0\t1.5\n0\t2\t-0.0\n1\t1\t\n",
-             "src\tdst\n3\t1\n1\t3\n",
-             "src\tdst\tweight\n0\t1\t2\n1\t0\t1-2i\n4\t4\t0\n"]
+    texts = []
     for i in range(3):
         a = rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.4)
-        a = a * np.exp(1j * rng.random((9, 9))) if i == 1 else a
-        p = tmp_path / f"w{i}.tsv"
-        write_edge_list(p, Graph(a))
-        texts.append(p.read_text())
+        texts.append(written(a * np.exp(1j * rng.random((9, 9))) if i == 1 else a))
+    rng = np.random.default_rng(7)
+    for n in (3, 17, 40):
+        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        k = rng.integers(n)
+        a[k], a[:, k] = 0.0, 0.0  # an isolated node: a zero self row
+        texts.append(written(a))
+        assert f"\n{k}\t{k}\t0\n" in texts[-1]
+    return texts
+
+
+def test_read_edge_list_matches_per_row_fill(tmp_path):
+    texts = ["src\tdst\tweight\n2\t0\t1.5\n0\t2\t-0.0\n1\t1\t\n",
+             "src\tdst\n3\t1\n1\t3\n",
+             "src\tdst\tweight\n0\t1\t2\n1\t0\t1-2i\n4\t4\t0\n",
+             "src\tdst\tweight\n0\t1\t-0.0\n1\t0\t1e-300\n2\t2\t0\n\n3\t0\t-7",
+             "src\tdst\tweight\n0\t1\t1-2i\n",     # complex weight
+             "src\tdst\tweight\n0\t1\n",           # two fields
+             "src\tdst\n0\t1\n",                    # two-field header
+             "src\tdst\tweight\n0 \t1\t1\n",       # spaces around a field
+             "\nsrc\tdst\tweight\n0\t1\t1\n",      # a blank line before the header
+             " \nsrc\tdst\tweight\r\n 1\t0\t 2 \n\t\n0\t1\t\n"]  # blank and CR
+    texts += written_edge_lists(tmp_path)
     for i, text in enumerate(texts):
         p = tmp_path / f"e{i}.tsv"
         p.write_text(text)
@@ -202,33 +224,9 @@ def test_duplicate_edge_message_names_the_first_repeat(tmp_path):
     with pytest.raises(ValueError) as ref:
         read_edge_list_reference(p)
     assert str(got.value) == str(ref.value) == f"{p}: duplicate edge 2 -> 3"
-
-
-def test_real_rows_match_the_row_parser(tmp_path):
-    """The one-pass parse of the common file, against the row parser."""
-    rng = np.random.default_rng(7)
-    texts = ["src\tdst\tweight\n0\t1\t-0.0\n1\t0\t1e-300\n2\t2\t0\n\n3\t0\t-7"]
-    for n in (3, 17, 40):
-        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
-        k = rng.integers(n)
-        a[k], a[:, k] = 0.0, 0.0  # an isolated node: a zero self row
-        p = tmp_path / f"g{n}.tsv"
-        write_edge_list(p, Graph(a))
-        texts.append(p.read_text())
-        assert f"\n{k}\t{k}\t0\n" in texts[-1]
-    for i, text in enumerate(texts):
-        rows = _real_rows(text)
-        assert rows is not None
-        for got, ref in zip(rows, _parse_rows("g.tsv", text)):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        p = tmp_path / f"e{i}.tsv"
-        p.write_text(text)
-        assert read_edge_list(p).adjacency.tobytes() == read_edge_list_reference(p).tobytes()
-
-    dup = texts[-1] + texts[-1].splitlines()[1] + "\n"  # the first edge, again
-    assert _real_rows(dup) is not None
-    p = tmp_path / "dup.tsv"
-    p.write_text(dup)
+    # a written list with its first edge again at the end
+    text = written_edge_lists(tmp_path)[-1]
+    p.write_text(text + text.splitlines()[1] + "\n")
     with pytest.raises(ValueError) as got:
         read_edge_list(p)
     with pytest.raises(ValueError) as ref:
@@ -236,20 +234,23 @@ def test_real_rows_match_the_row_parser(tmp_path):
     assert str(got.value) == str(ref.value)
 
 
-@pytest.mark.parametrize("text", [
-    "src\tdst\tweight\n0\t1\t1-2i\n",       # complex weight
-    "src\tdst\tweight\n0\t1\n",             # two fields
-    "src\tdst\n0\t1\n",                      # two-field header
-    "src\tdst\tweight\n0\tx\t1\n",          # malformed id
-    "src\tdst\tweight\n0\t1.0\t1\n",        # id int() refuses
-    "src\tdst\tweight\n-1\t0\t1\n",         # negative id
-    "src\tdst\tweight\n0\t1\tfoo\n",        # malformed weight
-    "src\tdst\tweight\n0\t1\t2\t3\n4\t5\n",  # four fields, then two
-    "src\tdst\tweight\n0 \t1\t1\n",         # a space the row parser strips
-    "\nsrc\tdst\tweight\n0\t1\t1\n",        # a blank line before the header
+@pytest.mark.parametrize("rows, message", [
+    ("0\tx\t1", "non-integer node id in row '0\\tx\\t1'"),
+    ("0\t1.0\t1", "non-integer node id in row '0\\t1.0\\t1'"),
+    ("-1\t0\t1", "node ids must be non-negative, got '-1\\t0\\t1'"),
+    ("0\t1\tfoo", "cannot parse edge weight 'foo'"),
+    ("0\t1\t2\t3\n4\t5", "malformed edge row '0\\t1\\t2\\t3'"),
+    ("0\t1\t2\n4", "malformed edge row '4'"),
+    # a tab always separates fields: a stray one shifts no field
+    ("0\t1\t2\n\t0\t1", "non-integer node id in row '\\t0\\t1'"),
+    ("0\t1\t\t", "malformed edge row '0\\t1\\t\\t'"),
 ])
-def test_real_rows_leave_other_files_to_the_row_parser(text):
-    assert _real_rows(text) is None
+def test_edge_list_refusals_name_the_first_row_at_fault(tmp_path, rows, message):
+    p = tmp_path / "bad.tsv"
+    p.write_text(f"src\tdst\tweight\n{rows}\n")
+    with pytest.raises(ValueError) as got:
+        read_edge_list(p)
+    assert str(got.value).endswith(message)
 
 
 def test_edge_list_undirected_request(tmp_path):

@@ -17,6 +17,7 @@ from graphdsp import (
     laplacian,
     normalize_shift,
     path_graph,
+    regular_graph,
     sbm_graph,
 )
 from graphdsp import graph as graph_module
@@ -173,8 +174,9 @@ def test_spectral_radius_falls_back_to_dense_when_the_bracket_does_not_close(mon
 
 def test_dags_and_directed_cycles_fall_back_to_dense(caplog):
     # every DAG, a directed path among them, has a node without in-edges, so
-    # its bracket's lower end is pinned at 0 and Arnoldi is never run; a
-    # cycle's eigenvalues share one modulus, and its bracket stops narrowing
+    # its bracket's lower end is pinned at 0 and Arnoldi is never run; the
+    # eigenvalues of a cycle share one modulus, and where its weights differ
+    # (so x = 1 does not close the bracket) the bracket stops narrowing
     rng = np.random.default_rng(0)
     dags = [np.tril(rng.random((21, 21)), -1), np.eye(200, k=-1),
             np.tril(rng.random((300, 300)), -1)]
@@ -184,12 +186,28 @@ def test_dags_and_directed_cycles_fall_back_to_dense(caplog):
         [record] = radius_records(caplog)
         assert " blocks=1 certified=0 restarts=0 " in record
         caplog.clear()
-    g = Graph(np.roll(np.eye(200), 1, axis=0))
+    g = Graph(np.roll(np.diag(1.0 + rng.random(200)), 1, axis=0))
     with caplog.at_level(logging.DEBUG, logger="graphdsp"):
         assert g.spectral_radius == float(np.abs(np.linalg.eigvals(g.adjacency)).max())
     fields = record_fields(radius_records(caplog)[0])
     assert (fields["certified"], fields["bracket"]) == ("0", (g.spectral_radius,) * 2)
     assert int(fields["restarts"]) < KRYLOV_MAX_RESTARTS  # it stalls
+
+
+def test_constant_row_sums_are_certified_at_x_equal_one(monkeypatch, caplog):
+    # at x = 1 the bracket is [min row sum, max row sum]: it closes before
+    # any Arnoldi restart on a cycle or a regular graph, and rho is exact
+    def no_dense(*args):
+        raise AssertionError("the dense solver was taken")
+
+    monkeypatch.setattr(graph_module, "_dense_radius", no_dense)
+    for g, rho in ((cycle_graph(5000), 1.0), (regular_graph(600, 4, seed=1), 4.0)):
+        with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+            assert g.spectral_radius == rho
+        fields = record_fields(radius_records(caplog)[0])
+        assert (fields["certified"], fields["restarts"]) == ("1", "0")
+        assert fields["bracket"] == (rho, rho)
+        caplog.clear()
 
 
 def test_lanczos_runs_under_the_restart_budget(monkeypatch, caplog):
@@ -219,8 +237,10 @@ def test_lanczos_runs_under_the_restart_budget(monkeypatch, caplog):
 @pytest.mark.parametrize("kind", ["cycle", "path"])
 def test_undirected_cycles_and_paths_fall_back_to_dense(kind, caplog):
     # the gap between rho and the next eigenvalue is about 1e-4 at 500
-    # nodes, so restarted Arnoldi stalls or runs out of restarts
-    a = np.roll(np.eye(500), 1, axis=0) if kind == "cycle" else np.eye(500, k=-1)
+    # nodes, so restarted Arnoldi stalls or runs out of restarts; the cycle
+    # is weighted, since x = 1 certifies one with constant row sums
+    w = 1.0 + np.random.default_rng(4).random(500)
+    a = np.roll(np.diag(w), 1, axis=0) if kind == "cycle" else np.eye(500, k=-1)
     g = Graph(a + a.T)
     with caplog.at_level(logging.DEBUG, logger="graphdsp"):
         assert g.spectral_radius == float(np.abs(np.linalg.eigvalsh(g.adjacency)).max())
