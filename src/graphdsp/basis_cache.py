@@ -1,23 +1,31 @@
-"""A per-user store of eigendecompositions, addressed by what their bits depend on.
+"""A per-user store of parsed edge lists and eigendecompositions, addressed
+by what their bits depend on.
 
-``spectral.decompose`` and ``spectral.spectrum`` take ``cache=DIR``; the
-command line passes ``default_directory()``.  An entry's key is the sha256
-of the solver (``eig``, ``eigh`` or ``eigvalsh``), the graph's size,
-direction and stored nonzeros, and ``environment()``, everything else the
-solver's bits depend on: Python and numpy, numpy's BLAS build, the BLAS
-thread variables and the number of CPUs the process may use, the CPU
-features numpy dispatches on, the machine and host, and the package's own
-sources, so that any change of code misses.  The command line's manifest
-records the same ``environment()``.  An entry holds the eigenvalues, for a
-basis ``vectors`` and ``fourier`` in their own memory order (a change of
-layout changes BLAS rounding downstream), the exact condition where
-``decompose`` computed one, and a sha256 of all of these that every read
-checks.  A missing, unreadable, truncated or mismatching entry is a miss;
-a directory that cannot be made or written, or a full disk, leaves the
-entry unstored.  The entries together hold at most ``MAX_BYTES``: an entry
-larger than that is not stored, and after each write the entries used
-longest ago, by modification time, which a hit renews, are dropped until
-the rest fit.
+``fileio.read_edge_list``, ``spectral.decompose`` and ``spectral.spectrum``
+take ``cache=DIR``; the command line passes ``default_directory()``.  Both
+kinds of entry share one key rule (``_key``): the sha256 of a tag naming the
+kind and its parameters, the data it is computed from, and
+``environment()``, everything else its bits depend on: Python and numpy,
+numpy's BLAS build, the BLAS thread variables and the number of CPUs the
+process may use, the CPU features numpy dispatches on, the machine and
+host, and the package's own sources, so that any change of code misses.
+The command line's manifest records the same ``environment()``.
+
+An edge-list entry (``edge_list_key``, ``load_edge_list``) is keyed by the
+file's bytes, the ``directed`` argument and the text encoding, and holds the
+checked graph: its size and direction and its row-major nonzeros.  A basis
+entry (``key``, ``load``) is keyed by the solver (``eig``, ``eigh`` or
+``eigvalsh``) and the graph's size, direction and nonzeros, and holds the
+eigenvalues, for a basis ``vectors`` and ``fourier`` in their own
+memory order (a change of layout changes BLAS rounding downstream), and the
+exact condition where ``decompose`` computed one.  Every entry stores a
+sha256 of its arrays, which every read checks, and each kind checks its
+arrays' dtypes and shapes.  A missing, unreadable, truncated or
+mismatching entry is a miss; a directory that cannot be made or written, or
+a full disk, leaves the entry unstored.  The entries of both kinds together
+hold at most ``MAX_BYTES``: an entry larger than that is not stored, and
+after each write the entries used longest ago, by modification time, which
+a hit renews, are dropped until the rest fit.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ MAX_BYTES = 1 << 30
 SUFFIX = ".npy"
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 DTYPES = (np.dtype(float), np.dtype(complex))
+INDEX = np.dtype(np.int64)
 
 
 def default_directory(environ=os.environ):
@@ -100,13 +109,25 @@ def environment():
             "machine": uname.machine, "host": uname.nodename, "sources": _sources()}
 
 
-def key(g, solver):
-    """The entry key of the graph's decomposition by ``solver``."""
+def _key(tag, arrays):
+    """The entry key of data ``arrays`` under ``tag``, a list naming the kind
+    of entry and its parameters: one rule for every kind."""
     h = hashlib.sha256(FORMAT.encode())
-    h.update(json.dumps([solver, g.n, g.directed, environment()], sort_keys=True).encode())
-    for x in _nonzeros(g):
+    h.update(json.dumps([*tag, environment()], sort_keys=True).encode())
+    for x in arrays:
         _update(h, x)
     return h.hexdigest()
+
+
+def key(g, solver):
+    """The entry key of the graph's decomposition by ``solver``."""
+    return _key([solver, g.n, g.directed], _nonzeros(g))
+
+
+def edge_list_key(data, directed, encoding):
+    """The entry key of the graph an edge-list file of bytes ``data`` reads
+    as, decoded by ``encoding``, with ``directed`` as asked."""
+    return _key(["edge-list", directed, encoding], [np.frombuffer(data, np.uint8)])
 
 
 def _digest(arrays):
@@ -116,25 +137,21 @@ def _digest(arrays):
     return np.frombuffer(h.digest(), dtype=np.uint8)
 
 
-def load(directory, key, n, basis):
-    """The stored (condition, eigenvalues[, vectors, fourier]) of ``key`` for
-    an n-node graph, read-only, the condition an empty array where none was
-    stored; None where the entry is missing, unreadable or does not check."""
+def _read(directory, key, count, fits):
+    """The ``count`` arrays stored as the entry of ``key``, read-only, where
+    ``fits(*arrays)`` accepts their dtypes and shapes and their digest
+    checks; a hit renews the entry.  None where the entry is missing or
+    unreadable, or does not fit or check."""
     path = os.path.join(directory, key + SUFFIX)
     try:
         with open(path, "rb") as fh:
             digest, *arrays = (np.lib.format.read_array(fh, allow_pickle=False)
-                               for _ in range(5 if basis else 3))
+                               for _ in range(count + 1))
             if fh.read(1):
                 raise ValueError("trailing bytes")
     except (OSError, ValueError, MemoryError):  # a corrupt header can ask for any size
         return None
-    condition, w, *vf = arrays
-    if (condition.dtype != DTYPES[0] or condition.shape not in ((0,), (1,))
-            or w.dtype != DTYPES[1] or w.shape != (n,)
-            or any(x.dtype != vf[0].dtype or x.dtype not in DTYPES or x.shape != (n, n)
-                   for x in vf)
-            or digest.dtype != np.uint8 or digest.shape != (32,)
+    if (not fits(*arrays) or digest.dtype != np.uint8 or digest.shape != (32,)
             or not np.array_equal(digest, _digest(arrays))):
         return None
     for x in arrays:
@@ -144,6 +161,35 @@ def load(directory, key, n, basis):
     except OSError:
         pass
     return arrays
+
+
+def load(directory, key, n, basis):
+    """The stored (condition, eigenvalues[, vectors, fourier]) of ``key`` for
+    an n-node graph, read-only, the condition an empty array where none was
+    stored; None where the entry is missing, unreadable or does not check."""
+    def fits(condition, w, *vf):
+        return (condition.dtype == DTYPES[0] and condition.shape in ((0,), (1,))
+                and w.dtype == DTYPES[1] and w.shape == (n,)
+                and all(x.dtype == vf[0].dtype and x.dtype in DTYPES and x.shape == (n, n)
+                        for x in vf))
+
+    return _read(directory, key, 4 if basis else 2, fits)
+
+
+def load_edge_list(directory, key):
+    """The stored ([n, directed], rows, cols, vals) of ``key``, read-only;
+    None where the entry is missing, unreadable or does not check: the
+    header int64, n positive and directed 0 or 1, the rows and columns int64
+    of one length and within [0, n), the values float64 or complex128."""
+    def fits(head, rows, cols, vals):
+        return (head.dtype == INDEX and head.shape == (2,) and head[0] >= 1
+                and head[1] in (0, 1) and rows.dtype == cols.dtype == INDEX
+                and rows.ndim == 1 and rows.shape == cols.shape == vals.shape
+                and vals.dtype in DTYPES
+                and min(rows.min(initial=0), cols.min(initial=0)) >= 0
+                and max(rows.max(initial=0), cols.max(initial=0)) < head[0])
+
+    return _read(directory, key, 4, fits)
 
 
 def store(directory, key, arrays):

@@ -17,14 +17,16 @@ the arguments named in ``INPUTS``), the sha256 of each file written
 (``outputs``, in write order), and the ``environment`` that the basis
 cache's key hashes (``basis_cache.environment()``).  ``--out`` is made at
 the first write, so a command failing before it leaves no directory.
-The commands that build a spectrum (``spectrum``, ``design``, ``detect`` and
-``filter --spectra``) read it through the per-user basis cache in
+The commands that read a graph (``spectrum``, ``design``, ``filter``,
+``detect`` and ``classify``) read it through the per-user cache in
 ``$XDG_CACHE_HOME/graphdsp``, or ``~/.cache/graphdsp`` (``basis_cache``),
-and record ``basis: {"cache": "hit" | "miss" | "unavailable", "key": ...}``:
-a hit is served, a miss computed and stored, and an unavailable cache (no
-absolute home directory, a directory that cannot be written, an entry
-larger than its bound) computed alone; the key is null where none was looked up.  A hit writes the bytes a
-miss writes.
+keyed by the file's bytes, and record ``graph: {"cache": "hit" | "miss" |
+"unavailable", "key": ...}``; those that build a spectrum (``spectrum``,
+``design``, ``detect`` and ``filter --spectra``) read it through the same
+cache and record ``basis`` alike.  A hit is served, a miss computed and
+stored, and an unavailable cache (no absolute home directory, a directory
+that cannot be written, an entry larger than its bound) computed alone; the
+key is null where none was looked up.  A hit writes the bytes a miss writes.
 ``rerun`` refuses a manifest that records no output digests, or whose
 inputs no longer match theirs; otherwise it replays its argv, which
 reproduces the outputs bit for bit under the graphdsp version that wrote
@@ -32,8 +34,8 @@ it, and exits 1 naming every output whose sha256 differs from the recorded
 one, and each field of the environment that differs from the recorded one
 (or that the environment matches).
 ``graphdsp --verbose <command>`` prints the library's debug records to
-stderr: the basis cache's outcome and key, the solver and condition path of
-each computed ``decompose``, the path of
+stderr: the cache's outcome and key for the graph and for the spectrum,
+the solver and condition path of each computed ``decompose``, the path of
 each cold spectral radius (certified in numpy by its logged bracket, or the
 dense fallback) and the path and residual of each classifier solve.  No
 command loads scipy.
@@ -90,14 +92,28 @@ def _output(args, name):
     return os.path.join(args.out, name)
 
 
+def _graph(args):
+    """The graph of ``args.graph``, read through the per-user cache; the
+    outcome goes to the manifest."""
+    g = fileio.read_edge_list(args.graph, cache=args.cache)
+    args.graph_cache = _outcome(args, g)
+    return g
+
+
 def _spectrum(args, g, basis=False):
     """The graph's ``spectrum``, or with ``basis`` its ``decompose``, through
-    the per-user basis cache; the outcome goes to the manifest."""
+    the per-user cache; the outcome goes to the manifest."""
+    sp = (decompose if basis else spectrum)(g, cache=args.cache)
+    args.basis = _outcome(args, sp)
+    return sp
+
+
+def _outcome(args, x):
+    """The cache outcome and key recorded on ``x``, a graph or spectrum read
+    through ``args.cache``."""
     if args.cache is None:
         log.debug("basis_cache: unavailable, the home directory is not an absolute path")
-    sp = (decompose if basis else spectrum)(g, cache=args.cache)
-    args.basis = sp.__dict__.get("_cache", {"cache": "unavailable", "key": None})
-    return sp
+    return x.__dict__.get("_cache", {"cache": "unavailable", "key": None})
 
 
 def _finish(args):
@@ -113,8 +129,9 @@ def _finish(args):
         "outputs": {name: _sha256(os.path.join(args.out, name)) for name in args.outputs},
         "environment": basis_cache.environment(),
     }
-    if args.basis is not None:
-        doc["basis"] = args.basis
+    for name, outcome in (("graph", args.graph_cache), ("basis", args.basis)):
+        if outcome is not None:
+            doc[name] = outcome
     fileio._write_json(os.path.join(args.out, "manifest.json"), doc)
     return 0
 
@@ -159,14 +176,14 @@ def _cmd_gen(args):
 
 
 def _cmd_spectrum(args):
-    g = fileio.read_edge_list(args.graph)
+    g = _graph(args)
     sp = _spectrum(args, g)
     fileio.write_spectrum(_output(args, "spectrum.json"), sp, order_frequencies(sp))
     return _finish(args)
 
 
 def _cmd_design(args):
-    g = fileio.read_edge_list(args.graph)
+    g = _graph(args)
     kind, band = _parse_kind(args.kind)
     design = design_ideal_filter(_spectrum(args, g), kind, args.degree, band)
     fileio.write_filter(_output(args, "filter.json"), design.filter)
@@ -175,7 +192,7 @@ def _cmd_design(args):
 
 
 def _cmd_filter(args):
-    g = fileio.read_edge_list(args.graph)
+    g = _graph(args)
     filt = fileio.read_filter(args.filter)
     s = g.signal(fileio.read_signal(args.signal))
     # h(A/rho) s needs rho alone, so only the spectra build a basis: first,
@@ -190,7 +207,7 @@ def _cmd_filter(args):
 
 
 def _cmd_detect(args):
-    g = fileio.read_edge_list(args.graph)
+    g = _graph(args)
     b = _spectrum(args, g, basis=True)
     if args.filter:
         filt = fileio.read_filter(args.filter)
@@ -221,7 +238,7 @@ def _parse_grid(text):
 def _cmd_classify(args):
     if args.truth and not args.sweep:  # the manifest would record a file not read
         raise ValueError("--truth is read only with --sweep")
-    g = fileio.read_edge_list(args.graph)
+    g = _graph(args)
     labels = fileio.read_labels(args.labels)
     if args.sweep:
         if not args.truth:
@@ -378,7 +395,7 @@ def main(argv=None) -> int:
         code = e.code if isinstance(e.code, int) else 1
         return 0 if code == 0 else 1
     args.config = {k: v for k, v in vars(args).items() if k != "func"}
-    args.argv, args.outputs, args.basis = argv, [], None
+    args.argv, args.outputs, args.graph_cache, args.basis = argv, [], None, None
     args.cache = basis_cache.default_directory()
     handler, level = logging.StreamHandler(sys.stderr), log.level
     if args.verbose:

@@ -8,14 +8,19 @@ significant digits so every file round-trips bitwise.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import logging
 import math
 
 import numpy as np
 
+from . import basis_cache
 from .filtering import FilterDesign, GraphFilter
 from .graph import Graph, LabelSignal, _nonzeros
 from .spectral import FrequencyOrdering, Spectrum
+
+log = logging.getLogger("graphdsp")
 
 
 def _fmt(x) -> str:
@@ -77,6 +82,15 @@ def _id_error(path, rows):
                               f"be below {_ID_LIMIT}")
 
 
+def _weight_error(path, rows, weights):
+    """The refusal of the first row whose weight field does not parse."""
+    for ln, w in zip(rows, weights):
+        try:
+            _parse_weight(w)
+        except ValueError as e:
+            return ValueError(f"{path}: {e} in row {ln!r}")
+
+
 def _parse_rows(path, text):
     """src, dst and weights of an edge list, each column read in one pass.
     A row is two or three tab-separated fields; a missing or empty weight is
@@ -110,16 +124,44 @@ def _parse_rows(path, text):
     try:
         weights = np.fromiter(map(float, weights), float)
     except ValueError:
-        weights = np.array(list(map(_parse_weight, weights)))
+        try:
+            weights = np.array(list(map(_parse_weight, weights)))
+        except ValueError:
+            raise _weight_error(path, rows, weights) from None
     return ids[0], ids[1], weights
 
 
-def read_edge_list(path, *, directed=None) -> Graph:
+def read_edge_list(path, *, directed=None, cache=None) -> Graph:
     """The graph of an edge list, with no N x N array: the sort of the keys
     dst*n + src that finds a repeated edge gives the row-major order.  A zero
-    weight is no edge, but counts its nodes."""
-    with open(path) as fh:
-        text = fh.read()
+    weight is no edge, but counts its nodes.
+
+    With ``cache=DIR`` the graph is read from the ``basis_cache`` entry of
+    the file's bytes in that directory, where one checks, without checking
+    it again, and is otherwise parsed and stored there; a refused file is
+    never stored.  Without it nothing is read or written."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(data))  # decodes as open(path) would
+    if cache is None:
+        return _parse(path, text.read(), directed)
+    key = basis_cache.edge_list_key(data, directed, text.encoding)
+    entry = basis_cache.load_edge_list(cache, key)
+    if entry is None:
+        g = _parse(path, text.read(), directed)
+        arrays = [np.array([g.n, g.directed], dtype=np.int64), *_nonzeros(g)]
+        outcome = "miss" if basis_cache.store(cache, key, arrays) else "unavailable"
+    else:
+        (n, directed), rows, cols, vals = entry
+        g = Graph.__new__(Graph)._assign(n, rows, cols, vals, directed)
+        outcome = "hit"
+    log.debug("basis_cache: %s edge_list=%s key=%s", outcome, path, key)
+    g.__dict__["_cache"] = {"cache": outcome, "key": key}
+    return g
+
+
+def _parse(path, text, directed):
+    """The checked graph of an edge list's ``text``."""
     src, dst, weights = _parse_rows(path, text)
     n = int(max(src.max(), dst.max())) + 1
     first = np.unique(dst * n + src, return_index=True)[1]

@@ -252,6 +252,146 @@ def test_default_directory(environ, expected):
 
 
 # ---------------------------------------------------------------------------
+# edge-list entries
+
+EDGE_LIST = "src\tdst\tweight\n0\t1\t2.5\n1\t0\t2.5\n1\t2\t1-2i\n4\t4\t0\n"
+
+
+def edge_list(tmp_path, text=EDGE_LIST):
+    p = tmp_path / "g.tsv"
+    p.write_text(text)
+    return p
+
+
+def read(path, cache, directed=None):
+    """The graph of ``path`` through ``cache``, and the cache's outcome."""
+    g = read_edge_list(path, directed=directed, cache=cache)
+    return g, outcome(g)
+
+
+def same_graph(a, b):
+    assert (a.n, a.directed) == (b.n, b.directed)
+    for x, y in zip(graph_module._nonzeros(a), graph_module._nonzeros(b)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("corrupt", sorted(set(CORRUPTIONS) - {"shape beyond the data"}))
+def test_a_corrupted_edge_list_entry_is_reparsed_and_rewritten(corrupt, tmp_path):
+    p, cache = edge_list(tmp_path), tmp_path / "cache"
+    read(p, cache)
+    [name] = entries(cache)
+    good = (cache / name).read_bytes()
+    (cache / name).write_bytes(CORRUPTIONS[corrupt](good))
+    g, got = read(p, cache)
+    assert got == "miss"
+    same_graph(read_edge_list(p), g)
+    assert (cache / name).read_bytes() == good
+    assert read(p, cache)[1] == "hit"
+
+
+MISSHAPEN = {
+    "int32 rows": lambda head, r, c, v: [head, r.astype(np.int32), c, v],
+    "float32 values": lambda head, r, c, v: [head, r, c, v.real.astype(np.float32)],
+    "integer values": lambda head, r, c, v: [head, r, c, v.real.astype(np.int64)],
+    "a column short": lambda head, r, c, v: [head, r, c[:-1], v],
+    "2-d values": lambda head, r, c, v: [head, r, c, v[None]],
+    "a row outside n": lambda head, r, c, v: [head * [0, 1] + [2, 0], r, c, v],
+    "a negative column": lambda head, r, c, v: [head, r, c - 1, v],
+    "no nodes": lambda head, r, c, v: [head * [0, 1], r[:0], c[:0], v[:0]],
+    "direction 2": lambda head, r, c, v: [head + [0, 2], r, c, v],
+    "a header of three": lambda head, r, c, v: [np.append(head, 0), r, c, v],
+    "a float header": lambda head, r, c, v: [head.astype(float), r, c, v],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MISSHAPEN))
+def test_a_misshapen_edge_list_entry_with_a_good_digest_is_a_miss(shape, tmp_path):
+    p, cache = edge_list(tmp_path), tmp_path / "cache"
+    g, _ = read(p, cache)
+    [name] = entries(cache)
+    good = (cache / name).read_bytes()
+    head = np.array([g.n, g.directed])
+    misshapen = MISSHAPEN[shape](head, *graph_module._nonzeros(g))
+    assert basis_cache.store(cache, name[:-len(".npy")], misshapen)
+    assert (cache / name).read_bytes() != good
+    again, got = read(p, cache)
+    assert got == "miss"
+    same_graph(g, again)
+    assert (cache / name).read_bytes() == good
+
+
+@pytest.mark.parametrize("text, directed", [
+    ("src\tdst\tweight\n0\t1\tfoo\n", None),
+    ("src\tdst\tweight\n0\t1\t1\n0\t1\t2\n", None),
+    ("src\tdst\tweight\n0\t1\tinf\n", None),
+    ("src\tdst\tweight\n0\t1\t1\n", False),
+    ("src\tdst\tweight\n", None),
+    ("0\t1\t1\n", None),
+], ids=["bad-weight", "duplicate", "infinite", "asymmetric-undirected", "no-edges",
+        "no-header"])
+def test_a_refused_edge_list_is_refused_on_every_run_and_leaves_no_entry(text, directed,
+                                                                          tmp_path):
+    p, cache = edge_list(tmp_path, text), tmp_path / "cache"
+    with pytest.raises(ValueError) as parsed:
+        read_edge_list(p, directed=directed)
+    for _ in range(2):
+        with pytest.raises(ValueError) as got:
+            read_edge_list(p, directed=directed, cache=cache)
+        assert str(got.value) == str(parsed.value)
+    assert entries(cache) == []
+
+
+def test_each_direction_argument_has_its_own_edge_list_entry(tmp_path):
+    p, cache = edge_list(tmp_path, "src\tdst\tweight\n0\t1\t2\n1\t0\t2\n"), tmp_path / "c"
+    keys = set()
+    for directed in (None, True, False):
+        g, got = read(p, cache, directed)
+        assert got == "miss"
+        keys.add(g.__dict__["_cache"]["key"])
+    assert len(keys) == len(entries(cache)) == 3
+    for directed in (None, True, False):
+        g, got = read(p, cache, directed)
+        assert got == "hit" and g.directed is bool(directed)
+
+
+def test_the_same_bytes_at_another_path_hit(tmp_path):
+    p, cache = edge_list(tmp_path), tmp_path / "cache"
+    q = tmp_path / "elsewhere.tsv"
+    q.write_bytes(p.read_bytes())
+    assert read(p, cache)[1] == "miss" and read(q, cache)[1] == "hit"
+    p.write_text(EDGE_LIST.replace("2.5", "2.25"))
+    assert read(p, cache)[1] == "miss"
+
+
+def test_without_a_cache_an_edge_list_touches_no_file(tmp_path, monkeypatch):
+    p = edge_list(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("the cache was used")
+
+    for name in ("edge_list_key", "load_edge_list", "store", "_read"):
+        monkeypatch.setattr(basis_cache, name, refuse)
+    assert "_cache" not in read_edge_list(p).__dict__
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_edge_list_and_basis_entries_share_one_bound(tmp_path, monkeypatch):
+    p, cache = edge_list(tmp_path), tmp_path / "cache"
+    g, _ = read(p, cache)
+    [graph_entry] = entries(cache)
+    os.utime(cache / graph_entry, (1e9, 1e9))  # used longest ago
+    decompose(g, cache=cache)
+    [basis_entry] = set(entries(cache)) - {graph_entry}
+    sizes = [(cache / name).stat().st_size for name in (graph_entry, basis_entry)]
+    # room for the basis and one more edge list, not for both edge lists
+    monkeypatch.setattr(basis_cache, "MAX_BYTES", sum(sizes) + sizes[0] // 2)
+    q = edge_list(tmp_path / "cache", EDGE_LIST.replace("2.5", "2.25"))
+    read(q, cache)
+    assert basis_entry in entries(cache) and graph_entry not in entries(cache)
+    assert len(entries(cache)) == 2
+
+
+# ---------------------------------------------------------------------------
 # the command line
 
 
@@ -316,7 +456,10 @@ def test_a_refused_graph_exits_2_on_every_run_and_leaves_no_entry(tmp_path):
     p.write_text("src\tdst\tweight\n0\t1\t1.0\n")  # a nilpotent Jordan block
     for _ in range(2):
         assert run("spectrum", p, "--out", tmp_path / "s") == 2
-    assert entries(basis_cache.default_directory()) == []
+    # no basis entry: the one entry is the valid file's parsed graph
+    g = read_edge_list(p, cache=basis_cache.default_directory())
+    assert g.__dict__["_cache"]["cache"] == "hit"
+    assert entries(basis_cache.default_directory()) == [g.__dict__["_cache"]["key"] + ".npy"]
 
 
 @pytest.mark.parametrize("environ", [{"XDG_CACHE_HOME": "file"},
@@ -346,6 +489,84 @@ def test_verbose_logs_the_outcome_and_the_key(tmp_path, capsys):
                    "--out", tmp_path / expected) == 0
         key = manifest(tmp_path / expected)["basis"]["key"]
         assert f"basis_cache: {expected} solver=eigvalsh key={key}" in capsys.readouterr().err
+
+
+def graph_commands(tmp_path):
+    """Every command that reads the sensor graph, each under its own name:
+    the spectrum commands, plain ``filter``, and ``classify`` in both modes."""
+    graph, filt, signals = sensor_inputs(tmp_path)
+    labels = np.where(np.arange(40) < 20, 1.0, -1.0)
+    write_signal(tmp_path / "truth.csv", labels)
+    write_signal(tmp_path / "known.csv", labels * (np.arange(40) % 4 == 0))
+    known, truth = tmp_path / "known.csv", tmp_path / "truth.csv"
+    return {**commands(graph, filt, signals),
+            "filter": ["filter", graph, filt, signals[0]],
+            "classify": ["classify", graph, known, "--form", "shift"],
+            "sweep": ["classify", graph, known, "--sweep", "0.5,2", "--runs", 2,
+                      "--truth", truth]}
+
+
+def test_every_command_that_reads_a_graph_records_its_outcome(tmp_path):
+    argvs = graph_commands(tmp_path)
+    assert "graph" not in manifest(tmp_path / "g")
+    keys = set()
+    for i, (name, argv) in enumerate(argvs.items()):
+        for expected in (("miss" if i == 0 else "hit"), "hit"):
+            out = tmp_path / f"{name}-{expected}"
+            assert run(*argv, "--out", out) == 0
+            assert manifest(out)["graph"]["cache"] == expected, name
+            keys.add(manifest(out)["graph"]["key"])
+    assert len(keys) == 1 and len(keys.pop()) == 64
+
+
+@pytest.mark.parametrize("name", ["filter", "classify", "sweep"])
+def test_outputs_of_a_graph_hit_are_those_of_a_parse_byte_for_byte(name, tmp_path,
+                                                                   monkeypatch):
+    argv = graph_commands(tmp_path)[name]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "own-cache"))
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    assert run(*argv, "--out", cold) == 0
+    assert run(*argv, "--out", warm) == 0
+    a, b = manifest(cold), manifest(warm)
+    assert (a["graph"]["cache"], b["graph"]["cache"]) == ("miss", "hit")
+    assert list(a["outputs"]) == list(b["outputs"]) and a["outputs"]
+    for out in a["outputs"]:
+        assert (cold / out).read_bytes() == (warm / out).read_bytes(), out
+
+
+@pytest.mark.parametrize("environ", [{"XDG_CACHE_HOME": "file"},
+                                     {"XDG_CACHE_HOME": "", "HOME": "relative"}],
+                         ids=["xdg-is-a-file", "relative-home"])
+def test_an_unusable_cache_records_the_graph_unavailable(environ, tmp_path, monkeypatch,
+                                                          capsys):
+    argv = graph_commands(tmp_path)["classify"]
+    (tmp_path / "file").write_text("")
+    for var, value in environ.items():
+        monkeypatch.setenv(var, str(tmp_path / value) if value == "file" else value)
+    capsys.readouterr()
+    for out in ("a", "b"):
+        assert run(*argv, "--out", tmp_path / out) == 0
+        graph = manifest(tmp_path / out)["graph"]
+        assert graph["cache"] == "unavailable"
+        assert (graph["key"] is None) == ("HOME" in environ)
+    assert capsys.readouterr().err == ""
+    assert run("--verbose", *argv, "--out", tmp_path / "c") == 0
+    key = manifest(tmp_path / "c")["graph"]["key"]
+    expected = ("basis_cache: unavailable, the home directory is not an absolute path"
+                if key is None else
+                f"basis_cache: unavailable edge_list={argv[1]} key={key}")
+    assert capsys.readouterr().err.count(expected) == 1
+
+
+def test_verbose_logs_the_graph_outcome_and_the_key(tmp_path, capsys):
+    argv = graph_commands(tmp_path)["filter"]
+    for expected in ("miss", "hit"):
+        capsys.readouterr()
+        assert run("--verbose", *argv, "--out", tmp_path / expected) == 0
+        key = manifest(tmp_path / expected)["graph"]["key"]
+        records = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("basis_cache:")]
+        assert records == [f"basis_cache: {expected} edge_list={argv[1]} key={key}"]
 
 
 # ---------------------------------------------------------------------------

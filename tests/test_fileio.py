@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdsp import (
     Graph,
@@ -28,6 +32,7 @@ from graphdsp.fileio import (
     write_spectra,
     write_spectrum,
 )
+from graphdsp.graph import _nonzeros
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +198,20 @@ def written_edge_lists(tmp_path):
     return texts
 
 
+VALID_TEXTS = ["src\tdst\tweight\n2\t0\t1.5\n0\t2\t-0.0\n1\t1\t\n",
+               "src\tdst\n3\t1\n1\t3\n",
+               "src\tdst\tweight\n0\t1\t2\n1\t0\t1-2i\n4\t4\t0\n",
+               "src\tdst\tweight\n0\t1\t-0.0\n1\t0\t1e-300\n2\t2\t0\n\n3\t0\t-7",
+               "src\tdst\tweight\n0\t1\t1-2i\n",     # complex weight
+               "src\tdst\tweight\n0\t1\n",           # two fields
+               "src\tdst\n0\t1\n",                    # two-field header
+               "src\tdst\tweight\n0 \t1\t1\n",       # spaces around a field
+               "\nsrc\tdst\tweight\n0\t1\t1\n",      # a blank line before the header
+               " \nsrc\tdst\tweight\r\n 1\t0\t 2 \n\t\n0\t1\t\n"]  # blank and CR
+
+
 def test_read_edge_list_matches_per_row_fill(tmp_path):
-    texts = ["src\tdst\tweight\n2\t0\t1.5\n0\t2\t-0.0\n1\t1\t\n",
-             "src\tdst\n3\t1\n1\t3\n",
-             "src\tdst\tweight\n0\t1\t2\n1\t0\t1-2i\n4\t4\t0\n",
-             "src\tdst\tweight\n0\t1\t-0.0\n1\t0\t1e-300\n2\t2\t0\n\n3\t0\t-7",
-             "src\tdst\tweight\n0\t1\t1-2i\n",     # complex weight
-             "src\tdst\tweight\n0\t1\n",           # two fields
-             "src\tdst\n0\t1\n",                    # two-field header
-             "src\tdst\tweight\n0 \t1\t1\n",       # spaces around a field
-             "\nsrc\tdst\tweight\n0\t1\t1\n",      # a blank line before the header
-             " \nsrc\tdst\tweight\r\n 1\t0\t 2 \n\t\n0\t1\t\n"]  # blank and CR
-    texts += written_edge_lists(tmp_path)
+    texts = VALID_TEXTS + written_edge_lists(tmp_path)
     for i, text in enumerate(texts):
         p = tmp_path / f"e{i}.tsv"
         p.write_text(text)
@@ -238,7 +245,8 @@ def test_duplicate_edge_message_names_the_first_repeat(tmp_path):
     ("0\tx\t1", "non-integer node id in row '0\\tx\\t1'"),
     ("0\t1.0\t1", "non-integer node id in row '0\\t1.0\\t1'"),
     ("-1\t0\t1", "node ids must be non-negative, got '-1\\t0\\t1'"),
-    ("0\t1\tfoo", "cannot parse edge weight 'foo'"),
+    ("0\t1\tfoo", "cannot parse edge weight 'foo' in row '0\\t1\\tfoo'"),
+    ("0\t1\t2\n1\t0\t1+2k", "cannot parse edge weight '1+2k' in row '1\\t0\\t1+2k'"),
     ("0\t1\t2\t3\n4\t5", "malformed edge row '0\\t1\\t2\\t3'"),
     ("0\t1\t2\n4", "malformed edge row '4'"),
     # a tab always separates fields: a stray one shifts no field
@@ -250,7 +258,7 @@ def test_edge_list_refusals_name_the_first_row_at_fault(tmp_path, rows, message)
     p.write_text(f"src\tdst\tweight\n{rows}\n")
     with pytest.raises(ValueError) as got:
         read_edge_list(p)
-    assert str(got.value).endswith(message)
+    assert str(got.value) == f"{p}: {message}"
 
 
 def test_edge_list_undirected_request(tmp_path):
@@ -262,6 +270,69 @@ def test_edge_list_undirected_request(tmp_path):
     q.write_text("src\tdst\tweight\n0\t1\t1.0\n")
     with pytest.raises(ValueError):
         read_edge_list(q, directed=False)
+
+
+# ---------------------------------------------------------------------------
+# an edge list read through the cache: a hit is the parse, bit for bit
+
+
+def same_graph(a, b):
+    """The same n and direction, and each stored array of the same dtype and
+    bytes."""
+    assert (a.n, a.directed) == (b.n, b.directed)
+    for x, y in zip(_nonzeros(a), _nonzeros(b)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def check_hit_is_the_parse(path, cache, directed=None):
+    parsed = read_edge_list(path, directed=directed)
+    missed = read_edge_list(path, directed=directed, cache=cache)
+    hit = read_edge_list(path, directed=directed, cache=cache)
+    assert "_cache" not in parsed.__dict__
+    assert [g.__dict__["_cache"]["cache"] for g in (missed, hit)] == ["miss", "hit"]
+    same_graph(parsed, missed)
+    same_graph(parsed, hit)
+    assert not any(x.flags.writeable for x in _nonzeros(hit))
+
+
+def test_a_hit_is_the_parse_of_every_valid_text(tmp_path):
+    for i, text in enumerate(VALID_TEXTS + written_edge_lists(tmp_path)):
+        p = tmp_path / f"e{i}.tsv"
+        p.write_text(text)
+        check_hit_is_the_parse(p, tmp_path / "cache")
+        check_hit_is_the_parse(p, tmp_path / "cache", directed=True)
+
+
+FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge list over up to 12 nodes: distinct pairs, each a two-field
+    row or a row whose weight is real, complex, empty or zero; blank lines
+    between rows; and isolated nodes pinned by a zero self row."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), unique=True, max_size=30))
+    weight = (FINITE.map(lambda w: format(w, ".17g"))
+              | st.tuples(FINITE, FINITE).map(lambda z: f"{z[0]!r}{z[1]:+}i")
+              | st.sampled_from(["", "0", "-0", "0+0i", "1"]))
+    rows = [f"{s}\t{d}" if draw(st.booleans()) else f"{s}\t{d}\t{draw(weight)}"
+            for s, d in pairs]
+    isolated = draw(st.sets(node, max_size=3)) | ({n - 1} if not rows else set())
+    rows += [f"{k}\t{k}\t0" for k in sorted(isolated) if (k, k) not in pairs]
+    rows = [row + draw(st.sampled_from(["", "", "\n", "\n \n"])) for row in rows]
+    header = draw(st.sampled_from(["src\tdst\tweight", "src\tdst"]))
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_list_texts(), st.sampled_from([None, True]))
+def test_a_hit_is_the_parse_of_a_random_edge_list(text, directed):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "g.tsv"
+        p.write_text(text)
+        check_hit_is_the_parse(p, Path(tmp) / "cache", directed)
 
 
 # ---------------------------------------------------------------------------
