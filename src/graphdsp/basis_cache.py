@@ -2,30 +2,28 @@
 by what their bits depend on.
 
 ``fileio.read_edge_list``, ``spectral.decompose`` and ``spectral.spectrum``
-take ``cache=DIR``; the command line passes ``default_directory()``.  Both
-kinds of entry share one key rule (``_key``): the sha256 of a tag naming the
-kind and its parameters, the data it is computed from, and
-``environment()``, everything else its bits depend on: Python and numpy,
-numpy's BLAS build, the BLAS thread variables and the number of CPUs the
-process may use, the CPU features numpy dispatches on, the machine and
-host, and the package's own sources, so that any change of code misses.
-The command line's manifest records the same ``environment()``.
+take ``cache=DIR``; the command line passes ``default_directory()``.  One
+path, ``through``, serves both kinds of entry: it keys the entry, reads and
+checks it, computes and stores the result on a miss, and records and logs
+the outcome.  The key (``_key``) is the sha256 of a tag naming the kind and
+its parameters, the data it is computed from, and ``environment()``,
+everything else its bits depend on: Python and numpy, numpy's BLAS build,
+the BLAS thread variables and the number of CPUs the process may use, the
+CPU features numpy dispatches on, the machine and host, and the package's
+own sources, so that any change of code misses.  The command line's
+manifest records the same ``environment()``.
 
-An edge-list entry (``edge_list_key``, ``load_edge_list``) is keyed by the
-file's bytes, the ``directed`` argument and the text encoding, and holds the
-checked graph: its size and direction and its row-major nonzeros.  A basis
-entry (``key``, ``load``) is keyed by the solver (``eig``, ``eigh`` or
-``eigvalsh``) and the graph's size, direction and nonzeros, and holds the
-eigenvalues, for a basis ``vectors`` and ``fourier`` in their own
-memory order (a change of layout changes BLAS rounding downstream), and the
-exact condition where ``decompose`` computed one.  Every entry stores a
-sha256 of its arrays, which every read checks, and each kind checks its
-arrays' dtypes and shapes.  A missing, unreadable, truncated or
-mismatching entry is a miss; a directory that cannot be made or written, or
-a full disk, leaves the entry unstored.  The entries of both kinds together
-hold at most ``MAX_BYTES``: an entry larger than that is not stored, and
-after each write the entries used longest ago, by modification time, which
-a hit renews, are dropped until the rest fit.
+Each caller keeps its entry layout: which arrays fit, and how a result
+packs into them and back.  ``fileio`` keys an edge list by the file's bytes
+and stores the checked graph; ``spectral`` keys a decomposition by the
+solver and the graph, and stores its eigenvalues, basis and condition.
+Every entry stores a sha256 of its arrays, which every read checks.  A
+missing, unreadable, truncated or mismatching entry is a miss; a directory
+that cannot be made or written, or a full disk, leaves the entry unstored.
+The entries of both kinds together hold at most ``MAX_BYTES``: an entry
+larger than that is not stored, and after each write the entries used
+longest ago, by modification time, which a hit renews, are dropped until
+the rest fit.
 """
 
 from __future__ import annotations
@@ -33,19 +31,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import logging
 import os
 import sys
 
 import numpy as np
 
-from .graph import _nonzeros
+log = logging.getLogger("graphdsp")
 
 FORMAT = "graphdsp-basis-1"
 MAX_BYTES = 1 << 30
 SUFFIX = ".npy"
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-DTYPES = (np.dtype(float), np.dtype(complex))
-INDEX = np.dtype(np.int64)
 
 
 def default_directory(environ=os.environ):
@@ -119,17 +116,6 @@ def _key(tag, arrays):
     return h.hexdigest()
 
 
-def key(g, solver):
-    """The entry key of the graph's decomposition by ``solver``."""
-    return _key([solver, g.n, g.directed], _nonzeros(g))
-
-
-def edge_list_key(data, directed, encoding):
-    """The entry key of the graph an edge-list file of bytes ``data`` reads
-    as, decoded by ``encoding``, with ``directed`` as asked."""
-    return _key(["edge-list", directed, encoding], [np.frombuffer(data, np.uint8)])
-
-
 def _digest(arrays):
     h = hashlib.sha256()
     for x in arrays:
@@ -163,33 +149,25 @@ def _read(directory, key, count, fits):
     return arrays
 
 
-def load(directory, key, n, basis):
-    """The stored (condition, eigenvalues[, vectors, fourier]) of ``key`` for
-    an n-node graph, read-only, the condition an empty array where none was
-    stored; None where the entry is missing, unreadable or does not check."""
-    def fits(condition, w, *vf):
-        return (condition.dtype == DTYPES[0] and condition.shape in ((0,), (1,))
-                and w.dtype == DTYPES[1] and w.shape == (n,)
-                and all(x.dtype == vf[0].dtype and x.dtype in DTYPES and x.shape == (n, n)
-                        for x in vf))
-
-    return _read(directory, key, 4 if basis else 2, fits)
-
-
-def load_edge_list(directory, key):
-    """The stored ([n, directed], rows, cols, vals) of ``key``, read-only;
-    None where the entry is missing, unreadable or does not check: the
-    header int64, n positive and directed 0 or 1, the rows and columns int64
-    of one length and within [0, n), the values float64 or complex128."""
-    def fits(head, rows, cols, vals):
-        return (head.dtype == INDEX and head.shape == (2,) and head[0] >= 1
-                and head[1] in (0, 1) and rows.dtype == cols.dtype == INDEX
-                and rows.ndim == 1 and rows.shape == cols.shape == vals.shape
-                and vals.dtype in DTYPES
-                and min(rows.min(initial=0), cols.min(initial=0)) >= 0
-                and max(rows.max(initial=0), cols.max(initial=0)) < head[0])
-
-    return _read(directory, key, 4, fits)
+def through(directory, label, tag, data, count, fits, compute, pack, unpack):
+    """``unpack(*arrays)`` of the ``count`` arrays stored in ``directory``
+    for ``tag`` and ``data``, where ``fits(*arrays)`` accepts them; else
+    ``compute()``, stored as ``pack(result)`` once it has returned, so that
+    a refusal is never stored.  The result records the outcome and the key,
+    logged after ``label``.  With ``directory`` None nothing is read,
+    written or recorded."""
+    if directory is None:
+        return compute()
+    key = _key(tag, data)
+    arrays = _read(directory, key, count, fits)
+    if arrays is None:
+        result = compute()
+        outcome = "miss" if store(directory, key, pack(result)) else "unavailable"
+    else:
+        result, outcome = unpack(*arrays), "hit"
+    log.debug("basis_cache: %s %s key=%s", outcome, label, key)
+    result.__dict__["_cache"] = {"cache": outcome, "key": key}
+    return result
 
 
 def store(directory, key, arrays):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import math
 
 import numpy as np
@@ -19,8 +18,6 @@ from . import basis_cache
 from .filtering import FilterDesign, GraphFilter
 from .graph import Graph, LabelSignal, _nonzeros
 from .spectral import FrequencyOrdering, Spectrum
-
-log = logging.getLogger("graphdsp")
 
 
 def _fmt(x) -> str:
@@ -143,21 +140,29 @@ def read_edge_list(path, *, directed=None, cache=None) -> Graph:
     with open(path, "rb") as fh:
         data = fh.read()
     text = io.TextIOWrapper(io.BytesIO(data))  # decodes as open(path) would
-    if cache is None:
-        return _parse(path, text.read(), directed)
-    key = basis_cache.edge_list_key(data, directed, text.encoding)
-    entry = basis_cache.load_edge_list(cache, key)
-    if entry is None:
-        g = _parse(path, text.read(), directed)
-        arrays = [np.array([g.n, g.directed], dtype=np.int64), *_nonzeros(g)]
-        outcome = "miss" if basis_cache.store(cache, key, arrays) else "unavailable"
-    else:
-        (n, directed), rows, cols, vals = entry
-        g = Graph.__new__(Graph)._assign(n, rows, cols, vals, directed)
-        outcome = "hit"
-    log.debug("basis_cache: %s edge_list=%s key=%s", outcome, path, key)
-    g.__dict__["_cache"] = {"cache": outcome, "key": key}
-    return g
+    return basis_cache.through(
+        cache, f"edge_list={path}", ["edge-list", directed, text.encoding],
+        [np.frombuffer(data, np.uint8)], 4, _entry_fits,
+        lambda: _parse(path, text.read(), directed),
+        lambda g: [np.array([g.n, g.directed], dtype=np.int64), *_nonzeros(g)], _unpack)
+
+
+def _entry_fits(head, rows, cols, vals):
+    """Whether stored arrays are a graph's ``[n, directed]``, rows, cols and
+    vals: the header int64, n positive and directed 0 or 1, the rows and
+    columns int64 of one length and within [0, n), the values float64 or
+    complex128."""
+    return (head.dtype == np.int64 and head.shape == (2,) and head[0] >= 1
+            and head[1] in (0, 1) and rows.dtype == cols.dtype == np.int64
+            and rows.ndim == 1 and rows.shape == cols.shape == vals.shape
+            and vals.dtype in (float, complex)
+            and min(rows.min(initial=0), cols.min(initial=0)) >= 0
+            and max(rows.max(initial=0), cols.max(initial=0)) < head[0])
+
+
+def _unpack(head, rows, cols, vals):
+    """The graph of an entry, checked before it was stored."""
+    return Graph.__new__(Graph)._assign(head[0], rows, cols, vals, head[1])
 
 
 def _parse(path, text, directed):

@@ -37,9 +37,7 @@ read.
 ``decompose`` and ``spectrum`` take ``cache=DIR``, a ``basis_cache``
 directory: a graph whose decomposition is stored there is served from it,
 bit for bit as computed and without its dense adjacency, and one that is
-not is computed and stored, unless refused.  The result records the
-outcome, ``hit``, ``miss`` or ``unavailable`` (computed, not stored), and
-the key; each call logs them at debug level.
+not is computed and stored, unless refused (``basis_cache.through``).
 """
 
 from __future__ import annotations
@@ -267,30 +265,32 @@ def _seed_radius(g: Graph, w):
 
 
 def _cached(g: Graph, solver, cache, compute):
-    """``compute()``, or the entry ``cache`` holds for the graph's
-    decomposition by ``solver``; a computed result is stored there."""
+    """``compute()``, or the ``basis_cache`` entry in ``cache`` of the
+    graph's decomposition by ``solver``: the exact condition where one was
+    computed, the eigenvalues and, for a basis, ``vectors`` and ``fourier``."""
     _check_nonzero(g)
-    if cache is None:
-        return compute()
-    key = basis_cache.key(g, solver)
-    entry = basis_cache.load(cache, key, g.n, solver != "eigvalsh")
-    if entry is None:
-        sp = compute()
+
+    def fits(condition, w, *vf):
+        return (condition.dtype == float and condition.shape in ((0,), (1,))
+                and w.dtype == complex and w.shape == (g.n,)
+                and all(x.dtype == vf[0].dtype and x.dtype in (float, complex)
+                        and x.shape == (g.n, g.n) for x in vf))
+
+    def pack(sp):
         condition = [sp.__dict__["_condition"]] if "_condition" in sp.__dict__ else []
-        arrays = [np.array(condition, dtype=float), sp.eigenvalues]
-        if isinstance(sp, SpectralBasis):
-            arrays += [sp.vectors, sp.fourier]
-        outcome = "miss" if basis_cache.store(cache, key, arrays) else "unavailable"
-    else:
-        condition, w, *vf = entry
+        vf = [sp.vectors, sp.fourier] if isinstance(sp, SpectralBasis) else []
+        return [np.array(condition, dtype=float), sp.eigenvalues, *vf]
+
+    def unpack(condition, w, *vf):
         fields = dict(graph=g, eigenvalues=w, lambda_max_abs=_seed_radius(g, w))
         sp = SpectralBasis(**fields, vectors=vf[0], fourier=vf[1]) if vf else Spectrum(**fields)
         if condition.size:
             sp.__dict__["_condition"] = float(condition[0])
-        outcome = "hit"
-    log.debug("basis_cache: %s solver=%s key=%s", outcome, solver, key)
-    sp.__dict__["_cache"] = {"cache": outcome, "key": key}
-    return sp
+        return sp
+
+    return basis_cache.through(cache, f"solver={solver}", [solver, g.n, g.directed],
+                               _nonzeros(g), 2 if solver == "eigvalsh" else 4, fits,
+                               compute, pack, unpack)
 
 
 def spectrum(g: Graph, *, cache=None) -> Spectrum:

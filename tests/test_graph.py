@@ -155,12 +155,19 @@ def test_undirected_spectral_radius_from_lanczos_matches_dense(name, caplog):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tiny_undirected_spectral_radius_is_dense(n, caplog):
+    # only a zero adjacency, or one with a negative weight, is dense at any
+    # size; the complete graph K_n, of constant row sums, is certified at x = 1
     a = np.ones((n, n)) - np.eye(n)
     with caplog.at_level(logging.DEBUG, logger="graphdsp"):
-        assert Graph(a).spectral_radius == float(np.abs(np.linalg.eigvalsh(a)).max())
         assert Graph(np.zeros((n, n))).spectral_radius == 0.0
         assert Graph(np.zeros((40, 40))).spectral_radius == 0.0
+        assert Graph(-a).spectral_radius == float(np.abs(np.linalg.eigvalsh(-a)).max())
     assert all(" path=dense " in r for r in radius_records(caplog))
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        assert Graph(a).spectral_radius == n - 1
+    assert radius_records(caplog)[0].startswith(
+        f"spectral_radius: n={n} path={'krylov' if n > 1 else 'dense'} ")  # K_1 is zero
 
 
 def test_spectral_radius_falls_back_to_dense_when_the_bracket_does_not_close(monkeypatch):
@@ -254,7 +261,8 @@ def test_spectral_radius_logs_its_path_once(caplog):
     points = np.random.default_rng(1).random((200, 2))
     graphs = [("krylov", build_knn_graph(points, 6)),
               ("krylov", build_knn_graph(points, 6, symmetrize=True)),
-              ("dense", cycle_graph(8))]
+              ("krylov", cycle_graph(8)),
+              ("dense", Graph(-cycle_graph(8).adjacency))]
     with caplog.at_level(logging.DEBUG, logger="graphdsp"):
         for path, g in graphs:
             rho = g.spectral_radius

@@ -14,7 +14,9 @@ of each signal and the moduli of its Fourier coefficients.
 Above 20 nodes the cold spectral radius is checked against the dense
 spectrum: a certified one by its logged bracket, a fallback and a signed or
 complex graph's bit for bit; filtering a relabeled graph is checked against
-the original.  The classifier's solution is checked to minimize its
+the original.  A kNN graph of permuted points is checked to be the permuted
+graph, and the ideal filters designed on a relabeled kNN graph to have the
+original's taps.  The classifier's solution is checked to minimize its
 objective, and to be permuted with the nodes on the direct and the
 iterative path; its reciprocal condition estimate is checked against
 LAPACK's ``dpocon``.  An edge list is read into the graph of its dense
@@ -41,14 +43,17 @@ from graphdsp import (
     NearDefectiveError,
     SingularSystemError,
     apply_filter,
+    build_knn_graph,
     classification_objective,
     classify,
     decompose,
+    design_ideal_filter,
     frequency_response,
     gft,
     igft,
     order_frequencies,
     spectral,
+    spectrum,
     total_variation,
 )
 from graphdsp import applications
@@ -307,9 +312,8 @@ def repeated_groups(b):
 
 @st.composite
 def large_graphs(draw, max_n=150, kinds=("nonnegative", "complex", "symmetric")):
-    """A graph above the 20 nodes where the cold spectral radius of an
-    undirected graph turns to Lanczos: a digraph with nonnegative or complex
-    weights, or a symmetric graph with weights of either sign.  Each entry
+    """A graph of 21 to ``max_n`` nodes: a digraph with nonnegative or
+    complex weights, or a symmetric graph with weights of either sign.  Each entry
     is nonzero with a drawn density; the weights come from a drawn seed, as
     drawing each of up to 150^2 entries through hypothesis is slow."""
     n = draw(st.integers(21, max_n))
@@ -443,6 +447,54 @@ def test_relabeling_the_nodes_permutes_the_filtered_signal(data):
     growth = np.abs(g.adjacency).sum(axis=1).max() / g.spectral_radius
     bound = sum(abs(h) * growth ** k for k, h in enumerate(f.taps)) * np.abs(s).max()
     assert np.abs(outp - out[p]).max() <= 1e-10 * f.taps.size * bound
+
+
+@st.composite
+def knn_points(draw, max_n=120):
+    """Points drawn from a seed, so no two distances tie, and a k."""
+    n = draw(st.integers(10, max_n))
+    points = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random((n, 2))
+    return points, draw(st.integers(1, min(8, n - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(knn_points(), st.booleans(), st.booleans(), st.data())
+def test_a_knn_graph_of_permuted_points_is_the_permuted_graph(case, symmetrize,
+                                                               unweighted, data):
+    points, k = case
+    p = np.array(data.draw(st.permutations(range(len(points)))))
+    a = build_knn_graph(points, k, symmetrize=symmetrize, unweighted=unweighted).adjacency
+    ap = build_knn_graph(points[p], k, symmetrize=symmetrize, unweighted=unweighted).adjacency
+    a = a[np.ix_(p, p)]
+    assert np.array_equal(a != 0.0, ap != 0.0)
+    assert np.all(np.abs(ap - a) <= 1e-14 * np.abs(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(knn_points(max_n=60), st.booleans(), st.integers(1, 6), st.data())
+def test_relabeling_the_nodes_keeps_the_designed_taps(case, symmetrize, degree, data):
+    points, k = case
+    g = build_knn_graph(points, k, symmetrize=symmetrize)
+    p = np.array(data.draw(st.permutations(range(g.n))))
+    gp = Graph(g.adjacency[np.ix_(p, p)], directed=g.directed)
+    try:
+        b, bp = spectrum(g), spectrum(gp)
+    except NearDefectiveError:
+        assume(False)
+    frequencies = design_ideal_filter(b, "lowpass", degree).target.frequencies
+    m = frequencies.size
+    lo = data.draw(st.integers(0, m - 1))
+    passband = (lo, data.draw(st.integers(lo, m - 1)))
+    # a relabeling moves each eigenvalue by about n eps times the basis
+    # condition, and the least-squares taps by up to cond(V) times that: a
+    # 10-node 8-NN graph at degree 6 has cond(V) = 6e7 and moves by 2.4e-10
+    vand = np.vander(frequencies, degree + 1, increasing=True)
+    rtol = max(1e-9, 10 * g.n * EPS * b.basis_condition * np.linalg.cond(vand))
+    for kind, band in (("lowpass", None), ("highpass", None), ("bandpass", passband)):
+        taps = design_ideal_filter(b, kind, degree, band).filter.taps
+        taps_p = design_ideal_filter(bp, kind, degree, band).filter.taps
+        assert taps.shape == taps_p.shape
+        assert np.abs(taps_p - taps).max() <= rtol * np.abs(taps).max(), kind
 
 
 @settings(max_examples=20, deadline=None)
