@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, LabelSignal
-
-# uniforms drawn at once by ``sbm_graph``: 8 MB of float64
-SBM_BLOCK = 2 ** 20
+from .graph import Graph, LabelSignal, _row_blocks
 
 
 def cycle_graph(n: int) -> Graph:
@@ -24,8 +21,7 @@ def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least one node")
     i = np.arange(n - 1)
-    rows, cols = np.divmod(np.sort(np.concatenate([i * n + i + 1, i * n + i + n])), n)
-    return Graph._from_entries(n, rows, cols, np.ones(rows.size), None)
+    return _unit_undirected(n, i * n + i + 1)
 
 
 def regular_graph(n: int, d: int, seed: int = 0) -> Graph:
@@ -35,8 +31,9 @@ def regular_graph(n: int, d: int, seed: int = 0) -> Graph:
     if (n * d) % 2 != 0:
         raise ValueError(f"no {d}-regular graph on {n} nodes: n*d must be even")
     import networkx as nx  # here: it is slow to import and only needed here
-    gnx = nx.random_regular_graph(d, n, seed=int(seed))
-    return Graph(nx.to_numpy_array(gnx, nodelist=range(n)))
+    edges = nx.random_regular_graph(d, n, seed=int(seed)).edges()
+    u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    return _unit_undirected(n, u * n + v)
 
 
 def sbm_graph(n: int, p: float, q: float, seed: int = 0):
@@ -48,8 +45,8 @@ def sbm_graph(n: int, p: float, q: float, seed: int = 0):
 
     Edge (i, j), i < j, is drawn as ``u[i, j] < prob`` with u the n x n
     uniforms of ``default_rng(seed).random((n, n))``.  That matrix is the
-    stream's rows in order, so it is drawn ``SBM_BLOCK`` entries of rows at a
-    time and only the upper triangle's hits are kept: no N x N array.
+    stream's rows in order, so it is drawn in ``graph._row_blocks`` and only
+    the upper triangle's hits are kept: no N x N array.
     """
     if n < 2:
         raise ValueError("block model needs at least two nodes")
@@ -59,17 +56,19 @@ def sbm_graph(n: int, p: float, q: float, seed: int = 0):
     rng = np.random.default_rng(int(seed))
     half = n // 2
     member = np.where(np.arange(n) < half, 1.0, -1.0)
-    step = max(1, SBM_BLOCK // n)
     hits = []
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
+    for rows in _row_blocks(n):
         prob = np.where(member[rows, None] == member[None, :], p, q)
         edge = rng.random((rows.size, n)) < prob
         edge &= np.arange(n) > rows[:, None]
         i, j = np.nonzero(edge)
-        hits.append((i + start) * n + j)
-    upper = np.concatenate(hits)
+        hits.append((i + rows[0]) * n + j)
+    return _unit_undirected(n, np.concatenate(hits)), LabelSignal(member)
+
+
+def _unit_undirected(n, upper):
+    """The undirected unit-weight graph with an edge i - j per key i * n + j,
+    one key per edge."""
     keys = np.sort(np.concatenate([upper, upper % n * n + upper // n]))
     rows, cols = np.divmod(keys, n)
-    return (Graph._from_entries(n, rows, cols, np.ones(keys.size), None),
-            LabelSignal(member))
+    return Graph._from_entries(n, rows, cols, np.ones(keys.size), None)

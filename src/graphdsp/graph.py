@@ -33,6 +33,9 @@ BRACKET_RTOL = 1e-13
 # to about 5% fill at N <= 2400 and 7% at N = 3200 to 4000
 DENSE_PRODUCT_FILL = 0.10
 
+# entries of an N-column array built at once by ``_row_blocks`` (kNN, SBM): 8 MB
+ROW_BLOCK = 2 ** 20
+
 EARTH_RADIUS_KM = 6371.0088
 
 log = logging.getLogger("graphdsp")
@@ -243,6 +246,12 @@ def _check_bound(g: Graph, s: GraphSignal):
         raise ValueError("signal is bound to a different graph")
 
 
+def _row_blocks(n):
+    """Node ranges of ``ROW_BLOCK // n`` rows, or one, covering 0..n-1."""
+    step = max(1, ROW_BLOCK // n)
+    return [np.arange(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def _nearest(dist, k):
     """Mask of the k smallest entries of each row, ties going to the lowest
     column index, as a stable argsort would pick them.
@@ -264,8 +273,11 @@ def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
     """Directed k-nearest-neighbor graph with Gaussian distance weights.
 
     ``metric(p, points)`` must return the distances from one point ``p`` to
-    every row of the ``points`` array; it is called once per point, and
-    ``d(n, m)`` for ``n < m`` is taken from the call for ``n``.
+    every row of the ``points`` array, finite between different points and
+    symmetric bit for bit (d(n, m) from the call for n is d(m, n) from the
+    call for m), as ``euclidean`` and ``haversine_km`` are.  It is called once
+    per point, on ``_row_blocks`` of points, so no N x N array is built, and
+    with the points column-major.
 
     Each node receives edges from its ``k`` nearest other nodes (distance
     ties broken by lowest node index).  The weight of the edge into ``n``
@@ -292,32 +304,42 @@ def build_knn_graph(points, k, metric=euclidean, *, unweighted=False,
         raise ValueError("points must be nonempty")
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
-    pts = pts.reshape(n, -1)
+    # column-major: a metric's arithmetic per coordinate runs over a column
+    pts = np.asfortranarray(pts.reshape(n, -1))
 
-    dist = np.array([metric(p, pts) for p in pts], dtype=float)
-    if dist.shape != (n, n):
-        raise ValueError("metric(p, points) must return one distance per point")
-    dist = np.triu(dist, 1) + np.triu(dist, 1).T
-    if not np.all(np.isfinite(dist)):
-        raise ValueError("all pairwise distances must be finite")
-
-    np.fill_diagonal(dist, np.inf)
-    mask = _nearest(dist, k)
-    if symmetrize:
-        mask |= mask.T
+    chosen = []  # each block's k nearest per row, row-major, and their distances
+    for nodes in _row_blocks(n):
+        block = np.array([metric(p, pts) for p in pts[nodes]], dtype=float)
+        if block.shape != (nodes.size, n):
+            raise ValueError("metric(p, points) must return one distance per point")
+        block[nodes - nodes[0], nodes] = np.inf
+        # the diagonal, now infinite, is the only entry allowed not to be finite
+        if np.count_nonzero(np.isfinite(block)) < block.size - nodes.size:
+            raise ValueError("all pairwise distances must be finite")
+        r, c = np.nonzero(_nearest(block, k))
+        chosen.append((r + nodes[0], c, block[r, c]))
+    rows, cols, dist = map(np.concatenate, zip(*chosen))
+    if symmetrize:  # (n, m) and (m, n) carry the same distance
+        keys, first = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
+                                return_index=True)
+        rows, cols = np.divmod(keys, n)
+        dist = np.concatenate([dist, dist])[first]
     if unweighted:
-        return Graph(mask.astype(float))
+        return Graph._from_entries(n, rows, cols, np.ones(rows.size), None)
 
-    # The weights overwrite the distance buffer to bound the build's peak
-    # memory.  Each exponent is shifted by the largest one of its row and
-    # column, so the nearest neighbours' terms are near 1, not 0.
-    log_gauss = np.negative(np.square(dist, out=dist), out=dist)
-    log_gauss[~mask] = -np.inf
-    top = log_gauss.max(axis=1)
-    sums = np.exp(log_gauss - top[:, None]).sum(axis=1)
-    weights = np.exp(log_gauss - 0.5 * (top[:, None] + top[None, :]), out=log_gauss)
-    weights /= np.sqrt(sums[:, None] * sums[None, :])
-    return Graph(weights)
+    # Each exponent is shifted by the largest one of its row and column, so
+    # the nearest neighbours' terms are near 1, not 0.  A row's sum is taken
+    # over its full length, zeros included, in the order of a dense row.
+    log_gauss = np.negative(np.square(dist))
+    top = np.maximum.reduceat(log_gauss, np.searchsorted(rows, np.arange(n)))
+    sums = np.empty(n)
+    for nodes in _row_blocks(n):
+        at = slice(*np.searchsorted(rows, [nodes[0], nodes[-1] + 1]))
+        dense = np.zeros((nodes.size, n))
+        dense[rows[at] - nodes[0], cols[at]] = np.exp(log_gauss[at] - top[rows[at]])
+        sums[nodes] = dense.sum(axis=1)
+    weights = np.exp(log_gauss - 0.5 * (top[rows] + top[cols]))
+    return Graph._from_entries(n, rows, cols, weights / np.sqrt(sums[rows] * sums[cols]), None)
 
 
 def _nonzeros(g: Graph):

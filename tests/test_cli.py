@@ -94,15 +94,15 @@ def test_gen_sbm_writes_truth_and_is_seeded(tmp_path):
 def test_gen_sbm_writes_the_dense_draws_bytes(n, p, q, seed, tmp_path, monkeypatch):
     # the row-block draw against the N x N one it replaces; a small block
     # splits even the small graphs' rows over several draws
-    import graphdsp.generators
+    import graphdsp.graph
     rng = np.random.default_rng(seed)
     member = np.where(np.arange(n) < n // 2, 1.0, -1.0)
     prob = np.where(member[:, None] == member[None, :], p, q)
     upper = np.triu(rng.random((n, n)) < prob, k=1)
     write_edge_list(tmp_path / "graph.tsv", Graph((upper | upper.T).astype(float)))
     write_signal(tmp_path / "labels.csv", member)
-    for block in (graphdsp.generators.SBM_BLOCK, 3 * n + 1):
-        monkeypatch.setattr(graphdsp.generators, "SBM_BLOCK", block)
+    for block in (graphdsp.graph.ROW_BLOCK, 3 * n + 1):
+        monkeypatch.setattr(graphdsp.graph, "ROW_BLOCK", block)
         out = tmp_path / str(block)
         assert run("gen", "sbm", n, p, q, "--seed", seed, "--out", out) == 0
         for name in ("graph.tsv", "labels.csv"):
@@ -264,6 +264,24 @@ def test_filter_spectra_table_is_consistent(tmp_path):
         after = complex(cells[2], cells[3])
         resp = complex(cells[4], cells[5])
         assert abs(after - resp * before) < 1e-8
+
+
+def test_filter_spectra_writes_the_plain_filters_bytes(tmp_path):
+    # both runs read rho certified by its bracket, cold cache or warm; a
+    # basis built first would seed it with max |w|, which differs in the
+    # last bits on this directed graph
+    write_points(tmp_path / "points.csv", np.random.default_rng(6).random((400, 2)))
+    assert run("gen", "knn", tmp_path / "points.csv", 8, "--out", tmp_path / "g") == 0
+    fpath, spath = tmp_path / "f.json", tmp_path / "s.csv"
+    write_filter(fpath, GraphFilter([0.5, -0.25, 0.125, 0.3]))
+    write_signal(spath, np.random.default_rng(7).standard_normal(400))
+    inputs = (tmp_path / "g" / "graph.tsv", fpath, spath)
+    assert run("filter", *inputs, "--out", tmp_path / "plain") == 0
+    plain = (tmp_path / "plain" / "filtered.csv").read_bytes()
+    for name in ("cold", "warm"):
+        assert run("filter", *inputs, "--spectra", "--out", tmp_path / name) == 0
+        assert (tmp_path / name / "filtered.csv").read_bytes() == plain, name
+        assert (tmp_path / name / "spectra.csv").exists()
 
 
 def test_filter_with_malformed_filter_file_exits_1(tmp_path, capsys):

@@ -22,7 +22,7 @@ from graphdsp import (
 )
 from graphdsp import graph as graph_module
 from graphdsp.graph import (BRACKET_RTOL, DENSE_PRODUCT_FILL, KRYLOV_MAX_RESTARTS,
-                            SYMMETRY_TOL, _components, _shift)
+                            SYMMETRY_TOL, _components, _nearest, _nonzeros, _shift)
 
 
 def test_adjacency_must_be_square():
@@ -458,6 +458,27 @@ def test_cycle_and_path_are_built_without_a_dense_array():
         assert peak < n * n * 8, make.__name__
 
 
+def test_regular_graph_is_the_networkx_graph_without_a_dense_array():
+    # the nonzeros of networkx's dense adjacency of the same draw, and at
+    # N = 5000 the build peaks far below one N x N float64 matrix
+    import networkx as nx
+    for n, d in ((10, 3), (600, 4), (7, 0), (2, 1), (50, 49)):
+        dense = Graph(nx.to_numpy_array(nx.random_regular_graph(d, n, seed=3),
+                                        nodelist=range(n)))
+        g = regular_graph(n, d, seed=3)
+        assert not g.directed
+        for got, want in zip(_nonzeros(g), _nonzeros(dense)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    n = 5000
+    tracemalloc.start()
+    try:
+        regular_graph(n, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
 def test_shift_is_linear():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -682,6 +703,119 @@ def test_knn_matches_per_pair_reference(name, symmetrize, k):
     got = build_knn_graph(pts, k, symmetrize=symmetrize).adjacency
     assert np.array_equal(got != 0, ref != 0)
     assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+
+def knn_dense_reference(points, k, metric=euclidean, *, unweighted=False,
+                        symmetrize=False):
+    """The N x N build that ``build_knn_graph`` replaced: the distance matrix
+    from one metric call per point, with d(n, m) for n < m taken from the
+    call for n, one mask, and the weights over the whole matrix."""
+    pts = np.asarray(points, dtype=float)
+    dist = np.array([metric(p, pts) for p in pts], dtype=float)
+    dist = np.triu(dist, 1) + np.triu(dist, 1).T
+    np.fill_diagonal(dist, np.inf)
+    mask = _nearest(dist, k)
+    if symmetrize:
+        mask |= mask.T
+    if unweighted:
+        return Graph(mask.astype(float))
+    log_gauss = -np.square(dist)
+    log_gauss[~mask] = -np.inf
+    top = log_gauss.max(axis=1)
+    sums = np.exp(log_gauss - top[:, None]).sum(axis=1)
+    weights = np.exp(log_gauss - 0.5 * (top[:, None] + top[None, :]))
+    return Graph(weights / np.sqrt(sums[:, None] * sums[None, :]))
+
+
+def _lat_lon(rng, n):
+    return np.column_stack([rng.uniform(-80.0, 80.0, n), rng.uniform(-180.0, 180.0, n)])
+
+
+DENSE_KNN_INPUTS = {
+    "random": (np.random.default_rng(20).random((300, 2)), euclidean),
+    "random5d": (np.random.default_rng(21).random((120, 5)), euclidean),
+    "integer_grid": (np.array([[i, j] for i in range(18) for j in range(15)], float),
+                     euclidean),
+    "haversine": (_lat_lon(np.random.default_rng(22), 200), haversine_km),
+    "haversine_grid": (np.array([[i, j] for i in range(10) for j in range(12)], float),
+                       haversine_km),
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 1000], ids=["default", "row", "rows"])
+@pytest.mark.parametrize("name", sorted(DENSE_KNN_INPUTS))
+def test_knn_matches_the_dense_build_bit_for_bit(name, block, monkeypatch):
+    # every row block, from one row to all of them, gives the dense build's
+    # nonzeros, weights and directedness exactly, ties (the grids) included
+    if block is not None:
+        monkeypatch.setattr(graph_module, "ROW_BLOCK", block)
+    pts, metric = DENSE_KNN_INPUTS[name]
+    for k, unweighted, symmetrize in itertools.product((1, 6), (False, True), (False, True)):
+        want = knn_dense_reference(pts, k, metric, unweighted=unweighted,
+                                   symmetrize=symmetrize)
+        got = build_knn_graph(pts, k, metric, unweighted=unweighted, symmetrize=symmetrize)
+        assert got.directed == want.directed
+        for x, y in zip(_nonzeros(got), _nonzeros(want)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_knn_is_built_without_a_dense_array():
+    # the row blocks hold ROW_BLOCK entries (8 MB) at a time: at N = 2000 the
+    # build peaks below one N x N float64 matrix (32 MB) in either mode
+    n = 2000
+    pts = np.random.default_rng(3).random((n, 2))
+    for symmetrize in (False, True):
+        tracemalloc.start()
+        try:
+            build_knn_graph(pts, 8, symmetrize=symmetrize)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, symmetrize
+
+
+def _with_distance(value, at):
+    """euclidean, except that the distance from point ``at[0]`` to point
+    ``at[1]`` of the 6 points of ``test_knn_refusals`` is ``value``."""
+    def metric(p, q):
+        d = euclidean(p, q)
+        if np.array_equal(p, KNN_REFUSAL_POINTS[at[0]]):
+            d[at[1]] = value
+        return d
+    return metric
+
+
+KNN_REFUSAL_POINTS = np.random.default_rng(4).random((6, 2))
+
+
+@pytest.mark.parametrize("points, k, metric, message", [
+    ([], 1, euclidean, "points must be nonempty"),
+    (KNN_REFUSAL_POINTS, 0, euclidean, "k must satisfy 1 <= k < 6, got 0"),
+    (KNN_REFUSAL_POINTS, 6, euclidean, "k must satisfy 1 <= k < 6, got 6"),
+    (KNN_REFUSAL_POINTS, 2, lambda p, q: euclidean(p, q)[:-1],
+     "metric(p, points) must return one distance per point"),
+    (KNN_REFUSAL_POINTS, 2, lambda p, q: 1.0,
+     "metric(p, points) must return one distance per point"),
+    (KNN_REFUSAL_POINTS, 2, _with_distance(np.nan, (5, 0)),
+     "all pairwise distances must be finite"),
+    (KNN_REFUSAL_POINTS, 2, _with_distance(np.inf, (0, 5)),
+     "all pairwise distances must be finite"),
+    (KNN_REFUSAL_POINTS, 2, _with_distance(-np.inf, (3, 2)),
+     "all pairwise distances must be finite"),
+], ids=["empty", "k0", "kn", "short", "scalar", "nan_below", "inf_above", "neg_inf"])
+def test_knn_refusals(points, k, metric, message):
+    # a non-finite distance is refused wherever it lies off the diagonal,
+    # below it too, where the dense build read only the upper triangle
+    with pytest.raises(ValueError) as err:
+        build_knn_graph(points, k, metric)
+    assert str(err.value) == message
+
+
+def test_knn_never_reads_a_points_distance_to_itself():
+    pts = KNN_REFUSAL_POINTS
+    got = build_knn_graph(pts, 2, _with_distance(np.nan, (4, 4)))
+    for x, y in zip(_nonzeros(got), _nonzeros(build_knn_graph(pts, 2))):
+        assert np.array_equal(x, y)
 
 
 def stable_argsort_mask(points, k, symmetrize):
