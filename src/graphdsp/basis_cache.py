@@ -16,7 +16,7 @@ manifest records the same ``environment()``.
 Each caller keeps its entry layout: which arrays fit, and how a result
 packs into them and back.  ``fileio`` keys an edge list by the file's bytes
 and stores the checked graph; ``spectral`` keys a decomposition by the
-solver and the graph, and stores its eigenvalues, basis and condition.
+solver and the graph, and stores its radius, eigenvalues, basis and condition.
 Every entry stores a sha256 of its arrays, which every read checks.  A
 missing, unreadable, truncated or mismatching entry is a miss; a directory
 that cannot be made or written, or a full disk, leaves the entry unstored.

@@ -195,10 +195,10 @@ def _cmd_filter(args):
     g = _graph(args)
     filt = fileio.read_filter(args.filter)
     s = g.signal(fileio.read_signal(args.signal))
-    # h(A/rho) s needs rho alone, certified here for the spectra too, which
-    # alone build a basis: before any write, so a defective graph leaves none
-    result = apply_filter(g, filt, s)
+    # h(A/rho) s needs rho alone; the spectra alone build a basis, whose hit
+    # restores rho: before any write, so a defective graph leaves none
     b = _spectrum(args, g, basis=True) if args.spectra else None
+    result = apply_filter(g, filt, s)
     fileio.write_signal(_output(args, "filtered.csv"), result.values)
     if b is not None:
         fileio.write_spectra(_output(args, "spectra.csv"), gft(b, s), gft(b, result),

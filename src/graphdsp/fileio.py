@@ -55,7 +55,8 @@ def write_edge_list(path, g: Graph):
     isolated = np.ones(g.n, dtype=bool)
     isolated[srcs] = isolated[dsts] = False
     edges = zip(srcs[order].tolist(), dsts[order].tolist(), weights[order].tolist())
-    lines = ["src\tdst\tweight"] + [f"{s}\t{d}\t{_fmt_weight(w)}" for s, d, w in edges]
+    fmt = _fmt_weight if np.iscomplexobj(weights) else _fmt
+    lines = ["src\tdst\tweight"] + [f"{s}\t{d}\t{fmt(w)}" for s, d, w in edges]
     lines += [f"{i}\t{i}\t0" for i in np.flatnonzero(isolated)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

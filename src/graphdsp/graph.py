@@ -152,7 +152,7 @@ class Graph:
 
     @property
     def spectral_radius(self):
-        """Largest eigenvalue magnitude, cached by first use or ``decompose``.
+        """Largest eigenvalue magnitude, computed once per graph.
 
         A cold call on a real adjacency with no negative entry, directed or
         not, is certified without scipy.  A is block-diagonal over its weak

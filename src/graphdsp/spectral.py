@@ -85,11 +85,14 @@ class Spectrum:
 
     graph: Graph
     eigenvalues: np.ndarray
-    lambda_max_abs: float
 
     @property
     def n(self):
         return self.eigenvalues.shape[0]
+
+    @property
+    def lambda_max_abs(self):
+        return self.graph.spectral_radius
 
     @property
     def basis_condition(self):
@@ -259,19 +262,16 @@ def _descending(w):
     return w[idx], idx
 
 
-def _seed_radius(g: Graph, w):
-    """The graph's cached spectral radius, or else max |w|, now cached."""
-    return g.__dict__.setdefault("_rho", float(np.max(np.abs(w))))
-
-
 def _cached(g: Graph, solver, cache, compute):
     """``compute()``, or the ``basis_cache`` entry in ``cache`` of the
-    graph's decomposition by ``solver``: the exact condition where one was
-    computed, the eigenvalues and, for a basis, ``vectors`` and ``fourier``."""
+    graph's decomposition by ``solver``: the graph's spectral radius and the
+    exact condition where one was computed, the eigenvalues and, for a
+    basis, ``vectors`` and ``fourier``.  A hit restores the radius, whose
+    bits the key fixes, so a warm graph does not compute it again."""
     _check_nonzero(g)
 
-    def fits(condition, w, *vf):
-        return (condition.dtype == float and condition.shape in ((0,), (1,))
+    def fits(scalars, w, *vf):
+        return (scalars.dtype == float and scalars.shape in ((1,), (2,))
                 and w.dtype == complex and w.shape == (g.n,)
                 and all(x.dtype == vf[0].dtype and x.dtype in (float, complex)
                         and x.shape == (g.n, g.n) for x in vf))
@@ -279,13 +279,14 @@ def _cached(g: Graph, solver, cache, compute):
     def pack(sp):
         condition = [sp.__dict__["_condition"]] if "_condition" in sp.__dict__ else []
         vf = [sp.vectors, sp.fourier] if isinstance(sp, SpectralBasis) else []
-        return [np.array(condition, dtype=float), sp.eigenvalues, *vf]
+        return [np.array([g.spectral_radius, *condition]), sp.eigenvalues, *vf]
 
-    def unpack(condition, w, *vf):
-        fields = dict(graph=g, eigenvalues=w, lambda_max_abs=_seed_radius(g, w))
-        sp = SpectralBasis(**fields, vectors=vf[0], fourier=vf[1]) if vf else Spectrum(**fields)
-        if condition.size:
-            sp.__dict__["_condition"] = float(condition[0])
+    def unpack(scalars, w, *vf):
+        g.__dict__["_rho"] = float(scalars[0])
+        sp = (SpectralBasis(graph=g, eigenvalues=w, vectors=vf[0], fourier=vf[1]) if vf
+              else Spectrum(graph=g, eigenvalues=w))
+        if scalars.size == 2:
+            sp.__dict__["_condition"] = float(scalars[1])
         return sp
 
     return basis_cache.through(cache, f"solver={solver}", [solver, g.n, g.directed],
@@ -297,12 +298,12 @@ def spectrum(g: Graph, *, cache=None) -> Spectrum:
     """Eigenvalues, spectral radius and basis condition of the adjacency.
 
     An undirected graph's basis condition is exactly 1, so its eigenvalues
-    come from ``eigvalsh`` alone, sorted as ``decompose`` sorts them; the
-    spectral radius is cached or seeded as there.  A directed graph's basis
-    may be refused, which needs its eigenvectors, so it is decomposed and
-    the ``SpectralBasis`` returned.  ``cache`` is a directory of stored
-    decompositions, as for ``decompose``; the eigenvalues of ``eigvalsh``
-    are stored apart from ``eigh``'s, whose bits differ.
+    come from ``eigvalsh`` alone, sorted as ``decompose`` sorts them.  A
+    directed graph's basis may be refused, which needs its eigenvectors, so
+    it is decomposed and the ``SpectralBasis`` returned.  ``cache`` is a
+    directory of stored decompositions, as for ``decompose``; the
+    eigenvalues of ``eigvalsh`` are stored apart from ``eigh``'s, whose bits
+    differ.
     """
     if g.directed:
         return decompose(g, cache=cache)
@@ -313,7 +314,7 @@ def _eigenvalues(g: Graph) -> Spectrum:
     w, _ = _descending(np.linalg.eigvalsh(g.adjacency))
     log.debug("spectrum: n=%d solver=eigvalsh condition=1", g.n)
     w.setflags(write=False)
-    return Spectrum(graph=g, eigenvalues=w, lambda_max_abs=_seed_radius(g, w))
+    return Spectrum(graph=g, eigenvalues=w)
 
 
 def decompose(g: Graph, *, cache=None) -> SpectralBasis:
@@ -324,9 +325,7 @@ def decompose(g: Graph, *, cache=None) -> SpectralBasis:
     Raises NearDefectiveError when the basis condition exceeds
     DEFECTIVE_COND_LIMIT, which an undirected graph (condition 1) never
     does; a directed basis whose Frobenius bound on that condition is at
-    most half the limit is accepted without an SVD.  ``lambda_max_abs``
-    reuses the graph's cached spectral radius, or else seeds that cache with
-    the largest eigenvalue magnitude.
+    most half the limit is accepted without an SVD.
 
     With ``cache=DIR`` the basis is read from the ``basis_cache`` entry of
     this graph in that directory, where one checks, and is otherwise
@@ -384,8 +383,7 @@ def _decompose(g: Graph) -> SpectralBasis:
         F = V.T / (norms ** 2)[:, None]
     for x in (w, V, F):  # built here, so frozen without a copy
         x.setflags(write=False)
-    b = SpectralBasis(graph=g, eigenvalues=w, lambda_max_abs=_seed_radius(g, w),
-                      vectors=V, fourier=F)
+    b = SpectralBasis(graph=g, eigenvalues=w, vectors=V, fourier=F)
     if path == "svd":  # exact already; a bound leaves it to the first read
         b.__dict__["_condition"] = condition
     return b

@@ -49,16 +49,24 @@ GRAPHS = {"directed": lambda: knn(), "undirected": lambda: knn(True),
 
 @pytest.mark.parametrize("kind", sorted(GRAPHS))
 @pytest.mark.parametrize("fn", [decompose, spectrum], ids=["decompose", "spectrum"])
-def test_a_hit_is_the_cold_result_bit_for_bit(kind, fn, tmp_path):
+def test_a_hit_is_the_cold_result_bit_for_bit(kind, fn, tmp_path, monkeypatch):
     cold = fn(GRAPHS[kind]())
     missed = fn(GRAPHS[kind](), cache=tmp_path)
     g = GRAPHS[kind]()
-    hit = fn(g, cache=tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("a hit computed the spectral radius")
+
+    with monkeypatch.context() as m:  # the hit restores rho, as stored
+        m.setattr(graph_module, "_certified_radius", refuse)
+        m.setattr(graph_module, "_dense_radius", refuse)
+        hit = fn(g, cache=tmp_path)
+        rho = g.spectral_radius
     assert (outcome(missed), outcome(hit)) == ("miss", "hit")
     assert hit.__dict__["_cache"]["key"] == missed.__dict__["_cache"]["key"]
     same_result(cold, missed)
     same_result(cold, hit)
-    assert g.spectral_radius == cold.lambda_max_abs
+    assert rho.hex() == cold.lambda_max_abs.hex()
 
 
 def test_a_hit_builds_no_dense_adjacency(tmp_path, monkeypatch):
@@ -489,6 +497,19 @@ def test_verbose_logs_the_outcome_and_the_key(tmp_path, capsys):
                    "--out", tmp_path / expected) == 0
         key = manifest(tmp_path / expected)["basis"]["key"]
         assert f"basis_cache: {expected} solver=eigvalsh key={key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["directed", "symmetrized"])
+def test_a_warm_command_computes_no_spectral_radius(flags, tmp_path, capsys, monkeypatch):
+    # a miss certifies rho once and stores it with the basis; a hit restores it
+    for name, argv in commands(*sensor_inputs(tmp_path, *flags)).items():
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"{name}-cache"))
+        for expected, records in (("miss", 1), ("hit", 0)):
+            capsys.readouterr()
+            assert run("--verbose", *argv, "--out", tmp_path / f"{name}-{expected}") == 0
+            assert manifest(tmp_path / f"{name}-{expected}")["basis"]["cache"] == expected
+            err = capsys.readouterr().err
+            assert err.count("spectral_radius: n=40 path=krylov") == records, (name, expected)
 
 
 def graph_commands(tmp_path):

@@ -133,6 +133,17 @@ def test_normalized_flag_divides_by_radius():
     assert np.allclose(nrm.values, s.values)
 
 
+def test_a_filter_after_decompose_is_the_filter_on_a_fresh_graph():
+    # detect decomposes before it filters, filter does not: one rho for both
+    pts = np.random.default_rng(1).random((400, 2))
+    f = GraphFilter([0.5, -0.25, 0.125, 0.0625])
+    fresh, decomposed = build_knn_graph(pts, 8), build_knn_graph(pts, 8)
+    decompose(decomposed)
+    y = [apply_filter(g, f, g.signal(np.sin(5 * pts[:, 0]))).values
+         for g in (fresh, decomposed)]
+    assert y[0].tobytes() == y[1].tobytes()
+
+
 def test_apply_rejects_foreign_signal():
     g = cycle_graph(3)
     s = cycle_graph(3).signal([1.0, 0.0, 0.0])

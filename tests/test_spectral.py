@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import os
@@ -295,9 +296,12 @@ def test_undirected_spectrum_logs_eigenvalues_alone(caplog):
 def test_spectrum_fields_are_keyword_only():
     b = decompose(directed_basis_graphs()["real_spectrum"])
     with pytest.raises(TypeError):
-        SpectralBasis(b.graph, b.eigenvalues, b.vectors, b.fourier, b.lambda_max_abs)
+        SpectralBasis(b.graph, b.eigenvalues, b.vectors, b.fourier)
     with pytest.raises(TypeError):
-        spectral.Spectrum(b.graph, b.eigenvalues, b.lambda_max_abs)
+        spectral.Spectrum(b.graph, b.eigenvalues)
+    # rho is the graph's, not a field of its spectrum
+    assert [f.name for f in dataclasses.fields(SpectralBasis)] == [
+        "graph", "eigenvalues", "vectors", "fourier"]
 
 
 def test_directed_spectrum_is_the_decomposition():
@@ -437,21 +441,22 @@ def test_directed_eig_is_bitwise_scipys_at_one_blas_thread():
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_spectral_radius_is_one_number_in_either_call_order(directed):
+    # rho's dense path (signed weights) and its certified one (a nonnegative
+    # kNN graph, symmetrized where undirected), before and after the spectrum
     a = np.random.default_rng(9).standard_normal((20, 20))
-    if not directed:
-        a = a + a.T
-    cold = float(np.max(np.abs(np.linalg.eigvals(a))))
+    pts = np.random.default_rng(1).random((400, 2))
+    makers = [lambda: Graph(a if directed else a + a.T),
+              lambda: build_knn_graph(pts, 8, symmetrize=not directed)]
+    for make, fn in itertools.product(makers, [decompose, spectral.spectrum]):
+        g = make()
+        cold = float(np.max(np.abs(np.linalg.eigvals(g.adjacency))))
+        rho = g.spectral_radius
+        assert fn(g).lambda_max_abs == rho == g.spectral_radius
 
-    g = Graph(a)
-    rho = g.spectral_radius
-    b = decompose(g)
-    assert b.lambda_max_abs == rho == g.spectral_radius
-
-    g = Graph(a)
-    b = decompose(g)
-    assert g.spectral_radius == b.lambda_max_abs
-    assert abs(b.lambda_max_abs - cold) <= 1e-12 * cold
-    assert abs(rho - cold) <= 1e-12 * cold
+        g = make()
+        sp = fn(g)
+        assert g.spectral_radius.hex() == sp.lambda_max_abs.hex() == rho.hex()
+        assert abs(rho - cold) <= 1e-12 * cold
 
 
 # ---------------------------------------------------------------------------
