@@ -13,17 +13,17 @@ CPU features numpy dispatches on, the machine and host, and the package's
 own sources, so that any change of code misses.  The command line's
 manifest records the same ``environment()``.
 
-Each caller keeps its entry layout: which arrays fit, and how a result
-packs into them and back.  ``fileio`` keys an edge list by the file's bytes
-and stores the checked graph; ``spectral`` keys a decomposition by the
-solver and the graph, and stores its radius, eigenvalues, basis and condition.
-Every entry stores a sha256 of its arrays, which every read checks.  A
-missing, unreadable, truncated or mismatching entry is a miss; a directory
-that cannot be made or written, or a full disk, leaves the entry unstored.
-The entries of both kinds together hold at most ``MAX_BYTES``: an entry
-larger than that is not stored, and after each write the entries used
-longest ago, by modification time, which a hit renews, are dropped until
-the rest fit.
+Each caller keeps its entry layout: which arrays fit, and how a result packs
+into them and back.  ``fileio`` keys an edge list by the sha256 of the
+file's bytes and stores the checked graph; ``spectral`` keys a decomposition
+by the solver and the graph, and stores its radius, eigenvalues, basis and
+condition.  Every entry stores a sha256 of its arrays, which every read
+checks.  A missing, unreadable, truncated or mismatching entry is a miss; a
+directory that cannot be made or written, or a full disk, leaves the entry
+unstored.  The entries of both kinds together hold at most ``MAX_BYTES``: an
+entry larger than that is not stored, and after each write the entries used
+longest ago, by modification time, which a hit renews, are dropped until the
+rest fit.
 """
 
 from __future__ import annotations

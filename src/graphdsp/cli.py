@@ -1,15 +1,15 @@
 """Command-line driver for the whole pipeline.
 
-One binary with subcommands: synthetic graph generation, spectrum
-inspection, filter design, signal filtering, anomaly detection, and label
-classification.  ``spectrum`` writes ``spectrum.json``: the eigenvalues,
-their variations and frequency order, and ``basis_condition``, cond2 of the
-eigenvector matrix with unit 2-norm columns.  That condition is exactly 1 on
-an undirected graph, so there ``spectrum`` and ``design`` compute
-eigenvalues alone; on a directed graph they build the eigenbasis, which may
-be refused.  ``filter`` applies h(A/rho) by repeated shifts, which needs
-the spectral radius alone; it builds the eigenbasis only for
-``--spectra``, which also writes the signal's spectrum before and after.
+One binary with subcommands: synthetic graph generation, spectrum inspection,
+filter design, signal filtering, anomaly detection, and label classification.
+``spectrum`` writes ``spectrum.json``: the eigenvalues, their variations and
+frequency order, and ``basis_condition``, cond2 of the eigenvector matrix
+with unit 2-norm columns.  That condition is exactly 1 on an undirected
+graph, so there ``spectrum`` and ``design`` compute eigenvalues alone; on a
+directed graph they build the eigenbasis, which may be refused, and
+``spectrum`` its exact cond2.  ``filter`` applies h(A/rho) by repeated
+shifts, which needs the spectral radius alone; it builds the eigenbasis only
+for ``--spectra``, which also writes the signal's spectrum before and after.
 Every run writes a ``manifest.json`` next to its outputs, derived from the
 parsed command line: the ``command`` (argv), the ``config`` (every parsed
 argument, defaults included), the sha256 of each file it read (``inputs``:
@@ -96,7 +96,7 @@ def _graph(args):
     """The graph of ``args.graph``, read through the per-user cache; the
     outcome goes to the manifest."""
     g = fileio.read_edge_list(args.graph, cache=args.cache)
-    args.graph_cache = _outcome(args, g)
+    args.graph_cache, args.digests[args.graph] = _outcome(args, g), g._sha256
     return g
 
 
@@ -124,7 +124,7 @@ def _finish(args):
     paths = [p for v in named if v for p in (v if isinstance(v, list) else [v])]
     doc = {
         "command": list(args.argv),
-        "inputs": {p: _sha256(p) for p in paths},
+        "inputs": {p: args.digests.get(p) or _sha256(p) for p in paths},
         "config": args.config,
         "outputs": {name: _sha256(os.path.join(args.out, name)) for name in args.outputs},
         "environment": basis_cache.environment(),
@@ -185,7 +185,7 @@ def _cmd_spectrum(args):
 def _cmd_design(args):
     g = _graph(args)
     kind, band = _parse_kind(args.kind)
-    design = design_ideal_filter(_spectrum(args, g), kind, args.degree, band)
+    design = design_ideal_filter(_spectrum(args, g, g.directed), kind, args.degree, band)
     fileio.write_filter(_output(args, "filter.json"), design.filter)
     fileio.write_design_report(_output(args, "design.json"), design)
     return _finish(args)
@@ -395,7 +395,8 @@ def main(argv=None) -> int:
         code = e.code if isinstance(e.code, int) else 1
         return 0 if code == 0 else 1
     args.config = {k: v for k, v in vars(args).items() if k != "func"}
-    args.argv, args.outputs, args.graph_cache, args.basis = argv, [], None, None
+    args.argv, args.outputs, args.digests = argv, [], {}  # sha256 by path, as read
+    args.graph_cache = args.basis = None
     args.cache = basis_cache.default_directory()
     handler, level = logging.StreamHandler(sys.stderr), log.level
     if args.verbose:

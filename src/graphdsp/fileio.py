@@ -8,6 +8,7 @@ significant digits so every file round-trips bitwise.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -134,18 +135,21 @@ def read_edge_list(path, *, directed=None, cache=None) -> Graph:
     dst*n + src that finds a repeated edge gives the row-major order.  A zero
     weight is no edge, but counts its nodes.
 
-    With ``cache=DIR`` the graph is read from the ``basis_cache`` entry of
-    the file's bytes in that directory, where one checks, without checking
-    it again, and is otherwise parsed and stored there; a refused file is
-    never stored.  Without it nothing is read or written."""
+    With ``cache=DIR`` the graph is read from the ``basis_cache`` entry in
+    that directory of the bytes' sha256, kept hex as ``_sha256``, where one
+    checks, without checking it again; otherwise it is parsed and stored,
+    unless refused.  Without it nothing is read or written."""
     with open(path, "rb") as fh:
         data = fh.read()
+    digest = hashlib.sha256(data)
     text = io.TextIOWrapper(io.BytesIO(data))  # decodes as open(path) would
-    return basis_cache.through(
+    g = basis_cache.through(
         cache, f"edge_list={path}", ["edge-list", directed, text.encoding],
-        [np.frombuffer(data, np.uint8)], 4, _entry_fits,
+        [np.frombuffer(digest.digest(), np.uint8)], 4, _entry_fits,
         lambda: _parse(path, text.read(), directed),
         lambda g: [np.array([g.n, g.directed], dtype=np.int64), *_nonzeros(g)], _unpack)
+    g.__dict__["_sha256"] = digest.hexdigest()
+    return g
 
 
 def _entry_fits(head, rows, cols, vals):

@@ -78,9 +78,8 @@ def _is_symmetric(rows, cols, vals, n):
     place, found by a merge where the two patterns differ, and one without a
     partner is compared against 0."""
     key = rows * n + cols
-    mirror = cols * n + rows
-    order = np.argsort(mirror)  # the keys are distinct, so the order is unique
-    mirror, partner = mirror[order], vals
+    order = np.argsort(cols, kind="stable")  # row-major: the mirrored keys' order
+    mirror, partner = (cols * n + rows)[order], vals
     if not np.array_equal(mirror, key):
         at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
         partner = np.where(key[at] == mirror, vals[at], 0.0)

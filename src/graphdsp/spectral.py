@@ -31,8 +31,8 @@ cond2(M D^-1) <= ||M D^-1||_F ||D R||_F = sqrt(N) ||D R||_F (since
 ||X||_2 <= ||X||_F, and M D^-1 has N unit columns up to a unitary change),
 and a bound at most half the limit accepts the basis.  Only a bound above that,
 a non-finite one or a failed inverse costs the exact cond2 before
-deciding.  An accepted basis computes its exact condition when it is first
-read.
+deciding, as does ``spectrum``, which reports it; a basis ``decompose``
+accepts on the bound computes it when it is first read.
 
 ``decompose`` and ``spectrum`` take ``cache=DIR``, a ``basis_cache``
 directory: a graph whose decomposition is stored there is served from it,
@@ -112,7 +112,7 @@ class SpectralBasis(Spectrum):
     exact cond2 of ``vectors`` with its columns rescaled to unit 2-norm:
     exactly 1 for an undirected graph.  Where ``decompose`` accepted a
     directed basis on a bound, it is computed (an SVD of the scaled real
-    form) on first read.
+    form) on first read; ``spectrum`` computes it before it returns.
     """
 
     vectors: np.ndarray
@@ -262,16 +262,16 @@ def _descending(w):
     return w[idx], idx
 
 
-def _cached(g: Graph, solver, cache, compute):
+def _cached(g: Graph, solver, cache, compute, exact=False):
     """``compute()``, or the ``basis_cache`` entry in ``cache`` of the
-    graph's decomposition by ``solver``: the graph's spectral radius and the
-    exact condition where one was computed, the eigenvalues and, for a
-    basis, ``vectors`` and ``fourier``.  A hit restores the radius, whose
-    bits the key fixes, so a warm graph does not compute it again."""
+    graph's decomposition by ``solver``: its spectral radius and exact
+    condition where computed (an ``exact`` hit needs it), the eigenvalues
+    and, for a basis, ``vectors`` and ``fourier``.  A hit restores the
+    radius, whose bits the key fixes, so a warm graph computes none."""
     _check_nonzero(g)
 
     def fits(scalars, w, *vf):
-        return (scalars.dtype == float and scalars.shape in ((1,), (2,))
+        return (scalars.dtype == float and scalars.shape in ((1 + exact,), (2,))
                 and w.dtype == complex and w.shape == (g.n,)
                 and all(x.dtype == vf[0].dtype and x.dtype in (float, complex)
                         and x.shape == (g.n, g.n) for x in vf))
@@ -300,13 +300,13 @@ def spectrum(g: Graph, *, cache=None) -> Spectrum:
     An undirected graph's basis condition is exactly 1, so its eigenvalues
     come from ``eigvalsh`` alone, sorted as ``decompose`` sorts them.  A
     directed graph's basis may be refused, which needs its eigenvectors, so
-    it is decomposed and the ``SpectralBasis`` returned.  ``cache`` is a
-    directory of stored decompositions, as for ``decompose``; the
-    eigenvalues of ``eigvalsh`` are stored apart from ``eigh``'s, whose bits
-    differ.
+    it is decomposed with its exact condition (``decompose`` runs no SVD on
+    a basis its bound accepts) and the ``SpectralBasis`` returned.  ``cache``
+    is as for ``decompose``; ``eigvalsh``'s eigenvalues are stored apart from
+    ``eigh``'s, whose bits differ.
     """
     if g.directed:
-        return decompose(g, cache=cache)
+        return _cached(g, "eig", cache, lambda: _decompose(g, exact=True), exact=True)
     return _cached(g, "eigvalsh", cache, lambda: _eigenvalues(g))
 
 
@@ -335,7 +335,7 @@ def decompose(g: Graph, *, cache=None) -> SpectralBasis:
     return _cached(g, "eig" if g.directed else "eigh", cache, lambda: _decompose(g))
 
 
-def _decompose(g: Graph) -> SpectralBasis:
+def _decompose(g: Graph, exact=False) -> SpectralBasis:
     a = g.adjacency
     w, V = np.linalg.eig(a) if g.directed else np.linalg.eigh(a)
     w, idx = _descending(w)
@@ -358,7 +358,7 @@ def _decompose(g: Graph) -> SpectralBasis:
         with np.errstate(over="ignore", invalid="ignore"):
             bound = (np.inf if R is None
                      else np.sqrt(g.n) * np.linalg.norm(norms[:, None] * R))
-        if bound <= DEFECTIVE_COND_LIMIT / 2:
+        if bound <= DEFECTIVE_COND_LIMIT / 2 and not exact:
             path, condition = "bound", float(bound)
         else:
             path, condition = "svd", float(np.linalg.cond(M / norms))

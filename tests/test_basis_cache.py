@@ -1,7 +1,9 @@
 """The per-user basis cache: hits are bit for bit the cold decomposition,
 and anything wrong with the store costs a recomputation, never an error."""
 
+import builtins
 import errno
+import hashlib
 import json
 import os
 
@@ -512,6 +514,75 @@ def test_a_warm_command_computes_no_spectral_radius(flags, tmp_path, capsys, mon
             assert err.count("spectral_radius: n=40 path=krylov") == records, (name, expected)
 
 
+def spy_on_basis_solves(monkeypatch, n=40):
+    """The SVDs, cond2s and n x n eigs run from here on, by name in order;
+    the Arnoldi's eig of its small Hessenberg matrix does not count."""
+    calls = []
+
+    def spy(name, fn, shape=None):
+        def call(x, *args, **kwargs):
+            if shape is None or np.shape(x) == shape:
+                calls.append(name)
+            return fn(x, *args, **kwargs)
+        return call
+
+    for name in ("svd", "cond"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "eig", spy("eig", np.linalg.eig, (n, n)))
+    return calls
+
+
+FIRST = ["spectrum", "design", "detect", "detect-design", "filter-spectra"]
+
+
+@pytest.mark.parametrize("first", FIRST)
+def test_a_warm_directed_spectrum_runs_no_solve_whatever_stored_its_entry(
+        first, tmp_path, monkeypatch):
+    # spectrum reports the exact condition, so its entry stores it; an entry
+    # that decompose stored without it is computed once more and overwritten
+    argvs = commands(*sensor_inputs(tmp_path))
+    cache = basis_cache.default_directory()
+    assert run(*argvs[first], "--out", tmp_path / "first") == 0
+    stored = entries(cache)
+    assert run(*argvs["spectrum"], "--out", tmp_path / "next") == 0
+    assert manifest(tmp_path / "next")["basis"]["cache"] == (
+        "hit" if first == "spectrum" else "miss")
+    assert entries(cache) == stored  # the same key, rewritten
+    with monkeypatch.context() as m:
+        calls = spy_on_basis_solves(m)
+        assert run(*argvs["spectrum"], "--out", tmp_path / "warm") == 0
+    assert calls == []
+    assert manifest(tmp_path / "warm")["basis"]["cache"] == "hit"
+
+
+@pytest.mark.parametrize("name", FIRST[1:])
+def test_a_cold_directed_basis_accepted_on_its_bound_runs_no_svd(name, tmp_path,
+                                                                  monkeypatch, capsys):
+    argv = commands(*sensor_inputs(tmp_path))[name]
+    calls = spy_on_basis_solves(monkeypatch)
+    capsys.readouterr()
+    assert run("--verbose", *argv, "--out", tmp_path / "cold") == 0
+    assert manifest(tmp_path / "cold")["basis"]["cache"] == "miss"
+    assert calls == ["eig"]
+    assert "condition_path=bound" in capsys.readouterr().err
+
+
+def test_a_directed_spectrum_json_has_the_same_bytes_in_every_order(tmp_path, monkeypatch):
+    argvs = commands(*sensor_inputs(tmp_path))
+    written = {}
+    for first in FIRST:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"{first}-cache"))
+        assert run(*argvs[first], "--out", tmp_path / first) == 0
+        for step in ("next", "warm"):
+            out = tmp_path / f"{first}-{step}"
+            assert run(*argvs["spectrum"], "--out", out) == 0
+            written[first, step] = (out / "spectrum.json").read_bytes()
+    written["alone"] = (tmp_path / "spectrum" / "spectrum.json").read_bytes()
+    assert len(set(written.values())) == 1
+    exact = decompose(read_edge_list(tmp_path / "g" / "graph.tsv")).basis_condition
+    assert json.loads(written["alone"])["basis_condition"] == exact
+
+
 def graph_commands(tmp_path):
     """Every command that reads the sensor graph, each under its own name:
     the spectrum commands, plain ``filter``, and ``classify`` in both modes."""
@@ -538,6 +609,30 @@ def test_every_command_that_reads_a_graph_records_its_outcome(tmp_path):
             assert manifest(out)["graph"]["cache"] == expected, name
             keys.add(manifest(out)["graph"]["key"])
     assert len(keys) == 1 and len(keys.pop()) == 64
+
+
+def test_each_command_reads_its_graph_file_once(tmp_path, monkeypatch):
+    # one sha256 of the bytes read serves the cache key and the manifest
+    argvs = graph_commands(tmp_path)
+    graph = str(tmp_path / "g" / "graph.tsv")
+    real, reads = builtins.open, []
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == graph:
+            reads.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for name, argv in argvs.items():
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"{name}-cache"))
+        for expected in ("miss", "hit"):
+            reads.clear()
+            out = tmp_path / f"{name}-{expected}"
+            assert run(*argv, "--out", out) == 0
+            assert manifest(out)["graph"]["cache"] == expected
+            assert len(reads) == 1, (name, expected)
+    digest = hashlib.sha256((tmp_path / "g" / "graph.tsv").read_bytes()).hexdigest()
+    assert manifest(out)["inputs"][graph] == digest
 
 
 @pytest.mark.parametrize("name", ["filter", "classify", "sweep"])

@@ -134,7 +134,7 @@ def test_verbose_prints_the_decompose_record(tmp_path, capsys, monkeypatch):
         assert run("--verbose", "spectrum", gdir / "graph.tsv", "--out", tmp_path / "v") == 0
         err = capsys.readouterr().err
         assert err.count("decompose: n=6 solver=eig folded_pairs=2") == 1
-        assert "condition_path=bound" in err
+        assert "condition_path=svd" in err  # spectrum reports the exact condition
         assert err.count("basis_cache: miss solver=eig key=") == 1
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache-q{i}"))
         assert run("spectrum", gdir / "graph.tsv", "--out", tmp_path / "q") == 0
@@ -357,23 +357,21 @@ def test_spectrum_and_design_compute_eigenvalues_alone_when_undirected(
         command, flags, tmp_path, monkeypatch):
     # an undirected basis has condition 1, so no eigenvector is needed; only
     # N x N solves count, not the Arnoldi's of its small Hessenberg matrix
-    from graphdsp import spectral
     gpath = knn_filter_inputs(tmp_path, *flags)[0]
     directed = not flags
     calls = []
 
-    def spy(name, fn, shape=None):
+    def spy(name, fn):
         def call(x, *args, **kwargs):
-            if shape is None or np.shape(x) == shape:
+            if np.shape(x) == (40, 40):
                 calls.append(name)
             return fn(x, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(spectral, "decompose", spy("decompose", spectral.decompose))
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name), (40, 40)))
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     assert run(command[0], gpath, *command[1:], "--out", tmp_path / "o") == 0
-    assert calls == (["decompose", "eig"] if directed else ["eigvalsh"])
+    assert calls == (["eig"] if directed else ["eigvalsh"])
 
 
 def test_spectrum_json_of_an_undirected_graph(tmp_path):
