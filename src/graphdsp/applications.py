@@ -9,7 +9,7 @@ single fidelity weight is solved directly (a dense Cholesky of M formed by
 one GEMM) up to 2000 nodes and above by numpy conjugate gradients, which
 apply M as sparse products over the adjacency's nonzeros and iterate to a
 relative residual of ``CG_TOLERANCE``, near the Cholesky's; the alpha sweep
-and the misfit-budget search factor the system once per label set.  The
+and the misfit budget's root-find factor the system once per label set.  The
 Cholesky is numpy's, and it refuses as ``scipy.linalg.solve`` with its
 ill-conditioning warning as an error would: a factorization that fails, or
 a 1-norm reciprocal condition below eps by LAPACK's estimator, ported; so
@@ -18,7 +18,8 @@ component without a label, so the singular systems they refuse are those
 with an unlabeled component: a null vector inside a labeled component, which
 the Cholesky refuses, passes above ``DIRECT_SOLVE_MAX_N``, and the solution
 orthogonal to it is returned.  Each solve logs its path (direct, cg with its
-iterations, or factored) and its relative residual at debug level.
+iterations, or factored) and its relative residual at debug level, and each
+misfit budget its closed-form root, its alpha and its count of solves.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ SOLVER_TOLERANCE = 1e-8
 CG_TOLERANCE = 1e-14
 REGULARIZER_FORMS = ("shift", "laplacian")
 CALIBRATIONS = ("max", "median")
-BISECTION_STEPS = 60
+# the misfit budget's root is aimed this far below epsilon, relative, so that
+# classify's solution, whose misfit rounds differently, meets it at one solve
+BUDGET_MARGIN = 2.0 ** -42
 # the Cholesky solve: rows per substitution block, the steps of the
 # reciprocal-condition estimate before its final vector (LAPACK dlacn2's
 # ITMAX), and the least reciprocal condition accepted: eps = 2^-52, below
@@ -358,20 +361,27 @@ def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
     return s
 
 
-def _label_solver(g: Graph, labels: LabelSignal, form: str):
-    """Factor the system once per label set; return alphas -> N x len(alphas)
-    solutions.  With K/U the known/unknown nodes, X = M_UU^-1 M_UK and
-    M_KK - M_UK^T X = Q diag(lam) Q^T: s_U = -X s_K, s_K = Q diag(2 alpha /
-    (lam + 2 alpha)) Q^T y_K.  Singular for every alpha exactly when M_UU is."""
-    m = _variation_operator(g, form)
-    dense = m.dense()
+def _schur_spectrum(g: Graph, labels: LabelSignal, form: str):
+    """Factor the system once per label set, for every alpha.  With K/U the
+    known/unknown nodes, X = M_UU^-1 M_UK and M_KK - M_UK^T X = Q diag(lam)
+    Q^T, lam >= 0; returns K, U, X, Q, lam and Q^T y_K.  The system is
+    singular for every alpha exactly when M_UU is, which its Cholesky refuses."""
+    dense = _variation_operator(g, form).dense()
     known = labels.known_mask
     kn, un = np.flatnonzero(known), np.flatnonzero(~known)
-    y = labels.labels
     m_uk = dense[np.ix_(un, kn)]
     x = _solve_pos(g, labels, dense[np.ix_(un, un)], m_uk)
     lam, q = np.linalg.eigh(dense[np.ix_(kn, kn)] - m_uk.T @ x)
-    qty = q.T @ y[kn]
+    return kn, un, x, q, lam, q.T @ labels.labels[kn]
+
+
+def _label_solver(g: Graph, labels: LabelSignal, form: str):
+    """alphas -> N x len(alphas) solutions from one ``_schur_spectrum``:
+    s_U = -X s_K, s_K = Q diag(2 alpha / (lam + 2 alpha)) Q^T y_K."""
+    kn, un, x, q, lam, qty = _schur_spectrum(g, labels, form)
+    dense = _variation_operator(g, form).dense()
+    known = labels.known_mask
+    y = labels.labels
 
     def solve(alphas):
         two_a = 2.0 * np.asarray(alphas, dtype=float)
@@ -401,11 +411,6 @@ def _check_labels(g: Graph, labels: LabelSignal):
         raise ValueError("at least one label must be known")
 
 
-def _classification(s) -> Classification:
-    return Classification(predicted=_freeze(s),
-                          classes=_freeze(np.where(s > 0.0, 1, -1)))
-
-
 def classify(g: Graph, labels: LabelSignal, cfg: ClassifierConfig) -> Classification:
     """Spread known +/-1 labels over the graph by variation regularization.
 
@@ -415,7 +420,9 @@ def classify(g: Graph, labels: LabelSignal, cfg: ClassifierConfig) -> Classifica
     get class +1, everything else (including exact zero) class -1.
     """
     _check_labels(g, labels)
-    return _classification(_solve_system(g, labels, cfg))
+    s = _solve_system(g, labels, cfg)
+    return Classification(predicted=_freeze(s),
+                          classes=_freeze(np.where(s > 0.0, 1, -1)))
 
 
 def classification_objective(g: Graph, labels: LabelSignal,
@@ -442,74 +449,55 @@ def classify_with_misfit_budget(g: Graph, labels: LabelSignal, epsilon: float,
                                 form="shift", *, max_alpha=1e9):
     """Classify with the smallest fidelity weight meeting a misfit budget.
 
-    Runs a doubling search then log-domain bisection on alpha, all on one
-    factorization, until the solution's known-label misfit drops to
-    ``epsilon`` or below; returns the classification and the alpha found.
-
-    The factorization refuses a system that is singular for every alpha (an
-    unlabeled component) before any alpha is tried.  A refusal during the
-    search therefore only means that alpha is too small for the system to
-    resolve, as when the variation operator is singular and a loose budget
-    halves alpha toward the 1e-12 floor: the search then stops at the
-    smallest alpha already verified, which meets the budget and passed the
-    residual check.  The factored residual and ``classify``'s own solve can
-    judge an alpha near that edge differently, so the alpha found is
-    confirmed by ``classify``'s solve and doubled until ``classify`` accepts
-    it; the misfit falls as alpha grows, so each larger alpha should meet
-    the budget too, and it is checked again at each.  The factored solution
-    at that alpha is returned, not ``classify``'s: its misfit is the one
-    checked against ``epsilon``, which ``classify``'s can miss by rounding.
-    A budget unreachable below ``max_alpha`` raises ValueError.
+    Returns ``classify``'s answer at the smallest alpha >= 2^-40 whose
+    known-label misfit is at most ``epsilon`` (Morozov's discrepancy
+    principle), and that alpha.  The system is factored once, as the sweep
+    factors it, so the dense M is formed at every N.  The misfit at alpha,
+    ||diag(lam / (lam + 2 alpha)) Q^T y_K||, falls with alpha (the secular
+    equation of Golub and von Matt, Numer. Math. 59, 1991), so its root is
+    bisected with no solve.  Only ``classify``'s solve then judges an alpha:
+    a refusal doubles it, and a miss by rounding steps it up by at least
+    twice the relative miss.  An unlabeled component is refused before any
+    solve; a budget not met at or below ``max_alpha`` raises ValueError.
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
-    cfg = ClassifierConfig(alpha=1.0, form=form)
+    form = ClassifierConfig(alpha=1.0, form=form).form
     _check_labels(g, labels)
-    solver = _label_solver(g, labels, cfg.form)
+    lam, qty = _schur_spectrum(g, labels, form)[4:]
 
-    def meets(alpha):
-        s = solver([alpha])[:, 0]
-        return label_misfit(labels, s) <= epsilon, s
+    def misfit(alpha):
+        return np.linalg.norm(lam / (lam + 2.0 * alpha) * qty)
 
-    lo, hi, alpha = None, None, 1.0
-    try:
-        while lo is None or hi is None:
-            ok, s = meets(alpha)
-            if ok:
-                hi, out, alpha = alpha, s, alpha / 2.0
-                if hi <= 1e-12:
-                    break
-            else:
-                lo, alpha = alpha, alpha * 2.0
-                if hi is None and alpha > max_alpha:
-                    raise ValueError(
-                        f"misfit budget {epsilon} not reachable below alpha={max_alpha}"
-                    )
-        for _ in range(BISECTION_STEPS if lo is not None else 0):
-            mid = float(np.sqrt(lo * hi))
-            ok, s = meets(mid)
-            if ok:
-                hi, out = mid, s
-            else:
-                lo = mid
-    except SingularSystemError:
-        if hi is None:
-            raise
+    if misfit(max_alpha) > epsilon:
+        raise ValueError(f"misfit budget {epsilon} not reachable below alpha={max_alpha}")
+    target = epsilon * (1.0 - BUDGET_MARGIN)
+    lo, hi = 2.0 ** -40, float(max_alpha)
+    if misfit(lo) <= target:
+        hi = lo
+    while lo < (mid := float(np.sqrt(lo) * np.sqrt(hi))) < hi:
+        lo, hi = (lo, mid) if misfit(mid) <= target else (mid, hi)
+    alpha, step, solves = hi, BUDGET_MARGIN, 0
     while True:
+        solves += 1
         try:
-            classify(g, labels, ClassifierConfig(hi, form))
+            out = classify(g, labels, ClassifierConfig(alpha, form))
         except SingularSystemError:
-            if 2.0 * hi > max_alpha:
+            if 2.0 * alpha > max_alpha:
                 raise
-        else:
-            if label_misfit(labels, out) <= epsilon:
-                return _classification(out), hi
-            if 2.0 * hi > max_alpha:
-                raise ValueError(
-                    f"misfit budget {epsilon} not met at alpha={hi} after doubling"
-                )
-        hi *= 2.0
-        out = solver([hi])[:, 0]
+            alpha *= 2.0
+            continue
+        miss = label_misfit(labels, out.predicted)
+        if miss <= epsilon:
+            break
+        step = max(step, 2.0 * (miss / epsilon - 1.0)) if epsilon else np.inf
+        if alpha * (1.0 + step) > max_alpha:
+            raise ValueError(f"misfit budget {epsilon} not met at alpha={alpha} "
+                             f"below alpha={max_alpha}")
+        alpha, step = alpha * (1.0 + step), 2.0 * step
+    log.debug("budget: n=%d form=%s epsilon=%r root=%r alpha=%r solves=%d",
+              g.n, form, epsilon, hi, alpha, solves)
+    return out, alpha
 
 
 def standard_alpha_grid() -> np.ndarray:

@@ -811,7 +811,42 @@ def test_budget_alpha_is_one_classify_accepts(form, k):
         result, alpha = classify_with_misfit_budget(g, labels, epsilon, form)
         assert label_misfit(labels, result.predicted) <= epsilon
         direct = classify(g, labels, ClassifierConfig(alpha=alpha, form=form))
-        assert np.abs(direct.predicted - result.predicted).max() <= 1e-6
+        assert np.array_equal(direct.predicted, result.predicted)
+        assert np.array_equal(direct.classes, result.classes)
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_budget_alpha_is_the_least_classify_meets(form):
+    # 1e-8 below the alpha found, classify refuses or misses the budget
+    sbm, truth = sbm_graph(300, 50 / 300, 5 / 300, seed=3)
+    values = np.array(truth.labels, dtype=float)
+    values[np.random.default_rng(0).random(300) >= 0.1] = 0.0
+    cases = [(two_cliques(), clique_labels(known_per_side=2), e) for e in (1e-3, 0.1, 0.5)]
+    cases += [(sbm, LabelSignal(values), e) for e in (1e-3, 1.0, 3.0)]
+    for g, labels, epsilon in cases:
+        _, alpha = classify_with_misfit_budget(g, labels, epsilon, form)
+        assert alpha > 2.0 ** -40
+        try:
+            below = classify(g, labels, ClassifierConfig(alpha * (1 - 1e-8), form))
+        except SingularSystemError:
+            continue
+        assert label_misfit(labels, below.predicted) > epsilon
+
+
+def test_budget_logs_its_root_alpha_and_solves(caplog):
+    g, labels = two_cliques(), clique_labels(known_per_side=2)
+    with caplog.at_level(logging.DEBUG, logger="graphdsp"):
+        _, alpha = classify_with_misfit_budget(g, labels, 0.1, "Laplacian")
+    budget = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("budget:")]
+    assert len(budget) == 1
+    fields = dict(field.split("=") for field in budget[0].split()[1:])
+    assert fields["n"] == "10" and fields["form"] == "laplacian"
+    assert float(fields["epsilon"]) == 0.1
+    assert 2.0 ** -40 < float(fields["root"]) <= float(fields["alpha"]) == alpha
+    solves = classify_records(caplog)
+    assert int(fields["solves"]) == len(solves) >= 1
+    assert all(" path=direct " in record for record in solves)
 
 
 def test_budget_alpha_refused_by_classify_is_doubled(monkeypatch):
@@ -836,6 +871,20 @@ def test_unreachable_misfit_budget_is_refused():
     labels = clique_labels(known_per_side=2)
     with pytest.raises(ValueError, match="not reachable"):
         classify_with_misfit_budget(g, labels, 0.0, max_alpha=1e3)
+
+
+@pytest.mark.parametrize("form", ["shift", "laplacian"])
+def test_exact_fit_budget_is_met_by_classify_or_refused(form):
+    # every label known and in M's null space: the closed form fits them
+    # up to rounding, and epsilon = 0 holds only if classify's own solution
+    # fits them exactly
+    g, labels = Graph(np.array([[0.0, 1.0], [1.0, 0.0]])), LabelSignal(np.ones(2))
+    try:
+        result, _ = classify_with_misfit_budget(g, labels, 0.0, form)
+    except ValueError as e:
+        assert "not met at alpha=" in str(e) or "not reachable" in str(e)
+    else:
+        assert label_misfit(labels, result.predicted) == 0.0
 
 
 def test_misfit_budget_refuses_unlabeled_component():
@@ -1006,16 +1055,18 @@ def test_sweep_rejects_bad_alpha_in_grid(bad):
 
 
 def test_budget_first_alpha_refused_is_raised(monkeypatch):
-    seen = []
+    # the factorization's refusal is raised before any classify solve
+    solved = []
 
-    def refuse(alphas):
-        seen.extend(alphas)
+    def refuse(g, labels, a, b):
         raise SingularSystemError("refused")
 
-    monkeypatch.setattr(applications, "_label_solver", lambda g, labels, form: refuse)
+    monkeypatch.setattr(applications, "_solve_pos", refuse)
+    monkeypatch.setattr(applications, "classify",
+                        lambda g, labels, cfg: solved.append(cfg.alpha))
     with pytest.raises(SingularSystemError, match="refused"):
         classify_with_misfit_budget(two_cliques(), clique_labels(), 1e-3)
-    assert seen == [1.0]
+    assert solved == []
 
 
 def test_budget_refused_by_classify_up_to_max_alpha_is_raised(monkeypatch):
@@ -1034,22 +1085,21 @@ def test_budget_refused_by_classify_up_to_max_alpha_is_raised(monkeypatch):
 
 
 def test_budget_not_met_after_doubling_is_an_error(monkeypatch):
-    # classify refuses the alpha found, and from then on the solver returns
-    # zeros, whose misfit no alpha brings within the budget
-    refused = []
+    # classify refuses the alpha found, and from then on returns zeros,
+    # whose misfit no alpha brings within the budget
+    solved = []
 
-    def refuse_once(g, labels, cfg):
-        if not refused:
-            refused.append(cfg.alpha)
+    def refuse_once_then_miss(g, labels, cfg):
+        solved.append(cfg.alpha)
+        if len(solved) == 1:
             raise SingularSystemError("refused")
-        return classify(g, labels, cfg)
+        out = classify(g, labels, cfg)
+        return applications.Classification(predicted=0.0 * out.predicted,
+                                           classes=out.classes)
 
-    def label_solver(g, labels, form):
-        solve = _label_solver(g, labels, form)
-        return lambda alphas: 0.0 * solve(alphas) if refused else solve(alphas)
-
-    monkeypatch.setattr(applications, "classify", refuse_once)
-    monkeypatch.setattr(applications, "_label_solver", label_solver)
-    with pytest.raises(ValueError, match="not met at alpha=.* after doubling"):
+    monkeypatch.setattr(applications, "classify", refuse_once_then_miss)
+    with pytest.raises(ValueError, match="not met at alpha="):
         classify_with_misfit_budget(two_cliques(), clique_labels(), 1e-3,
                                     max_alpha=1e3)
+    assert solved[1] == 2 * solved[0] and solved[-1] <= 1e3
+    assert solved == sorted(solved)
