@@ -8,10 +8,11 @@ and label regularization.
 
 Modules import numpy and the stdlib only, and no module imports scipy;
 networkx is imported inside ``regular_graph``, its one caller, so a command
-loads what it runs.  The classifier's dense Cholesky and its refusal are
-numpy's, and a cold spectral radius is certified in numpy by a
-Collatz-Wielandt bracket around a restarted Arnoldi estimate, or falls back
-to the dense ``eigvals``/``eigvalsh`` (see ``Graph.spectral_radius``).
+loads what it runs.  The classifier's conjugate gradients, their refusal
+probe and the sweep's dense Cholesky are numpy's, and a cold spectral
+radius is certified in numpy by a Collatz-Wielandt bracket around a
+restarted Arnoldi estimate, or falls back to the dense
+``eigvals``/``eigvalsh`` (see ``Graph.spectral_radius``).
 """
 
 from .graph import (

@@ -4,22 +4,23 @@ The detector high-pass filters sensor snapshots and flags Fourier
 coefficients that exceed a threshold calibrated on recent history.  The
 classifier treats two-class labels as a graph signal and minimizes signal
 variation plus a fidelity penalty on the known labels, which reduces to a
-symmetric positive-definite system built from one variation operator M.  A
-single fidelity weight is solved directly (a dense Cholesky of M formed by
-one GEMM) up to 2000 nodes and above by numpy conjugate gradients, which
-apply M as sparse products over the adjacency's nonzeros and iterate to a
-relative residual of ``CG_TOLERANCE``, near the Cholesky's; the alpha sweep
-and the misfit budget's root-find factor the system once per label set.  The
-Cholesky is numpy's, and it refuses as ``scipy.linalg.solve`` with its
+symmetric positive-definite system S = M + 2 alpha C built from one
+variation operator M.  A single fidelity weight is solved at every N by
+numpy conjugate gradients, which apply M as sparse products over the
+adjacency's nonzeros and iterate to a relative residual of ``CG_TOLERANCE``.
+A probe refuses a numerically singular S first: conjugate gradients on
+S z = S q, for a fixed random q, must bring z within ``SOLVER_TOLERANCE`` of
+q.  z lies in range(S), so a null vector of S, inside a labeled component
+or filling one without a label, keeps z away from q, and a vector that S
+nearly annuls is not resolved at ``CG_TOLERANCE``.  The alpha sweep and the
+misfit budget's root-find factor the system once per label set by a dense
+Cholesky, numpy's, which refuses as ``scipy.linalg.solve`` with its
 ill-conditioning warning as an error would: a factorization that fails, or
 a 1-norm reciprocal condition below eps by LAPACK's estimator, ported; so
-no solve loads scipy.  Conjugate gradients factor only the block of a
-component without a label, so the singular systems they refuse are those
-with an unlabeled component: a null vector inside a labeled component, which
-the Cholesky refuses, passes above ``DIRECT_SOLVE_MAX_N``, and the solution
-orthogonal to it is returned.  Each solve logs its path (direct, cg with its
-iterations, or factored) and its relative residual at debug level, and each
-misfit budget its closed-form root, its alpha and its count of solves.
+no solve loads scipy.  Each solve logs its path (cg with the iterations of
+the solve and of the probe, or factored) and its relative residual at debug
+level, and each misfit budget its closed-form root, its alpha and its count
+of solves.
 """
 
 from __future__ import annotations
@@ -30,18 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import GraphFilter, apply_filter
-from .graph import (Graph, GraphSignal, LabelSignal, _block, _check_laplacian,
-                    _components, _freeze, _nonzero_radius, _nonzeros, _shift,
-                    laplacian)
+from .graph import (Graph, GraphSignal, LabelSignal, _check_laplacian, _components,
+                    _freeze, _nonzero_radius, _nonzeros, _shift, laplacian)
 from .spectral import SpectralBasis, gft
 
-DIRECT_SOLVE_MAX_N = 2000
 SOLVER_TOLERANCE = 1e-8
 # conjugate gradients iterate well past SOLVER_TOLERANCE, to about the
-# residual the Cholesky leaves: its answer then differs from the direct one,
+# residual a Cholesky leaves: its answer then differs from the factored one,
 # or from its own on the graph with its nodes relabeled, by about cond(M) times
 # this, not cond(M) times SOLVER_TOLERANCE
-CG_TOLERANCE = 1e-14
+CG_TOLERANCE = 1e-15
 REGULARIZER_FORMS = ("shift", "laplacian")
 CALIBRATIONS = ("max", "median")
 # the misfit budget's root is aimed this far below epsilon, relative, so that
@@ -166,7 +165,7 @@ class _VariationOperator:
 
     ``op @ x`` applies M to a real vector as sparse products over the
     graph's nonzeros (B, then B^H), never forming B^H B; ``op.dense()`` forms
-    M, or its block over ``nodes``, with one GEMM."""
+    M once, read-only, with one GEMM."""
 
     def __init__(self, g: Graph, form: str):
         self.graph, self.form = g, form
@@ -184,52 +183,38 @@ class _VariationOperator:
         b = x - _shift(g, x) / self.rho
         return (b - _shift(g, b, adjoint=True) / self.rho).real
 
-    def dense(self, nodes=None):
-        """M as a dense array: the whole of it, formed once and read-only, or
-        a new array of its block over ``nodes``, a sorted union of weak
-        components (on which B's block is B restricted to them)."""
-        if nodes is not None:
-            return self._form(_block(self.graph, nodes))
+    def dense(self):
         if "_dense" not in self.__dict__:
-            self._dense = self._form(self.graph)
-            self._dense.setflags(write=False)
+            if self.form == "laplacian":
+                m = laplacian(self.graph)
+                m *= 2.0
+            else:
+                b = self.graph.adjacency / -self.rho
+                b[np.diag_indices(self.graph.n)] += 1.0
+                if np.iscomplexobj(b):  # Re(B^H B) = Re(B)^T Re(B) + Im(B)^T Im(B)
+                    b = np.concatenate([b.real, b.imag])
+                m = b.T @ b
+            m.setflags(write=False)
+            self._dense = m
         return self._dense
-
-    def _form(self, graph):  # the graph or a block of it (see ``_block``)
-        if self.form == "laplacian":
-            m = laplacian(graph)
-            m *= 2.0
-            return m
-        b = graph.adjacency / -self.rho
-        b[np.diag_indices(graph.n)] += 1.0
-        if np.iscomplexobj(b):  # Re(B^H B) = Re(B)^T Re(B) + Im(B)^T Im(B)
-            b = np.concatenate([b.real, b.imag])
-        return b.T @ b
 
 
 def _variation_operator(g: Graph, form: str) -> _VariationOperator:
     """The classifier's variation operator M, one per graph and form, cached
-    on the graph.  Every classifier solve uses it: its dense form for the
-    Cholesky up to ``DIRECT_SOLVE_MAX_N`` nodes, the factored sweep and the
-    budget search, its products for conjugate gradients above and for the
-    objective."""
+    on the graph.  Every classifier solve uses it: its products for
+    conjugate gradients and the objective, its dense form for the factored
+    sweep and the budget's Schur spectrum."""
     key = f"_varop_{form}"
     if key not in g.__dict__:
         g.__dict__[key] = _VariationOperator(g, form)
     return g.__dict__[key]
 
 
-def _unlabeled(g: Graph, labels: LabelSignal):
-    """The weak-component label of each node (see ``_components``), and the
-    nodes, ascending, of the components that hold no known label."""
-    component = _components(g)
-    return component, np.flatnonzero(~np.isin(component, component[labels.known_mask]))
-
-
 def _raise_singular(g: Graph, labels: LabelSignal):
     """Diagnose a singular classifier system before giving up: name the
     unlabeled weak component that holds the lowest node index."""
-    component, stray = _unlabeled(g, labels)
+    component = _components(g)
+    stray = np.flatnonzero(~np.isin(component, component[labels.known_mask]))
     if stray.size:  # the lowest stray node is the lowest root of a stray component
         nodes = np.flatnonzero(component == stray[0])
         head = ", ".join(str(i) for i in nodes[:8])
@@ -314,14 +299,14 @@ def _solve_pos(g: Graph, labels: LabelSignal, a, b):
     return solve(b)
 
 
-def _cg(apply, b, rtol, maxiter):
+def _cg(apply, b, rtol, maxiter, stop=lambda x: False):
     """Conjugate gradients for apply(x) = b from x = 0, stopping once
-    ||r|| < rtol ||b||: the solution and the iterations taken, or None and
-    ``maxiter`` when it does not converge."""
+    ||r|| < rtol ||b|| or ``stop(x)``: the solution and the iterations taken,
+    or None and ``maxiter`` when neither happens."""
     x, r, p, rr_prev = np.zeros_like(b), b.copy(), None, None
     atol = rtol * np.linalg.norm(b)
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if np.linalg.norm(r) < atol or stop(x):
             return x, iteration
         rr = r @ r
         p = r.copy() if p is None else p * (rr / rr_prev) + r
@@ -334,28 +319,31 @@ def _cg(apply, b, rtol, maxiter):
 
 
 def _solve_system(g: Graph, labels: LabelSignal, cfg: ClassifierConfig):
+    """s with (M + 2 alpha C) s = 2 alpha C y by conjugate gradients, after
+    the probe (module docstring), whose q has a fixed seed, as the Arnoldi
+    start has."""
     rhs = 2.0 * cfg.alpha * labels.labels
     fidelity = 2.0 * cfg.alpha * labels.known_mask
     m = _variation_operator(g, cfg.form)
-    if g.n <= DIRECT_SOLVE_MAX_N:
-        system = np.array(m.dense())
-        system[np.diag_indices(g.n)] += fidelity
-        s, path = _solve_pos(g, labels, system, rhs), "direct"
-    else:
-        # rhs is zero on every component without a label, so CG converges
-        # even where the system is singular: factor those components' block,
-        # as the direct solve factors it within the whole system
-        stray = _unlabeled(g, labels)[1]
-        if stray.size:
-            _solve_pos(g, labels, m.dense(stray), np.zeros(stray.size))
-        s, iterations = _cg(lambda x: m @ x + fidelity * x, rhs, CG_TOLERANCE,
-                            20 * g.n)
-        if s is None:
-            _raise_singular(g, labels)
-        path = f"cg iterations={iterations}"
-    error, scale = np.linalg.norm(m @ s + fidelity * s - rhs), np.linalg.norm(rhs)
-    log.debug("classify: n=%d form=%s path=%s residual=%.3g", g.n, cfg.form, path,
-              error / scale)
+
+    def system(x):
+        return m @ x + fidelity * x
+
+    q = np.random.default_rng(0).standard_normal(g.n)
+    bound = SOLVER_TOLERANCE * np.linalg.norm(q)
+
+    def resolved(z):
+        return np.linalg.norm(z - q) <= bound
+
+    z, probe = _cg(system, system(q), CG_TOLERANCE, 20 * g.n, resolved)
+    if z is None or not resolved(z):
+        _raise_singular(g, labels)
+    s, iterations = _cg(system, rhs, CG_TOLERANCE, 20 * g.n)
+    if s is None:
+        _raise_singular(g, labels)
+    error, scale = np.linalg.norm(system(s) - rhs), np.linalg.norm(rhs)
+    log.debug("classify: n=%d form=%s path=cg iterations=%d probe=%d residual=%.3g",
+              g.n, cfg.form, iterations, probe, error / scale)
     if error > SOLVER_TOLERANCE * scale:
         _raise_singular(g, labels)
     return s

@@ -477,7 +477,7 @@ def test_classify_two_cliques(tmp_path):
     assert classes == [1] * 5 + [-1] * 5
 
 
-@pytest.mark.parametrize("flags,path", [((), "direct"),
+@pytest.mark.parametrize("flags,path", [((), "cg"),
                                         (("--sweep", "0.5,2", "--runs", "1"), "factored")])
 def test_verbose_classify_prints_its_solve_record(flags, path, tmp_path, capsys):
     gpath, lpath = make_two_clique_files(tmp_path)

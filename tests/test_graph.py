@@ -874,15 +874,15 @@ def test_knn_haversine_at_tens_of_km_has_finite_positive_weights():
 
 
 def test_read_rho_classify_filter_and_write_build_no_dense_adjacency(tmp_path, monkeypatch):
-    # an SBM just above DIRECT_SOLVE_MAX_N: reading it, its spectral radius,
+    # an SBM of 2050 nodes: reading it, its spectral radius,
     # both classifier forms (conjugate gradients), filtering, writing, both
     # Laplacian variations and normalization run on the stored nonzeros.  The
     # dense builder refuses any N x N array, and no step peaks at the size of one
-    from graphdsp import (ClassifierConfig, GraphFilter, apply_filter, applications,
-                          classify, laplacian_quadratic_form, laplacian_total_variation)
+    from graphdsp import (ClassifierConfig, GraphFilter, apply_filter, classify,
+                          laplacian_quadratic_form, laplacian_total_variation)
     from graphdsp.fileio import read_edge_list, write_edge_list
 
-    n = applications.DIRECT_SOLVE_MAX_N + 50
+    n = 2050
     g, truth = sbm_graph(n, 0.015, 0.0015, seed=5)
     path = tmp_path / "sbm.tsv"
     write_edge_list(path, g)

@@ -17,8 +17,9 @@ complex graph's bit for bit; filtering a relabeled graph is checked against
 the original.  A kNN graph of permuted points is checked to be the permuted
 graph, and the ideal filters designed on a relabeled kNN graph to have the
 original's taps.  The classifier's solution is checked to minimize its
-objective, and to be permuted with the nodes on the direct and the
-iterative path; its reciprocal condition estimate is checked against
+objective, and to be permuted with the nodes by conjugate gradients and by
+the Cholesky of the dense system; its reciprocal condition estimate is
+checked against
 LAPACK's ``dpocon``.  An edge list is read into the graph of its dense
 adjacency, bit for bit, and written back byte for byte.
 """
@@ -537,6 +538,15 @@ def test_classify_minimizes_its_objective(data):
         assert objective(v + d) + objective(v - d) > 2.0 * j
 
 
+def solve_classifier(g, labels, cfg, dense):
+    """classify's solution, or the Cholesky solve of its dense system."""
+    if not dense:
+        return classify(g, labels, cfg).predicted
+    system = np.array(applications._variation_operator(g, cfg.form).dense())
+    system[np.diag_indices(g.n)] += 2.0 * cfg.alpha * labels.known_mask
+    return applications._solve_pos(g, labels, system, 2.0 * cfg.alpha * labels.labels)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_relabeling_the_nodes_permutes_the_classification(data):
@@ -557,19 +567,17 @@ def test_relabeling_the_nodes_permutes_the_classification(data):
     cfg = ClassifierConfig(alpha=data.draw(st.floats(0.1, 10.0)), form=form)
     p = np.array(data.draw(st.permutations(range(n))))
     gp = Graph(g.adjacency[np.ix_(p, p)], directed=g.directed)
-    # the iterative path on these small graphs, by lowering the direct limit
-    limit = data.draw(st.sampled_from([applications.DIRECT_SOLVE_MAX_N, 1]))
-    with mock.patch.object(applications, "DIRECT_SOLVE_MAX_N", limit):
-        try:
-            out = classify(g, LabelSignal(labels), cfg)
-            outp = classify(gp, LabelSignal(labels[p]), cfg)
-        except SingularSystemError:
-            assume(False)
-    s, sp = out.predicted, outp.predicted
+    # classify, or the Cholesky of the dense system it solves as a reference
+    dense = data.draw(st.booleans())
+    try:
+        s = solve_classifier(g, LabelSignal(labels), cfg, dense)
+        sp = solve_classifier(gp, LabelSignal(labels[p]), cfg, dense)
+    except SingularSystemError:
+        assume(False)
     tol = 1e-10 * np.abs(s).max()
     assert np.abs(sp - s[p]).max() <= tol
     clear = np.abs(s[p]) > tol
-    assert np.array_equal(outp.classes[clear], out.classes[p][clear])
+    assert np.array_equal(sp[clear] > 0.0, s[p][clear] > 0.0)
 
 
 @settings(max_examples=60, deadline=None)
