@@ -13,6 +13,11 @@ probe and the sweep's dense Cholesky are numpy's, and a cold spectral
 radius is certified in numpy by a Collatz-Wielandt bracket around a
 restarted Arnoldi estimate, or falls back to the dense
 ``eigvals``/``eigvalsh`` (see ``Graph.spectral_radius``).
+
+``basis_cache`` keeps three kinds of entry in a per-user directory: parsed
+edge lists, eigendecompositions and spectral radii.  rho has one home there,
+its radius entry, which every cached path that needs rho reads
+(``spectral._cached_radius``), so a warm command certifies no rho.
 """
 
 from .graph import (

@@ -1,12 +1,12 @@
-"""A per-user store of parsed edge lists and eigendecompositions, addressed
-by what their bits depend on.
+"""A per-user store of parsed edge lists, eigendecompositions and spectral
+radii, addressed by what their bits depend on.
 
 ``fileio.read_edge_list``, ``spectral.decompose`` and ``spectral.spectrum``
 take ``cache=DIR``; the command line passes ``default_directory()``.  One
-path, ``through``, serves both kinds of entry: it keys the entry, reads and
-checks it, computes and stores the result on a miss, and records and logs
-the outcome.  The key (``_key``) is the sha256 of a tag naming the kind and
-its parameters, the data it is computed from, and ``environment()``,
+path, ``through``, serves all three kinds of entry: it keys the entry, reads
+and checks it, computes and stores the result on a miss, and records and
+logs the outcome.  The key (``_key``) is the sha256 of a tag naming the kind
+and its parameters, the data it is computed from, and ``environment()``,
 everything else its bits depend on: Python and numpy, numpy's BLAS build,
 the BLAS thread variables and the number of CPUs the process may use, the
 CPU features numpy dispatches on, the machine and host, and the package's
@@ -16,14 +16,16 @@ manifest records the same ``environment()``.
 Each caller keeps its entry layout: which arrays fit, and how a result packs
 into them and back.  ``fileio`` keys an edge list by the sha256 of the
 file's bytes and stores the checked graph; ``spectral`` keys a decomposition
-by the solver and the graph, and stores its radius, eigenvalues, basis and
-condition.  Every entry stores a sha256 of its arrays, which every read
-checks.  A missing, unreadable, truncated or mismatching entry is a miss; a
-directory that cannot be made or written, or a full disk, leaves the entry
-unstored.  The entries of both kinds together hold at most ``MAX_BYTES``: an
-entry larger than that is not stored, and after each write the entries used
-longest ago, by modification time, which a hit renews, are dropped until the
-rest fit.
+by the solver and the graph, and stores its eigenvalues, basis and
+condition, and keys the graph's spectral radius by the graph alone.  That
+radius entry is rho's one home: a decomposition, a ``filter`` and a
+shift-form ``classify`` read it, so a graph certifies rho once.  Every
+entry stores a sha256 of its arrays, which every read checks.  A missing,
+unreadable, truncated or mismatching entry is a miss; a directory that
+cannot be made or written, or a full disk, leaves the entry unstored.  The
+entries of all kinds together hold at most ``MAX_BYTES``: an entry larger
+than that is not stored, and after each write the entries used longest ago,
+by modification time, which a hit renews, are dropped until the rest fit.
 """
 
 from __future__ import annotations

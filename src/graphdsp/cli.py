@@ -23,10 +23,15 @@ The commands that read a graph (``spectrum``, ``design``, ``filter``,
 keyed by the file's bytes, and record ``graph: {"cache": "hit" | "miss" |
 "unavailable", "key": ...}``; those that build a spectrum (``spectrum``,
 ``design``, ``detect`` and ``filter --spectra``) read it through the same
-cache and record ``basis`` alike.  A hit is served, a miss computed and
-stored, and an unavailable cache (no absolute home directory, a directory
-that cannot be written, an entry larger than its bound) computed alone; the
-key is null where none was looked up.  A hit writes the bytes a miss writes.
+cache and record ``basis`` alike.  The cache's third kind of entry holds the
+graph's spectral radius, rho's one home: every command that needs rho
+(those four, plain ``filter``, and ``classify`` in the shift form, sweep
+included) reads it there and records ``radius``; ``classify --form
+laplacian`` and ``gen`` need none and read none.  A hit is served, a miss
+computed and stored, and an unavailable cache (no absolute home directory,
+a directory that cannot be written, an entry larger than its bound)
+computed alone; the key is null where none was looked up.  A hit writes
+the bytes a miss writes.
 ``rerun`` refuses a manifest that records no output digests, or whose
 inputs no longer match theirs; otherwise it replays its argv, which
 reproduces the outputs bit for bit under the graphdsp version that wrote
@@ -34,7 +39,7 @@ it, and exits 1 naming every output whose sha256 differs from the recorded
 one, and each field of the environment that differs from the recorded one
 (or that the environment matches).
 ``graphdsp --verbose <command>`` prints the library's debug records to
-stderr: the cache's outcome and key for the graph and for the spectrum,
+stderr: the cache's outcome and key for the graph, the spectrum and rho,
 the solver and condition path of each computed ``decompose``, the path of
 each cold spectral radius (certified in numpy by its logged bracket, or the
 dense fallback) and the path and residual of each classifier solve.  No
@@ -68,7 +73,8 @@ from .applications import (
 from .filtering import apply_filter, design_ideal_filter, frequency_response
 from .generators import cycle_graph, path_graph, regular_graph, sbm_graph
 from .graph import build_knn_graph, euclidean, haversine_km
-from .spectral import NearDefectiveError, decompose, gft, order_frequencies, spectrum
+from .spectral import (NearDefectiveError, _cached_radius, decompose, gft,
+                       order_frequencies, spectrum)
 
 log = logging.getLogger("graphdsp")
 METRICS = {"euclidean": euclidean, "haversine": haversine_km}
@@ -95,25 +101,33 @@ def _output(args, name):
 def _graph(args):
     """The graph of ``args.graph``, read through the per-user cache; the
     outcome goes to the manifest."""
+    if args.cache is None:
+        log.debug("basis_cache: unavailable, the home directory is not an absolute path")
     g = fileio.read_edge_list(args.graph, cache=args.cache)
-    args.graph_cache, args.digests[args.graph] = _outcome(args, g), g._sha256
+    args.graph_cache, args.digests[args.graph] = _outcome(g, "_cache"), g._sha256
     return g
+
+
+def _radius(args, g):
+    """Give the graph its spectral radius through the per-user cache; the
+    outcome goes to the manifest."""
+    _cached_radius(g, args.cache)
+    args.radius = _outcome(g, "_radius_cache")
 
 
 def _spectrum(args, g, basis=False):
     """The graph's ``spectrum``, or with ``basis`` its ``decompose``, through
-    the per-user cache; the outcome goes to the manifest."""
+    the per-user cache, which also gives the graph its spectral radius; both
+    outcomes go to the manifest."""
     sp = (decompose if basis else spectrum)(g, cache=args.cache)
-    args.basis = _outcome(args, sp)
+    args.basis, args.radius = _outcome(sp, "_cache"), _outcome(g, "_radius_cache")
     return sp
 
 
-def _outcome(args, x):
-    """The cache outcome and key recorded on ``x``, a graph or spectrum read
-    through ``args.cache``."""
-    if args.cache is None:
-        log.debug("basis_cache: unavailable, the home directory is not an absolute path")
-    return x.__dict__.get("_cache", {"cache": "unavailable", "key": None})
+def _outcome(x, slot):
+    """The cache outcome and key that ``basis_cache.through`` recorded in
+    ``slot`` of ``x``; unavailable, with no key, where nothing was looked up."""
+    return x.__dict__.get(slot, {"cache": "unavailable", "key": None})
 
 
 def _finish(args):
@@ -129,7 +143,8 @@ def _finish(args):
         "outputs": {name: _sha256(os.path.join(args.out, name)) for name in args.outputs},
         "environment": basis_cache.environment(),
     }
-    for name, outcome in (("graph", args.graph_cache), ("basis", args.basis)):
+    for name, outcome in (("graph", args.graph_cache), ("basis", args.basis),
+                          ("radius", args.radius)):
         if outcome is not None:
             doc[name] = outcome
     fileio._write_json(os.path.join(args.out, "manifest.json"), doc)
@@ -195,9 +210,13 @@ def _cmd_filter(args):
     g = _graph(args)
     filt = fileio.read_filter(args.filter)
     s = g.signal(fileio.read_signal(args.signal))
-    # h(A/rho) s needs rho alone; the spectra alone build a basis, whose hit
-    # restores rho: before any write, so a defective graph leaves none
-    b = _spectrum(args, g, basis=True) if args.spectra else None
+    # h(A/rho) s needs rho alone; the spectra alone build a basis: before any
+    # write, so a defective graph leaves none
+    b = None
+    if args.spectra:
+        b = _spectrum(args, g, basis=True)
+    else:
+        _radius(args, g)
     result = apply_filter(g, filt, s)
     fileio.write_signal(_output(args, "filtered.csv"), result.values)
     if b is not None:
@@ -243,8 +262,11 @@ def _cmd_classify(args):
     if args.sweep:
         if not args.truth:
             raise ValueError("--sweep needs --truth with full ground-truth labels")
-        truth = fileio.read_labels(args.truth)
-        sweep = sweep_alpha(g, truth, args.form, _parse_grid(args.sweep),
+        truth, grid = fileio.read_labels(args.truth), _parse_grid(args.sweep)
+    if args.form == "shift":  # B = I - A/rho; the Laplacian form needs no rho
+        _radius(args, g)
+    if args.sweep:
+        sweep = sweep_alpha(g, truth, args.form, grid,
                             float(labels.known_mask.mean()), args.runs, seed=args.seed)
         fileio.write_accuracy_table(_output(args, "accuracy.csv"), sweep)
     else:
@@ -396,7 +418,7 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     args.config = {k: v for k, v in vars(args).items() if k != "func"}
     args.argv, args.outputs, args.digests = argv, [], {}  # sha256 by path, as read
-    args.graph_cache = args.basis = None
+    args.graph_cache = args.basis = args.radius = None
     args.cache = basis_cache.default_directory()
     handler, level = logging.StreamHandler(sys.stderr), log.level
     if args.verbose:

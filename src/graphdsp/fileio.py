@@ -275,21 +275,59 @@ def read_labels(path) -> LabelSignal:
 
 
 def _pairs(z):
+    """The [re, im] rows of a complex vector, as a real N x 2 array."""
     z = np.asarray(z, dtype=complex)
-    return [[float(v.real), float(v.imag)] for v in z]
+    return np.stack([z.real, z.imag], axis=-1)
+
+
+def _json_array(x, depth):
+    """``json.dumps(x.tolist(), indent=2)`` of a real or integer array that
+    sits ``depth`` levels deep, byte for byte: its numbers are formatted by
+    one call of the C encoder, and the ``indent=2`` padding put between them
+    by ``str.join``.  Between numbers i and i+1 the padding closes and opens
+    one bracket for each trailing axis that ends at i."""
+    if not x.size:  # nothing to format; the Python encoder is quick on it
+        return json.dumps(x.tolist(), indent=2).replace("\n", "\n" + "  " * depth)
+    numbers = json.dumps(x.ravel().tolist())[1:-1].split(", ")
+    m = x.ndim
+
+    def pad(level):
+        return "\n" + "  " * level
+
+    def close(k):  # the k innermost brackets
+        return "".join(pad(depth + m - 1 - j) + "]" for j in range(k))
+
+    def open_(k):  # k brackets, the outermost at depth + m - k
+        return "".join("[" + pad(depth + m - k + 1 + j) for j in range(k))
+
+    ends = np.zeros(x.size - 1, dtype=np.intp)
+    for extent in np.cumprod(x.shape[:0:-1]):  # the trailing axes' sizes
+        ends += np.arange(1, x.size) % extent == 0
+    between = [close(k) + "," + pad(depth + m - k) + open_(k) for k in range(m)]
+    seps = [between[k] for k in ends.tolist()]
+    seps.append(close(m))
+    return open_(m) + "".join(map(str.__add__, numbers, seps))
 
 
 def _write_json(path, doc):
+    """``json.dump(doc, indent=2)`` and a newline, byte for byte, for a dict
+    with string keys.  A value that is a real or integer numpy array is
+    written as its ``tolist()`` by ``_json_array``; every other value,
+    strings among them, by ``json.dumps``."""
+    items = [json.dumps(key) + ": " + (
+                 _json_array(value, 1)
+                 if isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
+                 else json.dumps(value, indent=2).replace("\n", "\n  "))
+             for key, value in doc.items()]
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n")
 
 
 def write_spectrum(path, b: Spectrum, ordering: FrequencyOrdering):
     _write_json(path, {
         "eigenvalues": _pairs(b.eigenvalues),
-        "variations": [float(v) for v in ordering.variations],
-        "order": [int(i) for i in ordering.order],
+        "variations": ordering.variations,
+        "order": ordering.order,
         "basis_condition": b.basis_condition,
     })
 

@@ -52,26 +52,44 @@ class GraphFilter:
 
 def _first_distinct(values, order, tol):
     """Indices of ``values`` kept by a walk in ``order`` that drops each value
-    within ``tol`` of an earlier kept one.
+    within ``tol`` of an earlier kept one, in the order kept.
 
-    Kept values are filed in square cells of side 2*tol, so each value is
-    compared only with the kept values of its own cell and the 8 around it.
-    The cell keys stay floats: a key that overflows to +-inf still files a
-    finite value, where an integer key could not.  A difference that
-    overflows reads as inf, which is far apart.
+    Values are filed in square cells of side 2*tol, so a value within ``tol``
+    of another lies in its cell or one of the 8 around it.  A value alone in
+    its cell, with the 8 around it empty, is kept, whatever the order; the
+    cells are matched by sorting, with no loop over the values.  The walk
+    visits only the rest, and compares each with the kept values of its own
+    cell and the 8 around it.  The cell keys stay floats: a key that
+    overflows to +-inf still files a finite value, where an integer key
+    could not.  A difference that overflows reads as inf, which is far
+    apart.
     """
-    kept, filed = [], {}
+    order = np.asarray(order)
     with np.errstate(over="ignore"):
-        cells = np.floor(np.column_stack([values.real, values.imag]) / (2.0 * tol))
-        cells = cells.tolist()
-        for i in order:
-            x, y = cells[i]
+        x, y = np.floor(values.real / (2.0 * tol)), np.floor(values.imag / (2.0 * tol))
+    # a complex key sorts by x, then y, and compares both exactly
+    keys = np.empty(values.size, dtype=complex)
+    keys.real, keys.imag = x, y
+    cells, cell = np.unique(keys, return_inverse=True)
+    # only in a cell that holds two values, or touches an occupied one, can
+    # two values lie within tol
+    crowded = np.bincount(cell, minlength=cells.size) > 1
+    around = [(dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0) if dx or dy]
+    for dx, dy in around:
+        keys.real, keys.imag = x + dx, y + dy
+        at = np.minimum(np.searchsorted(cells, keys), cells.size - 1)
+        found = cells[at] == keys
+        crowded[at[found]] = crowded[cell[found]] = True
+    walk = crowded[cell]
+    keep, filed, x, y = ~walk, {}, x.tolist(), y.tolist()
+    with np.errstate(over="ignore"):
+        for i in order[walk[order]].tolist():
             near = [j for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)
-                    for j in filed.get((x + dx, y + dy), ())]
+                    for j in filed.get((x[i] + dx, y[i] + dy), ())]
             if not near or np.abs(values[near] - values[i]).min() > tol:
-                kept.append(i)
-                filed.setdefault((x, y), []).append(i)
-    return kept
+                keep[i] = True
+                filed.setdefault((x[i], y[i]), []).append(i)
+    return order[keep[order]]
 
 
 @dataclass(frozen=True, eq=False)

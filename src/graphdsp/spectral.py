@@ -37,13 +37,16 @@ accepts on the bound computes it when it is first read.
 ``decompose`` and ``spectrum`` take ``cache=DIR``, a ``basis_cache``
 directory: a graph whose decomposition is stored there is served from it,
 bit for bit as computed and without its dense adjacency, and one that is
-not is computed and stored, unless refused (``basis_cache.through``).
+not is computed and stored, unless refused (``basis_cache.through``).  The
+spectral radius has its own entry there (``_cached_radius``), which the
+command line's ``filter`` and shift-form ``classify`` read as well.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -264,14 +267,15 @@ def _descending(w):
 
 def _cached(g: Graph, solver, cache, compute, exact=False):
     """``compute()``, or the ``basis_cache`` entry in ``cache`` of the
-    graph's decomposition by ``solver``: its spectral radius and exact
-    condition where computed (an ``exact`` hit needs it), the eigenvalues
-    and, for a basis, ``vectors`` and ``fourier``.  A hit restores the
-    radius, whose bits the key fixes, so a warm graph computes none."""
+    graph's decomposition by ``solver``: its exact condition where computed
+    (an ``exact`` hit needs it), the eigenvalues and, for a basis,
+    ``vectors`` and ``fourier``.  The radius is not part of it: with a
+    cache, ``_cached_radius`` then reads or stores the graph's radius entry,
+    so a warm graph computes no rho."""
     _check_nonzero(g)
 
-    def fits(scalars, w, *vf):
-        return (scalars.dtype == float and scalars.shape in ((1 + exact,), (2,))
+    def fits(condition, w, *vf):
+        return (condition.dtype == float and condition.shape in ((1,), (int(exact),))
                 and w.dtype == complex and w.shape == (g.n,)
                 and all(x.dtype == vf[0].dtype and x.dtype in (float, complex)
                         and x.shape == (g.n, g.n) for x in vf))
@@ -279,19 +283,37 @@ def _cached(g: Graph, solver, cache, compute, exact=False):
     def pack(sp):
         condition = [sp.__dict__["_condition"]] if "_condition" in sp.__dict__ else []
         vf = [sp.vectors, sp.fourier] if isinstance(sp, SpectralBasis) else []
-        return [np.array([g.spectral_radius, *condition]), sp.eigenvalues, *vf]
+        return [np.array(condition, dtype=float), sp.eigenvalues, *vf]
 
-    def unpack(scalars, w, *vf):
-        g.__dict__["_rho"] = float(scalars[0])
+    def unpack(condition, w, *vf):
         sp = (SpectralBasis(graph=g, eigenvalues=w, vectors=vf[0], fourier=vf[1]) if vf
               else Spectrum(graph=g, eigenvalues=w))
-        if scalars.size == 2:
-            sp.__dict__["_condition"] = float(scalars[1])
+        if condition.size:
+            sp.__dict__["_condition"] = float(condition[0])
         return sp
 
-    return basis_cache.through(cache, f"solver={solver}", [solver, g.n, g.directed],
-                               _nonzeros(g), 2 if solver == "eigvalsh" else 4, fits,
-                               compute, pack, unpack)
+    sp = basis_cache.through(cache, f"solver={solver}", [solver, g.n, g.directed],
+                             _nonzeros(g), 2 if solver == "eigvalsh" else 4, fits,
+                             compute, pack, unpack)
+    _cached_radius(g, cache)
+    return sp
+
+
+def _cached_radius(g: Graph, cache):
+    """Give the graph its spectral radius from its radius entry in ``cache``,
+    a ``basis_cache`` directory: one float64, keyed by the graph, that holds
+    the bits of ``g.spectral_radius`` computed cold (certified or dense).  A
+    miss computes rho and stores it.  The outcome is kept on the graph as
+    ``_radius_cache``, apart from the ``_cache`` of its edge list.  Without
+    a cache nothing is read or written, and rho is left to its first read."""
+    if cache is None:
+        return
+    r = basis_cache.through(cache, "radius", ["radius", g.n, g.directed], _nonzeros(g), 1,
+                            lambda rho: rho.dtype == float and rho.shape == (1,),
+                            lambda: SimpleNamespace(rho=g.spectral_radius),
+                            lambda r: [np.array([r.rho])],
+                            lambda rho: SimpleNamespace(rho=float(rho[0])))
+    g.__dict__["_rho"], g.__dict__["_radius_cache"] = r.rho, r._cache
 
 
 def spectrum(g: Graph, *, cache=None) -> Spectrum:

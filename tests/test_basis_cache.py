@@ -92,7 +92,7 @@ def test_eigvalsh_and_eigh_entries_never_serve_each_other(tmp_path):
     sp, b = spectrum(g, cache=tmp_path), decompose(g, cache=tmp_path)
     assert (outcome(sp), outcome(b)) == ("miss", "miss")
     assert sp.__dict__["_cache"]["key"] != b.__dict__["_cache"]["key"]
-    assert len(entries(tmp_path)) == 2
+    assert len(entries(tmp_path)) == 3  # the two bases and the graph's one radius
     assert type(spectrum(g, cache=tmp_path)) is spectral.Spectrum
     assert type(decompose(g, cache=tmp_path)) is spectral.SpectralBasis
 
@@ -133,9 +133,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
 def test_a_corrupted_entry_is_recomputed_and_rewritten(corrupt, tmp_path):
     cold = decompose(knn())
-    decompose(knn(), cache=tmp_path)
-    [name] = entries(tmp_path)
-    path = tmp_path / name
+    path = tmp_path / (decompose(knn(), cache=tmp_path).__dict__["_cache"]["key"] + ".npy")
     good = path.read_bytes()
     path.write_bytes(CORRUPTIONS[corrupt](good))
     again = decompose(knn(), cache=tmp_path)
@@ -152,7 +150,7 @@ def test_a_different_blas_thread_setting_misses(tmp_path, monkeypatch):
     assert outcome(decompose(knn(), cache=tmp_path)) == "miss"
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert outcome(decompose(knn(), cache=tmp_path)) == "hit"
-    assert len(entries(tmp_path)) == 2
+    assert len(entries(tmp_path)) == 4  # a basis and a radius under each setting
 
 
 def test_a_changed_source_misses(tmp_path, monkeypatch):
@@ -186,11 +184,13 @@ def test_another_cpu_count_misses(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus + 1)),
                         raising=False)
     assert outcome(decompose(knn(), cache=tmp_path)) == "miss"
-    assert len(entries(tmp_path)) == 2
+    assert len(entries(tmp_path)) == 4  # a basis and a radius under each count
 
 
 def test_the_entries_stay_within_their_bytes(tmp_path, monkeypatch):
-    # six directed 6-node graphs, each entry the same size; room for three
+    # six directed 6-node graphs, each entry the same size; room for three;
+    # only basis entries are written, so that each decompose adds one entry
+    monkeypatch.setattr(spectral, "_cached_radius", lambda g, cache: None)
     cycle = cycle_graph(6).adjacency
     graphs = [Graph((i + 1) * cycle) for i in range(6)]
 
@@ -386,6 +386,7 @@ def test_without_a_cache_an_edge_list_touches_no_file(tmp_path, monkeypatch):
 
 
 def test_edge_list_and_basis_entries_share_one_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectral, "_cached_radius", lambda g, cache: None)  # bases alone
     p, cache = edge_list(tmp_path), tmp_path / "cache"
     g, _ = read(p, cache)
     [graph_entry] = entries(cache)
@@ -503,15 +504,24 @@ def test_verbose_logs_the_outcome_and_the_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [(), ("--symmetrize",)], ids=["directed", "symmetrized"])
 def test_a_warm_command_computes_no_spectral_radius(flags, tmp_path, capsys, monkeypatch):
-    # a miss certifies rho once and stores it with the basis; a hit restores it
-    for name, argv in commands(*sensor_inputs(tmp_path, *flags)).items():
+    # a miss certifies rho once and stores it in the graph's radius entry; a
+    # warm command reads the cold bits from there and logs no record
+    argvs = graph_commands(tmp_path, *flags)
+    cold_rho = read_edge_list(tmp_path / "g" / "graph.tsv").spectral_radius
+    for name in FIRST + ["filter", "classify", "sweep"]:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"{name}-cache"))
         for expected, records in (("miss", 1), ("hit", 0)):
             capsys.readouterr()
-            assert run("--verbose", *argv, "--out", tmp_path / f"{name}-{expected}") == 0
-            assert manifest(tmp_path / f"{name}-{expected}")["basis"]["cache"] == expected
-            err = capsys.readouterr().err
+            out = tmp_path / f"{name}-{expected}"
+            assert run("--verbose", *argvs[name], "--out", out) == 0
+            doc, err = manifest(out), capsys.readouterr().err
+            assert doc["radius"]["cache"] == expected
+            if name in FIRST:
+                assert doc["basis"]["cache"] == expected
+            assert f"basis_cache: {expected} radius key={doc['radius']['key']}" in err
             assert err.count("spectral_radius: n=40 path=krylov") == records, (name, expected)
+            rho = radius_entry(basis_cache.default_directory(), doc["radius"]["key"])
+            assert rho.hex() == cold_rho.hex()
 
 
 def spy_on_basis_solves(monkeypatch, n=40):
@@ -583,10 +593,11 @@ def test_a_directed_spectrum_json_has_the_same_bytes_in_every_order(tmp_path, mo
     assert json.loads(written["alone"])["basis_condition"] == exact
 
 
-def graph_commands(tmp_path):
-    """Every command that reads the sensor graph, each under its own name:
-    the spectrum commands, plain ``filter``, and ``classify`` in both modes."""
-    graph, filt, signals = sensor_inputs(tmp_path)
+def graph_commands(tmp_path, *flags):
+    """Every command that reads the sensor graph, built with ``flags``, each
+    under its own name: the spectrum commands, plain ``filter``, and
+    ``classify`` in both modes."""
+    graph, filt, signals = sensor_inputs(tmp_path, *flags)
     labels = np.where(np.arange(40) < 20, 1.0, -1.0)
     write_signal(tmp_path / "truth.csv", labels)
     write_signal(tmp_path / "known.csv", labels * (np.arange(40) % 4 == 0))
@@ -675,14 +686,120 @@ def test_an_unusable_cache_records_the_graph_unavailable(environ, tmp_path, monk
 
 
 def test_verbose_logs_the_graph_outcome_and_the_key(tmp_path, capsys):
+    # plain filter reads two entries: the graph, then its radius
     argv = graph_commands(tmp_path)["filter"]
     for expected in ("miss", "hit"):
         capsys.readouterr()
         assert run("--verbose", *argv, "--out", tmp_path / expected) == 0
-        key = manifest(tmp_path / expected)["graph"]["key"]
+        doc = manifest(tmp_path / expected)
         records = [line for line in capsys.readouterr().err.splitlines()
                    if line.startswith("basis_cache:")]
-        assert records == [f"basis_cache: {expected} edge_list={argv[1]} key={key}"]
+        assert records == [
+            f"basis_cache: {expected} edge_list={argv[1]} key={doc['graph']['key']}",
+            f"basis_cache: {expected} radius key={doc['radius']['key']}"]
+
+
+# ---------------------------------------------------------------------------
+# radius entries
+
+
+def radius_entry(cache, key):
+    """The rho stored as the radius entry of ``key``."""
+    return float(basis_cache._read(cache, key, 1, lambda rho: True)[0][0])
+
+
+def test_a_dense_fallback_rho_is_stored_and_read(tmp_path, capsys):
+    # a path's Perron vector is too small at its ends for the bracket to
+    # close, so rho comes from the dense eigvalsh; the warm filter skips it
+    assert run("gen", "path", 200, "--out", tmp_path / "g") == 0
+    graph = tmp_path / "g" / "graph.tsv"
+    write_filter(tmp_path / "f.json", GraphFilter([1.0, -1.0]))
+    write_signal(tmp_path / "s.csv", np.sin(np.arange(200.0)))
+    cold_rho = read_edge_list(graph).spectral_radius
+    for expected, records in (("miss", 1), ("hit", 0)):
+        capsys.readouterr()
+        out = tmp_path / expected
+        assert run("--verbose", "filter", graph, tmp_path / "f.json", tmp_path / "s.csv",
+                   "--out", out) == 0
+        err = capsys.readouterr().err
+        assert err.count("spectral_radius: n=200 path=krylov blocks=1 certified=0") == records
+        key = manifest(out)["radius"]["key"]
+        assert radius_entry(basis_cache.default_directory(), key).hex() == cold_rho.hex()
+    assert (tmp_path / "miss" / "filtered.csv").read_bytes() \
+        == (tmp_path / "hit" / "filtered.csv").read_bytes()
+
+
+def radius_through(g, cache):
+    """rho of g through the radius entry in ``cache``, and the outcome."""
+    spectral._cached_radius(g, cache)
+    return g.spectral_radius, g.__dict__["_radius_cache"]["cache"]
+
+
+RADIUS_CORRUPTIONS = {**{k: v for k, v in CORRUPTIONS.items() if k != "shape beyond the data"},
+                      "shape beyond the data": lambda data: data.replace(b"(1,)", b"(9,)", 1)}
+MISSHAPEN_RADII = {
+    "two values": lambda rho: [np.array([rho, rho])],
+    "no value": lambda rho: [np.array([])],
+    "a scalar": lambda rho: [np.array(rho)],
+    "float32": lambda rho: [np.array([rho], dtype=np.float32)],
+    "int64": lambda rho: [np.array([1])],
+    "complex": lambda rho: [np.array([rho + 0j])],
+    "two arrays": lambda rho: [np.array([rho]), np.array([rho])],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(RADIUS_CORRUPTIONS) + sorted(MISSHAPEN_RADII))
+def test_a_damaged_radius_entry_is_a_miss_and_rewritten(damage, tmp_path, monkeypatch):
+    cold_rho = knn().spectral_radius
+    rho, got = radius_through(knn(), tmp_path)
+    assert got == "miss" and rho.hex() == cold_rho.hex()
+    [name] = entries(tmp_path)
+    path = tmp_path / name
+    good = path.read_bytes()
+    if damage in RADIUS_CORRUPTIONS:
+        path.write_bytes(RADIUS_CORRUPTIONS[damage](good))
+    else:
+        assert basis_cache.store(tmp_path, name[:-len(".npy")], MISSHAPEN_RADII[damage](rho))
+    assert path.read_bytes() != good
+    rho, got = radius_through(knn(), tmp_path)
+    assert got == "miss" and rho.hex() == cold_rho.hex()
+    assert path.read_bytes() == good
+
+    def refuse(*args):
+        raise AssertionError("a hit computed the spectral radius")
+
+    monkeypatch.setattr(graph_module, "_certified_radius", refuse)
+    rho, got = radius_through(knn(), tmp_path)
+    assert got == "hit" and rho.hex() == cold_rho.hex()
+
+
+def test_without_a_cache_no_radius_entry_is_read_or_written(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cache was used")
+
+    for name in ("_key", "_read", "store"):
+        monkeypatch.setattr(basis_cache, name, refuse)
+    g = knn()
+    spectral._cached_radius(g, None)
+    assert "_rho" not in g.__dict__ and "_radius_cache" not in g.__dict__
+    assert g.spectral_radius.hex() == knn().spectral_radius.hex()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_laplacian_form_reads_and_stores_no_radius(tmp_path, capsys):
+    graph = sensor_inputs(tmp_path, "--symmetrize")[0]
+    labels = np.zeros(40)
+    labels[::4] = (-1.0) ** np.arange(10)
+    write_signal(tmp_path / "known.csv", labels)
+    argv = ["classify", graph, tmp_path / "known.csv", "--form", "laplacian"]
+    capsys.readouterr()
+    for out in ("a", "b"):
+        assert run("--verbose", *argv, "--out", tmp_path / out) == 0
+        doc = manifest(tmp_path / out)
+        assert "radius" not in doc
+        assert entries(basis_cache.default_directory()) == [doc["graph"]["key"] + ".npy"]
+        err = capsys.readouterr().err
+        assert "spectral_radius:" not in err and " radius key=" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -267,9 +267,8 @@ def test_filter_spectra_table_is_consistent(tmp_path):
 
 
 def test_filter_spectra_writes_the_plain_filters_bytes(tmp_path):
-    # both runs read rho certified by its bracket, cold cache or warm; a
-    # basis built first would seed it with max |w|, which differs in the
-    # last bits on this directed graph
+    # every run filters with rho certified by its bracket: plain filter
+    # stores it in the graph's radius entry, and --spectra reads it there
     write_points(tmp_path / "points.csv", np.random.default_rng(6).random((400, 2)))
     assert run("gen", "knn", tmp_path / "points.csv", 8, "--out", tmp_path / "g") == 0
     fpath, spath = tmp_path / "f.json", tmp_path / "s.csv"

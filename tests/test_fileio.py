@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphdsp import (
     Graph,
@@ -19,7 +20,9 @@ from graphdsp import (
 )
 from graphdsp.fileio import (
     _fmt_weight,
+    _pairs,
     _parse_weight,
+    _write_json,
     read_edge_list,
     read_filter,
     read_labels,
@@ -491,6 +494,44 @@ def test_spectrum_file_fields(tmp_path):
     eig = [complex(re, im) for re, im in doc["eigenvalues"]]
     assert np.allclose(eig, [1, -1j, 1j, -1])
     assert doc["basis_condition"] == pytest.approx(1.0)
+
+
+# numbers whose text is easy to get wrong: signed zeros, subnormals, the
+# extremes of float64, the infinities and NaN
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1e308, -1e308, 1.7976931348623157e308, float("inf"),
+                               float("-inf"), float("nan"), 1e16, 1e-7, 0.1])
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+JSON_VALUES = st.one_of(
+    hnp.arrays(np.float64, SHAPES, elements=st.floats() | EDGE_FLOATS),
+    hnp.arrays(np.int64, SHAPES),
+    # complex vectors are written as [re, im] rows
+    hnp.arrays(np.complex128, st.integers(0, 5), elements=st.complex_numbers()
+               | st.builds(complex, EDGE_FLOATS, EDGE_FLOATS)).map(_pairs),
+    st.floats() | EDGE_FLOATS, st.integers(), st.booleans(), st.none(),
+    # strings that look like the padding between numbers
+    st.lists(st.sampled_from(["a, b", "[1, 2]", ",\n  ", "x"]) | st.text(max_size=4),
+             max_size=3),
+    st.dictionaries(st.text(max_size=3), st.floats() | st.integers(), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4))
+def test_json_documents_are_the_python_encoder_byte_for_byte(doc):
+    # arrays take one C encoder call each; the bytes are json.dump(indent=2)'s
+    # on their tolist(), and _pairs' rows are the [float(re), float(im)] pairs
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "doc.json"
+        _write_json(p, doc)
+        written = p.read_text()
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    assert written == json.dumps(plain, indent=2) + "\n"
+
+
+def test_pairs_are_the_real_and_imaginary_parts():
+    z = np.array([1 + 2j, -0.0 - 0.0j, complex(5e-324, -1e308), np.inf - 1j])
+    assert _pairs(z).tolist() == [[float(v.real), float(v.imag)] for v in z]
+    assert _pairs(np.array([3.0, -0.0])).tolist() == [[3.0, 0.0], [-0.0, 0.0]]
 
 
 def test_reports_are_parseable(tmp_path):

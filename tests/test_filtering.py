@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdsp import (
     Graph,
@@ -21,7 +23,8 @@ from graphdsp import (
     order_eigenvalues,
     order_frequencies,
 )
-from graphdsp.filtering import DEDUP_FREQ_TOL, DISTINCT_FREQ_TOL, _distinct_by_rank
+from graphdsp.filtering import (DEDUP_FREQ_TOL, DISTINCT_FREQ_TOL, _distinct_by_rank,
+                                _first_distinct)
 
 
 def random_diagonalizable(rng, n):
@@ -396,6 +399,61 @@ def test_target_response_refuses_what_the_gap_matrix_refused():
 def test_distinct_by_rank_keeps_one_value_of_a_tight_cluster():
     w = -1.0 + np.random.default_rng(7).uniform(-1e-15, 1e-15, 1000) + 0j
     assert _distinct_by_rank(w, np.arange(w.size)).size == 1
+
+
+def first_distinct_cell_walk(values, order, tol):
+    """The walk that _first_distinct runs only on crowded cells, run over
+    every value: each is compared with the kept values of its 2*tol cell and
+    the 8 around it, their keys floats that may overflow to +-inf."""
+    kept, filed = [], {}
+    with np.errstate(over="ignore"):
+        cells = np.floor(np.column_stack([values.real, values.imag]) / (2.0 * tol))
+        cells = cells.tolist()
+        for i in order:
+            x, y = cells[i]
+            near = [j for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0)
+                    for j in filed.get((x + dx, y + dy), ())]
+            if not near or np.abs(values[near] - values[i]).min() > tol:
+                kept.append(i)
+                filed.setdefault((x, y), []).append(i)
+    return kept
+
+
+@st.composite
+def clustered_values(draw):
+    """Up to 40 complex values on a grid of half tolerances around a centre,
+    so that clusters form, differences land exactly on tol, and cells touch;
+    the centre may sit where the cell keys overflow to +-inf or pass 2^53."""
+    tol = draw(st.sampled_from([DEDUP_FREQ_TOL, DISTINCT_FREQ_TOL, 0.5, 2.0 ** -30]))
+    centre = draw(st.sampled_from([0.0, 1.0, -1.0, 1e300, -1.7e308, 1.7e308,
+                                   2.0 ** 53 * tol, 3e-300]))
+    steps = st.integers(-6, 6).map(lambda k: k * tol / 2)
+    m = draw(st.integers(1, 40))
+    re = np.array(draw(st.lists(steps, min_size=m, max_size=m))) + centre
+    im = np.array(draw(st.lists(steps | st.floats(-3, 3), min_size=m, max_size=m)))
+    order = draw(st.permutations(range(m)))
+    return re + 1j * im, np.array(order), tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(clustered_values())
+def test_first_distinct_keeps_what_the_cell_walk_keeps(case):
+    values, order, tol = case
+    assert _first_distinct(values, order, tol).tolist() == \
+        first_distinct_cell_walk(values, order, tol)
+
+
+def test_first_distinct_at_exact_ties_and_overflowing_keys():
+    tol = 0.25  # a power of two: every difference below is exact
+    cases = [np.array([0.0, tol, 2 * tol, 3 * tol, 3 * tol + 1e-3]) + 0j,
+             np.array([1.7e308, 1.7e308 - 1e292, -1.7e308, 1e308j, 1e308j + tol]),
+             np.array([1.0, 1.0 + tol * 1j, 1.0 + tol + tol * 1j, 5.0, 5.0])]
+    rng = np.random.default_rng(3)
+    for values in cases:
+        for _ in range(20):
+            order = rng.permutation(values.size)
+            assert _first_distinct(values, order, tol).tolist() == \
+                first_distinct_cell_walk(values, order, tol)
 
 
 def test_target_response_at_any_finite_scale():
